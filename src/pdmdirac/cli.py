@@ -26,7 +26,6 @@ import json
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 from . import verify as verify_mod
 from .errors import ConvergenceError, PoleError, SingularityError
@@ -46,6 +45,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 MODEL_KEYS = ("omega", "alpha", "gamma", "beta", "delta", "c", "m1", "m2")
+# model keys each direct-coefficient mode reads; the example modes read all
+_MODE_MODEL_KEYS = {"rm2": (), "gpt": ("c", "delta", "gamma", "m2")}
 
 
 def _add_model_opts(p: _Parser):
@@ -283,7 +284,7 @@ def _solve_spectrum(ns: dict, mode: str, n_max: int):
         _require(ns, "sp_a", "sp_b")
         return gpt_solve(ns["sp_a"], ns["sp_b"], ns["c"], n_max=n_max,
                          delta=ns["delta"], gamma=ns.get("gamma") or 0.0,
-                         m2=ns.get("m2") or 1.0)
+                         m2=1.0 if ns.get("m2") is None else ns["m2"])
     params = _model_params(ns)
     if mode == "example1":
         return rm2_solve_from_params(params, n_max=n_max)
@@ -382,6 +383,9 @@ def cmd_wavefunction(ns: dict) -> int:
         row = {"x": float(x), "phi": float(state.samples[i])}
         if spin is not None:
             row["spinor"] = float(spin.samples[i])
+        if not all(map(math.isfinite, row.values())):
+            raise OverflowError(f"non-finite wavefunction sample at x = {row['x']!r} "
+                                f"(node {i})")
         rows.append(row)
     _write(ns, _emit(ns, _meta(ns, "wavefunction"), cols, rows))
     return 0
@@ -415,6 +419,10 @@ def _sweep_point(ns: dict, mode: str, value: float, level: int) -> dict:
 def cmd_sweep(ns: dict) -> int:
     mode = _resolve_mode(ns)
     _require(ns, "param", "sweep_from", "sweep_to", "steps")
+    read = _MODE_MODEL_KEYS.get(mode, MODEL_KEYS)
+    if ns["param"] not in read:
+        raise CliError(f"--param {ns['param']} is never read in {mode} mode "
+                       f"(it reads {', '.join(read) or 'no model key'})")
     if ns["steps"] < 2:
         raise CliError("--steps must be at least 2")
     level = ns["level"]
@@ -425,9 +433,7 @@ def cmd_sweep(ns: dict) -> int:
     # flags; the filter is set here once because it is process-global state
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            rows = list(pool.map(lambda v: _sweep_point(ns, mode, v, level),
-                                 values))
+        rows = [_sweep_point(ns, mode, v, level) for v in values]
     cols = [ns["param"], "e_re", "e_im", "is_real", "admissible", "status"]
     _write(ns, _emit(ns, _meta(ns, "sweep"), cols, rows))
     return 0

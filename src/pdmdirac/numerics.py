@@ -6,6 +6,10 @@ discretization is the standard symmetric tridiagonal matrix with diagonal
 Sturm sequence counts; eigenvectors from inverse iteration with a partially
 pivoted tridiagonal LU.  Everything here is deterministic and independent of
 the closed-form machinery it is used to check.
+
+The two sequential recurrences (the Sturm count and the banded solve) loop
+over Python floats, not numpy arrays: each row depends on the one before, and
+a numpy call per row costs far more than the row's few flops.
 """
 
 from __future__ import annotations
@@ -69,14 +73,21 @@ def _sturm_counts(diag: np.ndarray, esq: float, shifts: np.ndarray) -> np.ndarra
     # pivot floor only guards esq/q against overflow; it must stay far below
     # any physically meaningful pivot so counts are never perturbed
     pivmin = max(esq * 1e-292, 1e-300)
-    q = diag[0] - shifts
-    q = np.where(np.abs(q) < pivmin, -pivmin, q)
-    counts = (q < 0.0).astype(np.int64)
-    for i in range(1, diag.shape[0]):
-        q = diag[i] - shifts - esq / q
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        counts += q < 0.0
-    return counts
+    first, *rest = diag.tolist()
+    counts = []
+    for s in shifts.tolist():
+        q = first - s
+        if -pivmin < q < pivmin:
+            q = -pivmin
+        count = int(q < 0.0)
+        for d in rest:
+            q = d - s - esq / q
+            if -pivmin < q < pivmin:
+                q = -pivmin
+            if q < 0.0:
+                count += 1
+        counts.append(count)
+    return np.array(counts, dtype=np.int64)
 
 
 def _solve_shifted(diag: np.ndarray, e: float, shift: float, rhs: np.ndarray) -> np.ndarray:
@@ -86,14 +97,15 @@ def _solve_shifted(diag: np.ndarray, e: float, shift: float, rhs: np.ndarray) ->
     pivots are expected (inverse iteration) and are nudged off exact zero.
     """
     n = diag.shape[0]
-    d = (diag - shift).astype(float)   # main diagonal, mutated in place
-    du = np.full(n, e, dtype=float)    # first superdiagonal (du[n-1] unused)
-    du2 = np.zeros(n)                  # second superdiagonal fill-in per row
-    x = np.asarray(rhs, dtype=float).copy()
+    abs_e = abs(e)
+    d = (diag - shift).tolist()  # main diagonal, mutated in place
+    du = [e] * n                 # first superdiagonal (du[n-1] unused)
+    du2 = [0.0] * n              # second superdiagonal fill-in per row
+    x = np.asarray(rhs, dtype=float).tolist()
     tiny = 1e-290
     for i in range(n - 1):
         # row i: (d[i], du[i], du2[i]); untouched row i+1: (e, d[i+1], du[i+1])
-        if abs(d[i]) >= abs(e):
+        if abs(d[i]) >= abs_e:
             piv = d[i] if d[i] != 0.0 else tiny
             d[i] = piv
             m = e / piv
@@ -115,7 +127,7 @@ def _solve_shifted(diag: np.ndarray, e: float, shift: float, rhs: np.ndarray) ->
         x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / d[n - 2]
     for i in range(n - 3, -1, -1):
         x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
-    return x
+    return np.array(x)
 
 
 def discretize_and_solve(potential, grid: Grid, k: int,

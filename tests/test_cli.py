@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import io
 import json
+import math
 
 import pytest
 
-from pdmdirac import ModelParams, rm2_solve_from_params
+from pdmdirac import Grid, ModelParams, cli, rm2_solve_from_params
 from pdmdirac.cli import main
 
 
@@ -114,6 +116,36 @@ def test_sweep_requires_range(capsys):
     assert "missing required" in err
 
 
+def test_sweep_rejects_param_the_mode_never_reads(capsys):
+    code, out, err = run_cli(["sweep", "--v0", "1", "--v1", "12", "--v2", "1",
+                              "--param", "m2", "--from", "1", "--to", "2",
+                              "--steps", "4", "--level", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--param m2" in err
+    code, _, err = run_cli(["sweep", "--sp-a", "9", "--sp-b", "1.5",
+                            "--param", "omega", "--from", "1", "--to", "2",
+                            "--steps", "4", "--level", "1"], capsys)
+    assert code == 1
+    assert "--param omega" in err
+
+
+def test_sweep_direct_gpt_mode_moves_with_swept_key(capsys):
+    code, out, _ = run_cli(["sweep", "--sp-a", "9", "--sp-b", "1.5",
+                            "--param", "gamma", "--from", "1", "--to", "2",
+                            "--steps", "4", "--level", "1"], capsys)
+    assert code == 0
+    energies = [float(r["e_re"]) for r in csv.DictReader(io.StringIO(out))]
+    assert len(set(energies)) == 4
+    # m2 = 0 is a value like any other, not a stand-in for the default 1
+    code, out, _ = run_cli(["sweep", "--sp-a", "9", "--sp-b", "1.5", "--gamma", "1",
+                            "--param", "m2", "--from", "0", "--to", "1",
+                            "--steps", "2", "--level", "1"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert float(rows[0]["e_re"]) < float(rows[1]["e_re"])
+
+
 def test_wavefunction_with_spinor_columns(capsys):
     code, out, _ = run_cli(["wavefunction", "--v1", "12", "--v2", "1",
                             "--level", "1", "--grid-points", "64",
@@ -132,6 +164,33 @@ def test_wavefunction_inadmissible_level_is_config_error(capsys):
                             "--level", "2", "--grid-points", "64"], capsys)
     assert code == 1
     assert "not admissible" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_wavefunction_refuses_nonfinite_samples(capsys, monkeypatch):
+    # the far-field Poschl-Teller state overflows to NaN
+    code, out, err = run_cli(["wavefunction", "--sp-a", "9", "--sp-b", "1.5",
+                              "--c", "1", "--level", "1", "--x-max", "400",
+                              "--grid-points", "4000"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "non-finite" in err and "x = " in err
+    # the message names the first non-finite node
+    real = cli.rm2_wavefunction
+
+    def poisoned(*args, **kwargs):
+        state = real(*args, **kwargs)
+        samples = state.samples.copy()
+        samples[[5, 9]] = math.inf
+        return dataclasses.replace(state, samples=samples)
+
+    monkeypatch.setattr(cli, "rm2_wavefunction", poisoned)
+    code, out, err = run_cli(["wavefunction", "--v1", "12", "--v2", "1",
+                              "--grid-points", "64", "--x-min", "-8",
+                              "--x-max", "8"], capsys)
+    assert code == 3
+    assert out == ""
+    assert f"x = {float(Grid(-8.0, 8.0, 64).points[5])!r} (node 5)" in err
 
 
 def test_config_file_merge_and_override(tmp_path, capsys):

@@ -196,6 +196,49 @@ def test_banded_solver_handles_pivoting():
         expected = np.linalg.solve(t, rhs)
         got = _solve_shifted(d, e, shift, rhs)
         assert np.max(np.abs(got - expected)) < 1e-9 * np.max(np.abs(expected))
+    # d - shift exactly 0.0 on every row: each row swaps with an exact zero
+    # multiplier, and the system stays regular for even n
+    n = 40
+    d = np.full(n, 0.25)
+    rhs = rng.standard_normal(n)
+    t = np.diag(np.full(n - 1, e), 1) + np.diag(np.full(n - 1, e), -1)
+    expected = np.linalg.solve(t, rhs)
+    got = _solve_shifted(d, e, 0.25, rhs)
+    assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
+    # for odd n the same matrix is singular: the last pivot is exactly 0.0,
+    # is nudged to the tiny floor, and the solve returns the null vector
+    n = 41
+    d = np.full(n, 0.25)
+    t = np.diag(np.full(n - 1, -1.0), 1) + np.diag(np.full(n - 1, -1.0), -1)
+    got = _solve_shifted(d, -1.0, 0.25, np.ones(n))
+    assert np.all(np.isfinite(got))
+    y = got / np.max(np.abs(got))
+    assert np.max(np.abs(t @ y)) < 1e-12
+
+
+def test_sturm_counts_match_dense_eigenvalues():
+    from pdmdirac.numerics import _sturm_counts
+
+    rng = np.random.default_rng(11)
+    n = 40
+    for _ in range(10):
+        diag = rng.uniform(-5.0, 5.0, n)
+        e = rng.uniform(-2.0, 2.0)
+        t = np.diag(diag) + np.diag(np.full(n - 1, e), 1) + np.diag(
+            np.full(n - 1, e), -1)
+        lams = np.linalg.eigvalsh(t)
+        # diag[0] as a shift makes the first pivot exactly 0.0 (pivmin branch)
+        shifts = np.concatenate((rng.uniform(lams[0] - 1.0, lams[-1] + 1.0, 30),
+                                 diag))
+        expected = [int(np.sum(lams < s)) for s in shifts]
+        assert _sturm_counts(diag, e * e, shifts).tolist() == expected
+    # constant diagonal 1, e = -1, shift 0: the second pivot is 1 - 1/1 = 0.0
+    diag = np.ones(n)
+    t = np.diag(diag) - np.eye(n, k=1) - np.eye(n, k=-1)
+    lams = np.linalg.eigvalsh(t)
+    shifts = np.array([0.0, 1.0, 2.0, -0.5])
+    expected = [int(np.sum(lams < s)) for s in shifts]
+    assert _sturm_counts(diag, 1.0, shifts).tolist() == expected
 
 
 def test_derivative_stencils_are_fourth_order():
