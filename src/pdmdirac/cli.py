@@ -27,11 +27,16 @@ import math
 import sys
 import warnings
 
+import numpy as np
+
 from . import verify as verify_mod
 from .errors import ConvergenceError, PoleError, SingularityError
-from .model import BetaMode, ModelParams, derived_constants_from_params
+from .model import (BetaMode, ModelParams, derived_constants_from_params,
+                    in_domain, resolve_beta)
 from .numerics import Grid
-from .susy import gpt_solve, gpt_solve_from_params, rm2_solve, rm2_solve_from_params
+from .susy import (gpt_ab, gpt_level_columns, gpt_solve, gpt_solve_from_params,
+                   rm2_coefficients, rm2_level_columns, rm2_solve,
+                   rm2_solve_from_params)
 from .wavefunctions import gpt_wavefunction, rm2_wavefunction
 
 
@@ -191,7 +196,8 @@ def _require(ns: dict, *keys: str):
                        + ", ".join("--" + k.replace("_", "-") for k in missing))
 
 
-def _model_params(ns: dict) -> ModelParams:
+def _model_fields(ns: dict) -> dict:
+    """The fields of ModelParams from the options, unchecked against its domain."""
     _require(ns, "omega", "alpha", "gamma", "m2")
     beta = ns.get("beta")
     if ns.get("beta_mode") is None:
@@ -201,13 +207,26 @@ def _model_params(ns: dict) -> ModelParams:
         mode = BetaMode(ns["beta_mode"])
     if mode is BetaMode.LITERAL and beta is None:
         raise CliError("literal beta-mode requires --beta")
-    ns["beta_mode"] = mode.value  # resolved mode lands in the emitted meta
+    return {"omega": ns["omega"], "alpha": ns["alpha"], "gamma": ns["gamma"],
+            "beta": 0.0 if beta is None else beta, "delta": ns["delta"],
+            "c": ns["c"], "m1": ns["m1"], "m2": ns["m2"], "beta_mode": mode}
+
+
+def _model_params(ns: dict) -> ModelParams:
+    fields = _model_fields(ns)
+    ns["beta_mode"] = fields["beta_mode"].value  # resolved mode lands in the emitted meta
     try:
-        return ModelParams(omega=ns["omega"], alpha=ns["alpha"], gamma=ns["gamma"],
-                           beta=0.0 if beta is None else beta, delta=ns["delta"],
-                           c=ns["c"], m1=ns["m1"], m2=ns["m2"], beta_mode=mode)
+        return ModelParams(**fields)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+
+
+def _gpt_args(ns: dict) -> dict:
+    """gpt_solve's arguments in direct Poschl-Teller mode."""
+    _require(ns, "sp_a", "sp_b")
+    return {"a": ns["sp_a"], "b": ns["sp_b"], "c": ns["c"], "delta": ns["delta"],
+            "gamma": ns.get("gamma") or 0.0,
+            "m2": 1.0 if ns.get("m2") is None else ns["m2"]}
 
 
 def _fmt(value) -> str:
@@ -281,10 +300,7 @@ def _solve_spectrum(ns: dict, mode: str, n_max: int):
         _require(ns, "v0", "v1", "v2")
         return rm2_solve(ns["v0"], ns["v1"], ns["v2"], n_max=n_max)
     if mode == "gpt":
-        _require(ns, "sp_a", "sp_b")
-        return gpt_solve(ns["sp_a"], ns["sp_b"], ns["c"], n_max=n_max,
-                         delta=ns["delta"], gamma=ns.get("gamma") or 0.0,
-                         m2=1.0 if ns.get("m2") is None else ns["m2"])
+        return gpt_solve(**_gpt_args(ns), n_max=n_max)
     params = _model_params(ns)
     if mode == "example1":
         return rm2_solve_from_params(params, n_max=n_max)
@@ -416,6 +432,36 @@ def _sweep_point(ns: dict, mode: str, value: float, level: int) -> dict:
     return row
 
 
+def _sweep_columns(ns: dict, mode: str, values: np.ndarray):
+    """The swept level over all ``values`` in one array pass.
+
+    Returns the LevelColumns and the mask of rows that the array pass
+    settles; the other rows need the scalar path.  Raises CliError when an
+    option that every point shares is missing.
+    """
+    param, level = ns["param"], ns["level"]
+    # the swept key is given by the sweep itself, so it is never missing
+    shared = {**ns, param: 0.0}
+    args = _gpt_args(shared) if mode == "gpt" else _model_fields(shared)
+    beta_mode = args.pop("beta_mode", None)
+    k = {key: values if key == param else np.full(values.shape, float(val))
+         for key, val in args.items()}
+    with np.errstate(all="ignore"):
+        if mode == "example1":
+            beta = resolve_beta(beta_mode, k["omega"], k["alpha"], k["beta"],
+                                k["m1"], k["m2"])
+            co = rm2_coefficients(k["omega"], k["alpha"], k["gamma"], beta, k["m2"])
+            lv = rm2_level_columns(co.v0, co.v1, co.v2, level)
+        else:
+            a, b = ((k["a"], k["b"]) if mode == "gpt" else
+                    gpt_ab(k["omega"], k["alpha"], k["gamma"], k["delta"], k["c"], k["m2"]))
+            lv = gpt_level_columns(a, b, k["c"], level, delta=k["delta"],
+                                   gamma=k["gamma"], m2=k["m2"])
+    if mode == "gpt":
+        return lv, lv.regular
+    return lv, lv.regular & in_domain(k["omega"], k["m2"], k["delta"], k["c"])
+
+
 def cmd_sweep(ns: dict) -> int:
     mode = _resolve_mode(ns)
     _require(ns, "param", "sweep_from", "sweep_to", "steps")
@@ -425,16 +471,27 @@ def cmd_sweep(ns: dict) -> int:
                        f"(it reads {', '.join(read) or 'no model key'})")
     if ns["steps"] < 2:
         raise CliError("--steps must be at least 2")
-    level = ns["level"]
+    if ns["level"] < 0:
+        raise CliError("--level must be nonnegative")
+    param, steps = ns["param"], ns["steps"]
     span = ns["sweep_to"] - ns["sweep_from"]
-    values = [ns["sweep_from"] + span * i / (ns["steps"] - 1)
-              for i in range(ns["steps"])]
-    # per-point warnings (inadmissible regions etc.) are carried by the row
-    # flags; the filter is set here once because it is process-global state
+    # the IEEE operations of sweep_from + span * i / (steps - 1), row by row
+    with np.errstate(all="ignore"):
+        values = ns["sweep_from"] + span * np.arange(steps) / (steps - 1)
+    lv, regular = _sweep_columns(ns, mode, values)
+    values = values.tolist()
+    rows = [{param: v, "e_re": re, "e_im": im, "is_real": real, "admissible": ok,
+             "status": ""}
+            for v, re, im, real, ok in zip(values, lv.e_re.tolist(), lv.e_im.tolist(),
+                                           lv.is_real.tolist(), lv.admissible.tolist())]
+    # the scalar path names the status of every row the array pass cannot
+    # settle (pole, overflow, invalid); its warnings are carried by the row
+    # flags, and the filter is set here once because it is process-global
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rows = [_sweep_point(ns, mode, v, level) for v in values]
-    cols = [ns["param"], "e_re", "e_im", "is_real", "admissible", "status"]
+        for i in np.flatnonzero(~regular).tolist():
+            rows[i] = _sweep_point(ns, mode, values[i], ns["level"])
+    cols = [param, "e_re", "e_im", "is_real", "admissible", "status"]
     _write(ns, _emit(ns, _meta(ns, "sweep"), cols, rows))
     return 0
 

@@ -41,14 +41,19 @@ class BetaMode(str, Enum):
 
 def resolve_beta(mode: BetaMode, omega: float, alpha: float,
                  beta: float | None, m1: float | None, m2: float | None) -> float:
+    """The beta of ``mode``, elementwise over arrays.
+
+    An array ``m2`` is not checked for zeros: those entries come out
+    non-finite.
+    """
     if mode is BetaMode.LITERAL:
         if beta is None:
             raise ValueError("literal beta mode requires an explicit beta")
-        return float(beta)
+        return beta if isinstance(beta, np.ndarray) else float(beta)
     if mode is BetaMode.COUPLING:
         return (omega - 2.0 * alpha) / (2.0 * omega)
     if mode is BetaMode.MASS_RATIO:
-        if m1 is None or m2 is None or m2 == 0.0:
+        if m1 is None or m2 is None or (not isinstance(m2, np.ndarray) and m2 == 0.0):
             raise ValueError("mass-ratio beta mode requires m1 and nonzero m2")
         return -m1 / m2
     raise ValueError(f"unknown beta mode: {mode!r}")
@@ -69,6 +74,7 @@ class ModelParams:
     beta_mode: BetaMode = BetaMode.LITERAL
 
     def __post_init__(self):
+        # the tests of in_domain, one by one to name the first that fails
         if not self.omega > 0.0:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.m2 == 0.0:
@@ -90,11 +96,20 @@ class ModelParams:
         return sigma_of(self.omega, self.alpha)
 
 
+def in_domain(omega, m2, delta, c):
+    """Where ModelParams accepts these values, elementwise over arrays."""
+    return (omega > 0.0) & (m2 != 0.0) & (delta != 0.0) & (c > 0.0)
+
+
 def sigma_of(omega: float, alpha: float) -> float:
-    """sigma = (omega^2 + 4 alpha^2) / omega^2; equals 1 exactly when alpha = 0."""
-    if alpha == 0.0:
+    """sigma = (omega^2 + 4 alpha^2) / omega^2; equals 1 exactly when alpha = 0.
+
+    Elementwise over arrays.
+    """
+    if not isinstance(alpha, np.ndarray) and alpha == 0.0:
         return 1.0
-    return (omega * omega + 4.0 * alpha * alpha) / (omega * omega)
+    sigma = (omega * omega + 4.0 * alpha * alpha) / (omega * omega)
+    return np.where(alpha == 0.0, 1.0, sigma) if isinstance(alpha, np.ndarray) else sigma
 
 
 @dataclass(frozen=True)

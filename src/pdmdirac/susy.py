@@ -28,6 +28,25 @@ from .model import ModelParams, sigma_of
 from .numerics import Grid, first_derivative, quadrature_weights
 
 
+def square(x):
+    """``x ** 2`` for a float, ``np.float_power(x, 2.0)`` for an array.
+
+    Both round as libm ``pow`` does.  numpy's ``** 2`` and ``np.square``
+    compute ``x * x``, which differs from ``pow`` in the last bit on some
+    inputs, so every closed form squares through this helper and gives the
+    same bits on floats and on arrays.
+    """
+    return np.float_power(x, 2.0) if isinstance(x, np.ndarray) else x ** 2
+
+
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _where(cond, a, b):
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
 @dataclass(frozen=True)
 class RosenMorseSuperpotential:
     """W(x) = c1 + c2*tanh(x); normalizable sector needs c2 > 0 and |c1| < c2."""
@@ -130,21 +149,23 @@ def si_remainder_ladder(w: Superpotential, n: int) -> float:
                      V2 = 2 C1 C2.
     Poschl-Teller:   (A-B)^2 - (A-B-2cn)^2.
 
-    Both give exactly 0 at n = 0 (empty sum).
+    Both give exactly 0 at n = 0 (empty sum).  Elementwise when the
+    superpotential holds arrays; there a Rosen-Morse pole C2 - n = 0 comes
+    out non-finite instead of raising.
     """
     if n < 0:
         raise ValueError("level index must be nonnegative")
     if n == 0:
         return 0.0
     if isinstance(w, RosenMorseSuperpotential):
-        if w.c2 - n == 0.0:
+        if not isinstance(w.c2, np.ndarray) and w.c2 - n == 0.0:
             raise ZeroDivisionError(f"ladder hits C2 - n = 0 at n = {n}")
         v2 = 2.0 * w.c1 * w.c2
         return (v2 * v2 / (4.0 * w.c2 * w.c2) + w.c2 * w.c2
-                - v2 * v2 / (4.0 * (w.c2 - n) ** 2) - (w.c2 - n) ** 2)
+                - v2 * v2 / (4.0 * square(w.c2 - n)) - square(w.c2 - n))
     if isinstance(w, PoschlTellerSuperpotential):
         d0 = w.a - w.b
-        return d0 * d0 - (d0 - 2.0 * w.c * n) ** 2
+        return d0 * d0 - square(d0 - 2.0 * w.c * n)
     raise TypeError(f"unsupported superpotential: {type(w).__name__}")
 
 
@@ -157,25 +178,43 @@ def si_check(w: Superpotential, x):
 
 
 def rm2_admissible(n: int, c2: float, v2: float) -> bool:
-    """Normalizability of the Rosen-Morse level: C2 - n > 0 and (C2-n)^2 > |V2|/2."""
-    return c2 - n > 0.0 and (c2 - n) ** 2 > abs(v2) / 2.0
+    """Normalizability of the Rosen-Morse level: C2 - n > 0 and (C2-n)^2 > |V2|/2.
+
+    Elementwise over arrays; both tests are always evaluated.
+    """
+    return (c2 - n > 0.0) & (square(c2 - n) > abs(v2) / 2.0)
 
 
 def gpt_admissible(n: int, a: float, b: float, c: float) -> bool:
-    """Normalizability of the Poschl-Teller level: A - B - 2cn > 0 plus boundary."""
-    return a - b - 2.0 * c * n > 0.0 and a / c > 0.0 and b / c > 0.0
+    """Normalizability of the Poschl-Teller level: A - B - 2cn > 0 plus boundary.
+
+    Elementwise over arrays; all three tests are always evaluated.
+    """
+    return (a - b - 2.0 * c * n > 0.0) & (a / c > 0.0) & (b / c > 0.0)
+
+
+def relativistic_energy(rad, scale=1.0):
+    """(Re E, Im E, is_real) of the + branch of E = scale*sqrt(rad), elementwise.
+
+    E is pure imaginary when the radicand is negative; it is never clamped.
+    """
+    is_real = rad >= 0.0
+    root = scale * _sqrt(_where(is_real, rad, -rad))
+    return _where(is_real, root, 0.0), _where(is_real, 0.0, root), is_real
 
 
 @dataclass(frozen=True)
 class Level:
-    """One spectrum entry.  ``e_bar`` is None when the ladder is undefined there."""
+    """One spectrum entry.  ``e_bar`` is None when the ladder is undefined there.
+
+    ``e_rel`` is the + branch of the relativistic energy +-|E|.
+    """
 
     n: int
     e_bar: float | None
     e_rel: complex | None
     is_real: bool
     admissible: bool
-    sign: int = +1  # the relativistic energy carries +-; the +| | branch is stored
 
 
 @dataclass(frozen=True)
@@ -213,37 +252,60 @@ class GPTSolution:
     spectrum: LevelSpectrum
 
 
-def rm2_coefficients_from_params(params: ModelParams) -> RM2Coeffs:
-    """Map model constants to (V0, V1, V2) for the cosh-profile family.
+def rm2_coefficients(omega, alpha, gamma, beta, m2) -> RM2Coeffs:
+    """(V0, V1, V2) of the cosh-profile family, elementwise over arrays.
 
     V0 = w/2 + g^2 s + 1/4 + ((s b - 1)/m2)^2
     V1 = w/2 - g^2 (m2^2 - s) - 1/4 + (s b - 1)^2/m2^2
     V2 = 2 g (s b - 1)
 
-    These closed forms assume the unit-scale profile; a warning is raised
-    when delta != 1 since the coefficients then do not describe the profile
-    actually configured.
+    with s = sigma_of(omega, alpha) and b the resolved beta.
     """
-    if params.delta != 1.0:
-        warnings.warn("closed-form well coefficients assume delta = 1; "
-                      f"params.delta = {params.delta}", UserWarning, stacklevel=2)
-    w, g, m2 = params.omega, params.gamma, params.m2
-    s = sigma_of(w, params.alpha)
-    b = params.beta_effective
-    sb1 = s * b - 1.0
-    v0 = w / 2.0 + g * g * s + 0.25 + (sb1 / m2) ** 2
+    w, g = omega, gamma
+    s = sigma_of(w, alpha)
+    sb1 = s * beta - 1.0
+    v0 = w / 2.0 + g * g * s + 0.25 + square(sb1 / m2)
     v1 = w / 2.0 - g * g * (m2 * m2 - s) - 0.25 + sb1 * sb1 / (m2 * m2)
     v2 = 2.0 * g * sb1
     return RM2Coeffs(v0=v0, v1=v1, v2=v2, sigma=s)
 
 
+def rm2_coefficients_from_params(params: ModelParams) -> RM2Coeffs:
+    """Map model constants to (V0, V1, V2) for the cosh-profile family.
+
+    See :func:`rm2_coefficients`.  These closed forms assume the unit-scale
+    profile; a warning is raised when delta != 1 since the coefficients then
+    do not describe the profile actually configured.
+    """
+    if params.delta != 1.0:
+        warnings.warn("closed-form well coefficients assume delta = 1; "
+                      f"params.delta = {params.delta}", UserWarning, stacklevel=2)
+    return rm2_coefficients(params.omega, params.alpha, params.gamma,
+                            params.beta_effective, params.m2)
+
+
 def rm2_level_radicand(v0: float, v2: float, c2: float, n: int) -> float:
     """Radicand of the relativistic spectrum, V0 + (C2-n)^2 - V2^2/(4 (C2-n)^2).
 
-    Its sign is exactly the reality condition for level n.
+    Its sign is exactly the reality condition for level n.  Elementwise over
+    arrays.
     """
     s = c2 - n
     return v0 + s * s - v2 * v2 / (4.0 * s * s)
+
+
+def rm2_superpotential(disc: float, v2: float) -> RosenMorseSuperpotential:
+    """C2 = (-1 + sqrt(disc))/2 with disc = 1 + 4 V1 > 0, and C1 = V2/(2 C2).
+
+    Elementwise over arrays, where C2 = 0 gives a non-finite C1; a float
+    C2 = 0 gives C1 = 0 when V2 = 0 and C1 = inf otherwise.
+    """
+    c2 = 0.5 * (-1.0 + _sqrt(disc))
+    if isinstance(c2, np.ndarray) or c2 != 0.0:
+        c1 = v2 / (2.0 * c2)
+    else:
+        c1 = 0.0 if v2 == 0.0 else math.inf
+    return RosenMorseSuperpotential(c1=c1, c2=c2)
 
 
 def rm2_solve(v0: float, v1: float, v2: float, n_max: int = 5) -> RM2Solution:
@@ -267,14 +329,9 @@ def rm2_solve(v0: float, v1: float, v2: float, n_max: int = 5) -> RM2Solution:
     if v1 <= 0.0:
         warnings.warn("V1 <= 0: the well supports no bound states",
                       UserWarning, stacklevel=2)
-    root = math.sqrt(disc)
-    c2 = 0.5 * (-1.0 + root)
-    if c2 != 0.0:
-        c1 = v2 / (2.0 * c2)
-    else:
-        c1 = 0.0 if v2 == 0.0 else math.inf
-    w = RosenMorseSuperpotential(c1=c1, c2=c2)
-    ground = -(c1 * c1 + c2 * c2)
+    w = rm2_superpotential(disc, v2)
+    c2 = w.c2
+    ground = -(w.c1 * w.c1 + c2 * c2)
 
     levels = []
     for n in range(n_max + 1):
@@ -284,11 +341,9 @@ def rm2_solve(v0: float, v1: float, v2: float, n_max: int = 5) -> RM2Solution:
             levels.append(Level(n=n, e_bar=None, e_rel=None,
                                 is_real=False, admissible=False))
             continue
-        rad = rm2_level_radicand(v0, v2, c2, n)
-        is_real = rad >= 0.0
-        e_rel = complex(math.sqrt(rad), 0.0) if is_real else complex(0.0, math.sqrt(-rad))
-        levels.append(Level(n=n, e_bar=e_bar, e_rel=e_rel, is_real=is_real,
-                            admissible=rm2_admissible(n, c2, v2)))
+        e_re, e_im, is_real = relativistic_energy(rm2_level_radicand(v0, v2, c2, n))
+        levels.append(Level(n=n, e_bar=e_bar, e_rel=complex(e_re, e_im),
+                            is_real=is_real, admissible=rm2_admissible(n, c2, v2)))
     coeffs = RM2Coeffs(v0=v0, v1=v1, v2=v2, sigma=None)
     return RM2Solution(coeffs=coeffs, w=w, spectrum=LevelSpectrum(tuple(levels)),
                        ground_energy=ground)
@@ -312,10 +367,15 @@ def gpt_params_ab(params: ModelParams) -> tuple[float, float]:
     the closed-form constant A = c/2 - (E^2 + delta^2 m2^2)/(4c) with
     E^2 = omega/2 - gamma^2 (m2^2 - sigma); see the reality-window demos.
     """
-    c = params.c
-    s = sigma_of(params.omega, params.alpha)
-    e2 = params.omega / 2.0 - params.gamma ** 2 * (params.m2 ** 2 - s)
-    a = c / 2.0 - (e2 + params.delta ** 2 * params.m2 ** 2) / (4.0 * c)
+    return gpt_ab(params.omega, params.alpha, params.gamma, params.delta,
+                  params.c, params.m2)
+
+
+def gpt_ab(omega, alpha, gamma, delta, c, m2) -> tuple[float, float]:
+    """(A, B) of :func:`gpt_params_ab`, elementwise over arrays."""
+    s = sigma_of(omega, alpha)
+    e2 = omega / 2.0 - square(gamma) * (square(m2) - s)
+    a = c / 2.0 - (e2 + square(delta) * square(m2)) / (4.0 * c)
     return a, 1.5 * c
 
 
@@ -338,17 +398,13 @@ def gpt_solve(a: float, b: float, c: float, n_max: int = 5, *,
         warnings.warn("boundary conditions violated (A/c and B/c must be "
                       "positive); all levels flagged inadmissible",
                       UserWarning, stacklevel=2)
-    g2 = (gamma * m2) ** 2
+    g2 = square(gamma * m2)
     levels = []
     for n in range(n_max + 1):
         e_bar = si_remainder_ladder(w, n)
-        rad = g2 + e_bar
-        is_real = rad >= 0.0
-        scale = abs(delta)
-        e_rel = (complex(scale * math.sqrt(rad), 0.0) if is_real
-                 else complex(0.0, scale * math.sqrt(-rad)))
-        levels.append(Level(n=n, e_bar=e_bar, e_rel=e_rel, is_real=is_real,
-                            admissible=gpt_admissible(n, a, b, c)))
+        e_re, e_im, is_real = relativistic_energy(g2 + e_bar, abs(delta))
+        levels.append(Level(n=n, e_bar=e_bar, e_rel=complex(e_re, e_im),
+                            is_real=is_real, admissible=gpt_admissible(n, a, b, c)))
     return GPTSolution(w=w, spectrum=LevelSpectrum(tuple(levels)))
 
 
@@ -356,6 +412,62 @@ def gpt_solve_from_params(params: ModelParams, n_max: int = 5) -> GPTSolution:
     a, b = gpt_params_ab(params)
     return gpt_solve(a, b, params.c, n_max=n_max, delta=params.delta,
                      gamma=params.gamma, m2=params.m2)
+
+
+@dataclass(frozen=True)
+class LevelColumns:
+    """One level over arrays of parameters, one entry per row.
+
+    ``regular`` marks the rows where every value the scalar solver computes
+    on the way is finite, its domain checks pass and the level is not a
+    pole: there the scalar solver returns these same bits and raises
+    nothing.  The other rows hold meaningless values.
+    """
+
+    e_re: np.ndarray
+    e_im: np.ndarray
+    is_real: np.ndarray
+    admissible: np.ndarray
+    regular: np.ndarray
+
+
+def _finite(*values):
+    ok = True
+    for value in values:
+        ok = ok & np.isfinite(value)
+    return ok
+
+
+def rm2_level_columns(v0, v1, v2, n: int) -> LevelColumns:
+    """Level n of :func:`rm2_solve` over arrays of (V0, V1, V2)."""
+    with np.errstate(all="ignore"):
+        disc = 1.0 + 4.0 * v1
+        w = rm2_superpotential(disc, v2)
+        regular = (disc > 0.0) & (w.c2 - n != 0.0) & _finite(v0, v1, v2, w.c1)
+        # rm2_solve walks every level up to n; a division by zero or an
+        # overflowing power on that walk shows here as a non-finite value
+        for k in range(n + 1):
+            rad = rm2_level_radicand(v0, v2, w.c2, k)
+            regular &= _finite(si_remainder_ladder(w, k), rad)
+        e_re, e_im, is_real = relativistic_energy(rad)
+        return LevelColumns(e_re, e_im, is_real, rm2_admissible(n, w.c2, v2),
+                            regular & _finite(e_re, e_im))
+
+
+def gpt_level_columns(a, b, c, n: int, *, delta, gamma, m2) -> LevelColumns:
+    """Level n of :func:`gpt_solve` over arrays of its arguments."""
+    with np.errstate(all="ignore"):
+        w = PoschlTellerSuperpotential(a=a, b=b, c=c)
+        g2 = square(gamma * m2)
+        regular = (c > 0.0) & _finite(a, b, c, g2)
+        # gpt_solve walks every level up to n; an overflowing power on that
+        # walk shows here as a non-finite ladder value
+        for k in range(n + 1):
+            e_bar = si_remainder_ladder(w, k)
+            regular &= _finite(e_bar)
+        e_re, e_im, is_real = relativistic_energy(g2 + e_bar, abs(delta))
+        return LevelColumns(e_re, e_im, is_real, gpt_admissible(n, a, b, c),
+                            regular & _finite(e_re, e_im))
 
 
 def ground_state_samples(w: Superpotential, x: np.ndarray) -> np.ndarray:

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import DomainError
 from .model import ModelParams
 from .numerics import Grid, count_nodes, quadrature_weights
-from .susy import (PoschlTellerSuperpotential, RosenMorseSuperpotential,
-                   gpt_admissible, rm2_admissible, si_remainder_ladder)
+from .susy import (PoschlTellerSuperpotential, gpt_admissible, rm2_admissible,
+                   rm2_superpotential, si_remainder_ladder)
 
 # recurrence denominators closer to zero than this switch to the explicit
 # sum; at the boundary the cancellation error is ~eps/_GUARD ~ 1e-10, safely
@@ -178,6 +178,11 @@ def rm2_state_evaluator(n: int, v1: float, v2: float):
 
 
 def _normalize(samples: np.ndarray, grid: Grid) -> tuple[np.ndarray, float]:
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        i = int(bad[0])
+        raise OverflowError(f"non-finite wavefunction sample at "
+                            f"x = {float(grid.points[i])!r} (node {i})")
     weights = quadrature_weights(grid.n_points + 2, grid.step)[1:-1]
     norm = math.sqrt(float(np.sum(weights * samples * samples)))
     if norm == 0.0:
@@ -200,7 +205,8 @@ def rm2_wavefunction(n: int, v1: float, v2: float, grid: Grid,
     disc = 1.0 + 4.0 * v1
     if disc <= 0.0:
         raise ValueError("1 + 4*V1 must be positive")
-    c2 = 0.5 * (-1.0 + math.sqrt(disc))
+    w = rm2_superpotential(disc, v2)
+    c2 = w.c2
     if not rm2_admissible(n, c2, v2):
         raise ValueError(
             f"level n = {n} is not admissible: needs C2 - n > 0 and "
@@ -217,7 +223,6 @@ def rm2_wavefunction(n: int, v1: float, v2: float, grid: Grid,
                               "spinor factor")
         samples = np.sqrt(mass) * samples
     samples, norm = _normalize(samples, grid)
-    w = RosenMorseSuperpotential(c1=v2 / (2.0 * c2), c2=c2)
     e_bar = si_remainder_ladder(w, n)
     return BoundState(n=n, samples=samples, e_bar=e_bar, norm=norm,
                       nodes=count_nodes(samples))

@@ -130,6 +130,36 @@ def test_sweep_rejects_param_the_mode_never_reads(capsys):
     assert "--param omega" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--example", "1", "--omega", "3", "--alpha", "2", "--gamma", "0.1",
+      "--param", "omega"], "missing required option(s): --m2"),
+    (["--sp-a", "9", "--param", "gamma"], "missing required option(s): --sp-b"),
+    (["--example", "1", "--beta-mode", "literal", "--omega", "3", "--alpha", "2",
+      "--gamma", "0.1", "--m2", "5", "--param", "m2"],
+     "literal beta-mode requires --beta"),
+    (["--example", "1", "--omega", "3", "--alpha", "2", "--gamma", "0.1",
+      "--m2", "5", "--param", "m2", "--level=-1"], "--level must be nonnegative"),
+], ids=["example-m2", "direct-sp-b", "literal-beta", "negative-level"])
+def test_sweep_missing_shared_option_is_config_error(argv, message, capsys):
+    code, out, err = run_cli(["sweep", *argv, "--from", "1", "--to", "2",
+                              "--steps", "3"], capsys)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+def test_sweep_swept_key_need_not_be_given(capsys):
+    for argv in (["--example", "1", "--omega", "3", "--alpha", "2", "--gamma", "0.1",
+                  "--param", "m2"],
+                 ["--example", "1", "--beta-mode", "literal", "--omega", "3",
+                  "--alpha", "2", "--gamma", "0.1", "--m2", "5", "--param", "beta"]):
+        code, out, _ = run_cli(["sweep", *argv, "--from", "4", "--to", "6",
+                                "--steps", "3", "--level", "3"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 3 and all(r["status"] == "" for r in rows)
+
+
 def test_sweep_direct_gpt_mode_moves_with_swept_key(capsys):
     code, out, _ = run_cli(["sweep", "--sp-a", "9", "--sp-b", "1.5",
                             "--param", "gamma", "--from", "1", "--to", "2",

@@ -7,6 +7,7 @@ from pdmdirac import (BetaMode, CoshProfile, CothProfile, ModelParams,
                       derived_constants, evaluate_profile,
                       m1_linear_constraint, profile_from_params, sigma_of)
 from pdmdirac.errors import DomainError
+from pdmdirac.susy import square
 
 
 def test_cosh_profile_at_origin():
@@ -152,3 +153,24 @@ def test_profile_from_params_uses_effective_beta():
     prof = profile_from_params(p, "coth")
     assert isinstance(prof, CothProfile)
     assert prof.beta == pytest.approx(-0.25)
+
+
+def test_square_matches_python_pow_bit_for_bit():
+    # the sweep's array pass relies on this to reproduce the scalar bytes
+    rng = np.random.default_rng(20261018)
+    n = 40_000
+    # |x| < 1.34e154, where Python's ** would raise OverflowError
+    magnitude = np.concatenate([
+        10.0 ** rng.uniform(-320.0, 154.0, n),       # every scale, subnormal squares
+        10.0 ** rng.uniform(-323.0, -308.0, n),      # subnormal inputs
+        10.0 ** rng.uniform(-155.0, -153.0, n),      # squares at the subnormal edge
+        rng.uniform(0.9e154, 1.34e154, n),           # squares next to DBL_MAX
+        rng.uniform(0.0, 4.0, n),
+    ])
+    x = magnitude * rng.choice([-1.0, 1.0], magnitude.size)
+    assert x.size == 200_000
+    expected = np.array([v ** 2 for v in x.tolist()])
+    got = square(x)
+    differ = np.flatnonzero(got.view(np.int64) != expected.view(np.int64))
+    assert differ.size == 0, f"{differ.size} squares differ, first at x = {x[differ[0]]!r}"
+    assert square(-3.0) == 9.0 and isinstance(square(-3.0), float)

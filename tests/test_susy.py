@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdmdirac import (BetaMode, ModelParams, PoschlTellerSuperpotential,
                       RosenMorseSuperpotential, ground_state_samples,
@@ -9,6 +13,7 @@ from pdmdirac import (BetaMode, ModelParams, PoschlTellerSuperpotential,
                       rm2_solve, rm2_solve_from_params, si_check,
                       si_remainder_ladder)
 from pdmdirac.errors import DomainError
+from pdmdirac.susy import gpt_level_columns, rm2_level_columns
 from pdmdirac.numerics import Grid, quadrature_weights
 from pdmdirac.wavefunctions import gpt_wavefunction, rm2_wavefunction
 
@@ -277,3 +282,63 @@ def test_ladder_state_coarse_grid_warning():
     w = RosenMorseSuperpotential(c1=0.0, c2=3.0)
     with pytest.warns(UserWarning, match="coarse grid"):
         ladder_state(w, 1, Grid(-10.0, 10.0, 256))
+
+
+# coefficients that reach every branch: poles, zero C2, overflowing powers
+COEFF = st.one_of(st.floats(-30.0, 30.0), st.floats(-1e200, 1e200),
+                  st.sampled_from([0.0, -0.25, 2.0, 6.0, 1e-170, 1e160, -1e160]))
+
+
+def _scalar_level(solve, n):
+    """The scalar level n, or None where the solver raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return solve(n).spectrum.levels[n]
+        except (ArithmeticError, ValueError):
+            return None
+
+
+def _assert_regular_rows_match(cols, levels):
+    for i, lv in enumerate(levels):
+        if not cols.regular[i]:
+            continue
+        assert lv is not None and lv.e_bar is not None
+        assert np.float64(lv.e_rel.real).tobytes() == cols.e_re[i].tobytes()
+        assert np.float64(lv.e_rel.imag).tobytes() == cols.e_im[i].tobytes()
+        assert lv.is_real == cols.is_real[i] and lv.admissible == cols.admissible[i]
+
+
+@given(rows=st.lists(st.tuples(COEFF, COEFF, COEFF), min_size=1, max_size=12),
+       n=st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_rm2_level_columns_match_rm2_solve(rows, n):
+    v0, v1, v2 = (np.array(col) for col in zip(*rows))
+    cols = rm2_level_columns(v0, v1, v2, n)
+    _assert_regular_rows_match(cols, [
+        _scalar_level(lambda k, r=r: rm2_solve(*r, n_max=k), n) for r in rows])
+
+
+@given(rows=st.lists(st.tuples(*[COEFF] * 6), min_size=1, max_size=12),
+       n=st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+def test_gpt_level_columns_match_gpt_solve(rows, n):
+    a, b, c, delta, gamma, m2 = (np.array(col) for col in zip(*rows))
+    cols = gpt_level_columns(a, b, c, n, delta=delta, gamma=gamma, m2=m2)
+    _assert_regular_rows_match(cols, [
+        _scalar_level(lambda k, r=r: gpt_solve(*r[:3], n_max=k, delta=r[3],
+                                               gamma=r[4], m2=r[5]), n)
+        for r in rows])
+
+
+def test_level_columns_settle_ordinary_rows_only():
+    # V1 = 20: C2 = 4, an ordinary level 3; V1 = 12: C2 = 3, a pole;
+    # V1 = -1: 1 + 4 V1 < 0; V2 = 1e300: V2^2 overflows in the radicand
+    cols = rm2_level_columns(np.full(4, 1.0), np.array([20.0, 12.0, -1.0, 20.0]),
+                             np.array([1.0, 1.0, 1.0, 1e300]), 3)
+    assert cols.regular.tolist() == [True, False, False, False]
+    # c = 0 is outside gpt_solve's domain; (gamma m2)^2 overflows a power
+    one = np.ones(3)
+    cols = gpt_level_columns(np.full(3, 9.0), np.full(3, 1.5), np.array([1.0, 0.0, 1.0]),
+                             1, delta=one, gamma=np.array([2.0, 2.0, 1e160]), m2=one)
+    assert cols.regular.tolist() == [True, False, False]

@@ -33,9 +33,12 @@ def _md5(text):
     return hashlib.md5(text.encode("utf-8")).hexdigest()
 
 
+PARSER = cli.build_parser()
+
+
 def _point_by_point(argv):
     """The sweep's bytes with every row built by ``_sweep_point``."""
-    ns = cli._merge_config(cli.build_parser().parse_args(argv))
+    ns = cli._merge_config(PARSER.parse_args(argv))
     mode = cli._resolve_mode(ns)
     steps, lo = ns["steps"], ns["sweep_from"]
     span = ns["sweep_to"] - lo
@@ -88,6 +91,20 @@ def test_tiny_sweep_rows(argv, expected):
     assert out == expected
 
 
+def test_only_irregular_rows_take_the_scalar_path(monkeypatch):
+    seen = []
+    point = cli._sweep_point
+    monkeypatch.setattr(cli, "_sweep_point",
+                        lambda ns, mode, value, level: seen.append(value)
+                        or point(ns, mode, value, level))
+    _run(README_SWEEP)
+    assert seen == []
+    _run(["sweep", "--example", "1", "--beta-mode", "literal", "--beta", "1",
+          "--alpha", "0", "--gamma", "0", "--m2", "1", "--level", "1",
+          "--param", "omega", "--from", "4", "--to", "5", "--steps", "3"])
+    assert seen == [4.5]
+
+
 EXAMPLE_1 = ["--example", "1", "--omega", "3", "--alpha", "2", "--gamma", "0.1",
              "--beta", "6", "--m2", "5"]
 MODES = {
@@ -114,7 +131,7 @@ FIXED = st.one_of(st.floats(-12.0, 12.0), st.sampled_from([0.0, 1.0, 1e-170, 1e1
 
 @pytest.mark.parametrize("mode, key", CASES, ids=[f"{m}-{k}" for m, k in CASES])
 @given(data=st.data())
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=10, deadline=None)
 def test_sweep_matches_point_by_point(mode, key, data):
     base, keys = MODES[mode]
     argv = ["sweep", *base]

@@ -246,3 +246,15 @@ def test_gpt_with_spinor_constant_factor():
     spinor = gpt_wavefunction(0, 5.0, 1.5, 1.0, grid, with_spinor=True,
                               params=params)
     assert np.max(np.abs(plain.samples - spinor.samples)) < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_normalize_refuses_nonfinite_samples():
+    # the far-field Poschl-Teller state overflows once cx passes about 355
+    grid = Grid(1e-3, 400.0, 4000)
+    raw = gpt_state_evaluator(1, 9.0, 1.5, 1.0)[0](grid.points)
+    first = int(np.flatnonzero(~np.isfinite(raw))[0])
+    with pytest.raises(OverflowError) as info:
+        gpt_wavefunction(1, 9.0, 1.5, 1.0, grid)
+    assert str(info.value) == (f"non-finite wavefunction sample at "
+                               f"x = {float(grid.points[first])!r} (node {first})")
