@@ -19,7 +19,7 @@ from .hermitization import (OperatorCoefficients, apply_operator,
 from .dirac import (DiracPotential, MassProfile, RealPotential, SpinorPair,
                     cancellation_residual, complete_potential,
                     consistent_energy_cosh, dirac_profiles,
-                    effective_potential, effective_potential_ansatz,
+                    effective_potential_ansatz,
                     effective_potential_general, spinor_components)
 from .susy import (GPTSolution, Level, LevelSpectrum, PartnerPotentials,
                    PoschlTellerSuperpotential, RM2Coeffs, RM2Solution,
@@ -29,7 +29,7 @@ from .susy import (GPTSolution, Level, LevelSpectrum, PartnerPotentials,
                    rm2_coefficients_from_params, rm2_level_radicand,
                    rm2_solve, rm2_solve_from_params, si_check,
                    si_remainder_ladder)
-from .wavefunctions import (BoundState, JacobiParams, gpt_state_evaluator,
+from .wavefunctions import (BoundState, gpt_state_evaluator,
                             gpt_wavefunction, jacobi_derivative, jacobi_eval,
                             jacobi_eval_sum, jacobi_recurrence_degenerate,
                             rm2_exponents, rm2_state_evaluator,

@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -45,6 +46,13 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only "-1" and "-.5" style strings for negative numbers
+        # and reads "-1e-5" as an option; accept scientific notation as a value
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise CliError(message)
 
@@ -497,19 +505,18 @@ def cmd_sweep(ns: dict) -> int:
 
 
 def cmd_verify(ns: dict) -> int:
+    scale = ns["tolerance_scale"]
+    if not 0.0 < scale <= 1.0:  # also refuses nan
+        raise CliError(f"--tolerance-scale must be finite and in (0, 1], got {scale!r}")
     names = sorted(verify_mod.SUITES) if ns["suite"] == "all" else [ns["suite"]]
-    results, all_ok = verify_mod.run_suites(names, ns["tolerance_scale"])
+    results, all_ok = verify_mod.run_suites(names, scale)
     if ns["format"] == "json":
         rows = [{"suite": s, "name": c.name, "value": c.value, "tol": c.tol,
                  "passed": ok} for s, c, ok in results]
         cols = ["suite", "name", "value", "tol", "passed"]
         _write(ns, _emit(ns, _meta(ns, "verify"), cols, rows))
     else:
-        lines = []
-        for s, c, ok in results:
-            tag = "PASS" if ok else "FAIL"
-            lines.append(f"[{tag}] {s}: {c.name}  "
-                         f"(value {c.value:.3e}, tol {c.tol:.1e})")
+        lines = [verify_mod.result_line(*result) for result in results]
         lines.append(f"{'all checks passed' if all_ok else 'FAILURES present'}")
         _write(ns, "\n".join(lines) + "\n")
     return 0 if all_ok else 2

@@ -188,19 +188,6 @@ def effective_potential_ansatz(params: ModelParams, profile: Profile,
             + p.a2 / (2.0 * p.a))
 
 
-def effective_potential(mass: MassProfile, pot: RealPotential, e_ref: float, x,
-                        mode: str = "general", params: ModelParams | None = None,
-                        profile: Profile | None = None):
-    """Dispatch between the general and the ansatz-specialized evaluation."""
-    if mode == "general":
-        return effective_potential_general(mass, pot, e_ref, x)
-    if mode == "ansatz":
-        if params is None or profile is None:
-            raise ValueError("ansatz mode needs params and profile")
-        return effective_potential_ansatz(params, profile, e_ref, x)
-    raise ValueError(f"unknown mode: {mode!r}")
-
-
 def spinor_components(varphi: np.ndarray, dvarphi: np.ndarray, grid: Grid,
                       mass: MassProfile, potential: DiracPotential,
                       e: float) -> SpinorPair:

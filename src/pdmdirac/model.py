@@ -120,9 +120,6 @@ class CoshProfile:
     gamma: float = 0.0
     beta: float = 0.0
 
-    def contains(self, x) -> bool:
-        return bool(np.all(np.abs(x) <= HYPERBOLIC_LIMIT))
-
 
 @dataclass(frozen=True)
 class CothProfile:
@@ -132,9 +129,6 @@ class CothProfile:
     c: float = 1.0
     gamma: float = 0.0
     beta: float = 0.0
-
-    def contains(self, x) -> bool:
-        return bool(np.all(np.asarray(x) > 0.0))
 
 
 Profile = CoshProfile | CothProfile

@@ -27,13 +27,6 @@ _GUARD = 1e-6
 
 
 @dataclass(frozen=True)
-class JacobiParams:
-    n: int
-    a: float
-    b: float
-
-
-@dataclass(frozen=True)
 class BoundState:
     """A normalized bound state sampled on a grid."""
 

@@ -3,10 +3,11 @@ import dataclasses
 import io
 import json
 import math
+import re
 
 import pytest
 
-from pdmdirac import Grid, ModelParams, cli, rm2_solve_from_params
+from pdmdirac import Grid, ModelParams, cli, rm2_solve_from_params, susy
 from pdmdirac.cli import main
 
 
@@ -259,13 +260,13 @@ def test_output_file(tmp_path, capsys):
 
 
 def test_verify_quick_suite_passes(capsys):
-    code, out, _ = run_cli(["verify", "--suite", "susy"], capsys)
+    code, out, _ = run_cli(["verify", "--suite", "model"], capsys)
     assert code == 0
     assert "[PASS]" in out and "[FAIL]" not in out
 
 
 def test_verify_corrupted_tolerance_fails(capsys):
-    code, out, _ = run_cli(["verify", "--suite", "susy",
+    code, out, _ = run_cli(["verify", "--suite", "model",
                             "--tolerance-scale", "1e-12"], capsys)
     assert code == 2
     assert "[FAIL]" in out
@@ -277,3 +278,46 @@ def test_verify_json_format(capsys):
     assert code == 0
     doc = json.loads(out)
     assert all(row["passed"] for row in doc["rows"])
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1", "1.5"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_verify_tolerance_scale_outside_unit_interval_is_config_error(
+        scale, source, tmp_path, capsys):
+    if source == "flag":
+        argv = [f"--tolerance-scale={scale}"]
+    else:
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text(f"tolerance-scale = {scale}\n", encoding="utf-8")
+        argv = ["--config", str(cfg)]
+    code, out, err = run_cli(["verify", "--suite", "model", *argv], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--tolerance-scale must be finite and in (0, 1]" in err
+
+
+def test_verify_fails_when_the_ladder_is_wrong(monkeypatch, capsys):
+    # the gate must trip on a fault in the code under test, at scale 1
+    real = susy.si_remainder_ladder
+    monkeypatch.setattr(susy, "si_remainder_ladder",
+                        lambda w, n: real(w, n) + (1e-2 if n >= 1 else 0.0))
+    code, out, _ = run_cli(["verify", "--suite", "numerics", "--format", "json"],
+                           capsys)
+    assert code == 2
+    failed = {row["name"] for row in json.loads(out)["rows"] if not row["passed"]}
+    assert failed == {"criterion 1: Rosen-Morse ladder vs eigensolver, worst error/tol",
+                      "criterion 2: Poschl-Teller ladder vs eigensolver, worst error/tol"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--sp-a", "9", "--sp-b", "1.5", "--param", "gamma",
+     "--from", "-1e-5", "--to", "2", "--steps", "3"],
+    ["spectrum", "--v0", "10", "--v1", "12", "--v2", "-2e-3"],
+], ids=["sweep", "spectrum"])
+def test_negative_scientific_notation_is_a_value(argv, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    # the same values joined to their flags by "=", which argparse always reads
+    joined = re.sub(r" (-[0-9])", r"=\1", " ".join(argv)).split()
+    assert joined != argv
+    assert run_cli(joined, capsys)[:2] == (0, out)

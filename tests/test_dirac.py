@@ -4,8 +4,8 @@ import pytest
 from pdmdirac import (BetaMode, CoshProfile, Grid, MassProfile, ModelParams,
                       RealPotential, cancellation_residual, complete_potential,
                       consistent_energy_cosh, dirac_profiles,
-                      effective_potential, effective_potential_ansatz,
-                      effective_potential_general, m1_linear_constraint,
+                      effective_potential_ansatz, effective_potential_general,
+                      m1_linear_constraint,
                       profile_from_params, rm2_state_evaluator, sigma_of,
                       spinor_components)
 from pdmdirac.errors import DomainError, PoleError
@@ -146,20 +146,6 @@ def test_effective_potential_reproduces_sech_tanh_well():
     got = effective_potential_ansatz(params, prof, e_ref, xs)
     well = (coeffs.v0 - coeffs.v1 / np.cosh(xs) ** 2 + coeffs.v2 * np.tanh(xs))
     assert np.max(np.abs(got - well) / (1 + np.abs(well))) < 1e-10
-
-
-@pytest.mark.parametrize("family", ["cosh", "coth"])
-def test_effective_potential_modes_agree(family):
-    params = ModelParams(omega=3.0, alpha=1.0, gamma=0.3, beta=0.2, m1=0.4, m2=1.5)
-    prof = profile_from_params(params, family)
-    rng = np.random.default_rng(4)
-    xs = rng.uniform(-3, 3, 1000) if family == "cosh" else rng.uniform(0.1, 5, 1000)
-    e_ref = 1.3
-    mass, pot = dirac_profiles(params, prof, e_ref)
-    g24 = effective_potential(mass, pot, e_ref, xs, mode="general")
-    g28 = effective_potential(mass, pot, e_ref, xs, mode="ansatz",
-                              params=params, profile=prof)
-    assert np.max(np.abs(g24 - g28) / (1.0 + np.abs(g28))) < 1e-10
 
 
 def test_pole_is_refused():
