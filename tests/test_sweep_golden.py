@@ -1,8 +1,9 @@
-"""Byte-level guards on ``pdmdirac sweep``.
+"""Byte-level guards on ``pdmdirac sweep`` and ``pdmdirac wavefunction``.
 
-The digests and the tiny-sweep rows below were recorded from the
+The sweep digests and the tiny-sweep rows below were recorded from the
 point-by-point sweep (one ``_sweep_point`` per swept value).  The property
 test rebuilds every sweep that way and asks ``main`` for the same bytes.
+The wavefunction digests were recorded from its row-by-row writer.
 """
 
 import contextlib
@@ -57,6 +58,21 @@ def test_readme_sweep_bytes():
     code, out = _run(README_SWEEP + ["--format", "json"])
     assert code == 0
     assert _md5(out) == "c20c17cb87b1a772d232084113cae00b"
+
+
+README_WAVEFUNCTION = ["wavefunction", "--v1", "12", "--v2", "1", "--level", "1",
+                      "--grid-points", "2000", "--with-spinor", "--omega", "3",
+                      "--alpha", "0.5", "--gamma", "1.0", "--beta", "0.25",
+                      "--m1", "0.1", "--m2", "1.2"]
+
+
+def test_readme_wavefunction_bytes():
+    code, out = _run(README_WAVEFUNCTION)
+    assert code == 0
+    assert _md5(out) == "83a83b0722f81bff8b7d1af15aa3a337"
+    code, out = _run(README_WAVEFUNCTION + ["--format", "json"])
+    assert code == 0
+    assert _md5(out) == "ef17a8d456df5e36ca4b31772ffcddd1"
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -142,7 +158,8 @@ def test_sweep_matches_point_by_point(mode, key, data):
     argv += ["--param", key, f"--level={data.draw(st.integers(0, 4), label='level')}",
              f"--from={data.draw(ENDS, label='from')!r}",
              f"--to={data.draw(ENDS, label='to')!r}",
-             f"--steps={data.draw(st.integers(2, 24), label='steps')}"]
+             f"--steps={data.draw(st.integers(2, 24), label='steps')}",
+             f"--format={data.draw(st.sampled_from(['csv', 'json']), label='format')}"]
     code, out = _run(argv)
     assert code == 0
     assert out == _point_by_point(argv)
