@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import re
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -269,6 +271,24 @@ def _emit(ns: dict, meta: dict, columns: list[str], rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+# writerow returns what the file's write returns: here the CSV line itself
+_CSV_LINE = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n")
+
+
+def _csv_rows(columns: list[str], template: str, fields, rows: dict) -> str:
+    """The CSV text that ``_emit`` writes, built a line at a time.
+
+    Line i is ``template % fields[i]`` unless ``rows`` holds a row dict under
+    i, which is written as ``_emit`` writes it.  The template takes the place
+    of ``_fmt``, so its fields must be finite floats (for ``%.17g``) and
+    ready strings (for ``%s``).
+    """
+    lines = list(map(template.__mod__, fields))
+    for i, row in rows.items():
+        lines[i] = _CSV_LINE.writerow([_fmt(row.get(key)) for key in columns])
+    return _CSV_LINE.writerow(columns) + "".join(lines)
+
+
 def _write(ns: dict, text: str):
     if ns.get("output"):
         with open(ns["output"], "w", encoding="utf-8", newline="") as fh:
@@ -401,17 +421,23 @@ def cmd_wavefunction(ns: dict) -> int:
                     if ns["with_spinor"] else None)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-    cols = ["x", "phi"] + (["spinor"] if spin is not None else [])
-    rows = []
-    for i, x in enumerate(grid.points):
-        row = {"x": float(x), "phi": float(state.samples[i])}
-        if spin is not None:
-            row["spinor"] = float(spin.samples[i])
-        if not all(map(math.isfinite, row.values())):
-            raise OverflowError(f"non-finite wavefunction sample at x = {row['x']!r} "
-                                f"(node {i})")
-        rows.append(row)
-    _write(ns, _emit(ns, _meta(ns, "wavefunction"), cols, rows))
+    cols = ["x", "phi"]
+    samples = [grid.points, state.samples]
+    if spin is not None:
+        cols.append("spinor")
+        samples.append(spin.samples)
+    finite = np.isfinite(samples).all(axis=0)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise OverflowError(f"non-finite wavefunction sample at x = "
+                            f"{float(grid.points[i])!r} (node {i})")
+    fields = list(zip(*(s.tolist() for s in samples)))
+    if ns["format"] == "json":
+        text = _emit(ns, _meta(ns, "wavefunction"), cols,
+                     [dict(zip(cols, row)) for row in fields])
+    else:
+        text = _csv_rows(cols, ",".join(["%.17g"] * len(cols)) + "\n", fields, {})
+    _write(ns, text)
     return 0
 
 
@@ -487,20 +513,30 @@ def cmd_sweep(ns: dict) -> int:
     with np.errstate(all="ignore"):
         values = ns["sweep_from"] + span * np.arange(steps) / (steps - 1)
     lv, regular = _sweep_columns(ns, mode, values)
+    settled = regular & np.isfinite(values)
     values = values.tolist()
-    rows = [{param: v, "e_re": re, "e_im": im, "is_real": real, "admissible": ok,
-             "status": ""}
-            for v, re, im, real, ok in zip(values, lv.e_re.tolist(), lv.e_im.tolist(),
-                                           lv.is_real.tolist(), lv.admissible.tolist())]
     # the scalar path names the status of every row the array pass cannot
-    # settle (pole, overflow, invalid); its warnings are carried by the row
-    # flags, and the filter is set here once because it is process-global
+    # settle (pole, overflow, invalid), and writes a non-finite swept value,
+    # which the CSV template cannot, as an empty cell; its warnings are
+    # carried by the row flags, and the filter is set here once because it is
+    # process-global
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for i in np.flatnonzero(~regular).tolist():
-            rows[i] = _sweep_point(ns, mode, values[i], ns["level"])
+        scalar = {i: _sweep_point(ns, mode, values[i], ns["level"])
+                  for i in np.flatnonzero(~settled).tolist()}
     cols = [param, "e_re", "e_im", "is_real", "admissible", "status"]
-    _write(ns, _emit(ns, _meta(ns, "sweep"), cols, rows))
+    energies = (values, lv.e_re.tolist(), lv.e_im.tolist())
+    if ns["format"] == "json":
+        fields = zip(*energies, lv.is_real.tolist(), lv.admissible.tolist())
+        rows = [scalar.get(i) or dict(zip(cols, (*row, "")))
+                for i, row in enumerate(fields)]
+        text = _emit(ns, _meta(ns, "sweep"), cols, rows)
+    else:
+        flags = [np.where(flag, "true", "false").tolist()
+                 for flag in (lv.is_real, lv.admissible)]
+        text = _csv_rows(cols, "%.17g,%.17g,%.17g,%s,%s,\n", zip(*energies, *flags),
+                         scalar)
+    _write(ns, text)
     return 0
 
 
@@ -531,10 +567,15 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built on the first ``main`` call; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         ns = _merge_config(args)
         return COMMANDS[ns["command"]](ns)
     except CliError as exc:

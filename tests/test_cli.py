@@ -250,6 +250,23 @@ def test_unknown_flag_exits_one(capsys):
     assert run_cli(["spectrum", "--nonsense"], capsys)[0] == 1
 
 
+def test_cached_parser_carries_no_state(capsys, monkeypatch):
+    runs = [
+        ["sweep", "--example", "2", "--omega", "5", "--alpha", "1", "--gamma", "10",
+         "--delta", "0.5", "--c", "3", "--m2", "1", "--level", "3", "--param", "m2",
+         "--from", "0.1", "--to", "8", "--steps", "40"],
+        SPECTRUM_ARGS + ["--format", "json"],
+        ["sweep", "--sp-a", "9", "--sp-b", "1.5", "--gamma", "2", "--param", "m2",
+         "--from", "-1e-5", "--to", "2", "--steps", "7"],
+    ]
+    cli._parser.cache_clear()
+    cached = [run_cli(argv, capsys) for argv in runs]
+    assert cli._parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser per call
+    assert cached == [run_cli(argv, capsys) for argv in runs]
+    assert all(code == 0 for code, _, _ in cached)
+
+
 def test_output_file(tmp_path, capsys):
     path = tmp_path / "out.csv"
     code, out, _ = run_cli(SPECTRUM_ARGS + ["--output", str(path)], capsys)
