@@ -109,6 +109,19 @@ def test_sweep_monotone_and_nan_free(capsys):
             assert r["is_real"] == "true"
 
 
+def test_sweep_never_serializes_a_nonfinite_swept_value(capsys):
+    # example 2 never reads m1, so the array pass settles every row even
+    # where the swept value itself is nan (0 * inf) or inf
+    code, out, _ = run_cli(["sweep", "--example", "2", "--omega", "5",
+                            "--alpha", "1", "--gamma", "10", "--delta", "0.5",
+                            "--c", "3", "--m2", "1", "--level", "3",
+                            "--param", "m1", "--from", "0", "--to", "inf",
+                            "--steps", "3"], capsys)
+    assert code == 0
+    assert out == "m1,e_re,e_im,is_real,admissible,status\n" + \
+        ",0,9.852030247619016,false,false,\n" * 3
+
+
 def test_sweep_requires_range(capsys):
     code, _, err = run_cli(["sweep", "--example", "1", "--omega", "3",
                             "--alpha", "2", "--gamma", "0.1", "--beta", "6",
