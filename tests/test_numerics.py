@@ -241,6 +241,75 @@ def test_sturm_counts_match_dense_eigenvalues():
     assert _sturm_counts(diag, 1.0, shifts).tolist() == expected
 
 
+def _sturm_counts_reference(diag, esq, shifts):
+    # the row loop as first written (chained band guard, then a sign test);
+    # _sturm_counts must give the same count for every shift
+    pivmin = max(esq * 1e-292, 1e-300)
+    counts = []
+    for s in shifts:
+        q = diag[0] - s
+        if -pivmin < q < pivmin:
+            q = -pivmin
+        count = int(q < 0.0)
+        for d in diag[1:]:
+            q = d - s - esq / q
+            if -pivmin < q < pivmin:
+                q = -pivmin
+            if q < 0.0:
+                count += 1
+        counts.append(count)
+    return counts
+
+
+def test_sturm_counts_match_reference_loop_on_every_pivot_class():
+    from pdmdirac.numerics import _sturm_counts
+
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        n = int(rng.integers(16, 60))
+        diag = rng.uniform(-5.0, 5.0, n)
+        esq = rng.uniform(0.0, 2.0) ** 2
+        # diag values as shifts land the first pivot on exactly 0.0; repeats
+        # and a NaN shift go through the same loop
+        shifts = np.concatenate((rng.uniform(-8.0, 8.0, 20), diag[:5],
+                                 np.repeat(rng.uniform(-8.0, 8.0, 3), 3),
+                                 [np.nan]))
+        assert (_sturm_counts(diag, esq, shifts).tolist()
+                == _sturm_counts_reference(diag.tolist(), esq, shifts.tolist()))
+    # esq = 1e-300 puts pivmin at 1e-300, and after a pivot of 1e300 the
+    # coupling term esq / q underflows to 0.0: with shift 0 the next pivot is
+    # the diagonal entry itself, so these rows land exactly on 0.0, on
+    # +-pivmin and strictly inside (0, pivmin) and (-pivmin, 0)
+    esq = 1e-300
+    pivmin = 1e-300
+    targets = [0.0, pivmin, -pivmin, 0.5 * pivmin, -0.5 * pivmin,
+               np.nextafter(pivmin, 0.0), np.nextafter(-pivmin, 0.0),
+               5e-324, -5e-324, 2.0 * pivmin, -2.0 * pivmin]
+    for first in targets:
+        diag = [first]
+        for t in targets:
+            diag += [1e300, t]
+        shifts = [0.0, 0.0, -0.0, 1.0, -1.0, pivmin, -pivmin, 1e300]
+        assert (_sturm_counts(np.array(diag), esq, np.array(shifts)).tolist()
+                == _sturm_counts_reference(diag, esq, shifts))
+
+
+def test_eigenvalues_only_bits_are_pinned():
+    # these potentials and grids use only IEEE + - * /, so the bits are the
+    # same on every platform; a change to the bisection that moves any
+    # midpoint moves them
+    r = discretize_and_solve(lambda x: x * x, Grid(-8.0, 8.0, 900), 4,
+                             eigenvectors=False)
+    assert [float(v).hex() for v in r.eigenvalues] == [
+        "0x1.fffd6aa62dc9cp-1", "0x1.7ffcc54d93235p+1",
+        "0x1.3ffbcd471266cp+2", "0x1.bff7ed2f66b4ep+2"]
+    r = discretize_and_solve(box_potential, Grid(0.0, math.pi, 4000), 3,
+                             eigenvectors=False)
+    assert [float(v).hex() for v in r.eigenvalues] == [
+        "0x1.0000019af6aaep+0", "0x1.fffff8620a618p+1",
+        "0x1.1ffff6fa728c1p+3"]
+
+
 def test_derivative_stencils_are_fourth_order():
     from pdmdirac.numerics import first_derivative, second_derivative_interior
 
