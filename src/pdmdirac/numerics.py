@@ -14,6 +14,7 @@ a numpy call per row costs far more than the row's few flops.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -73,19 +74,22 @@ def _sturm_counts(diag: np.ndarray, esq: float, shifts: np.ndarray) -> np.ndarra
     # pivot floor only guards esq/q against overflow; it must stay far below
     # any physically meaningful pivot so counts are never perturbed
     pivmin = max(esq * 1e-292, 1e-300)
-    first, *rest = diag.tolist()
+    rows = diag.tolist()
     counts = []
     for s in shifts.tolist():
-        q = first - s
-        if -pivmin < q < pivmin:
-            q = -pivmin
-        count = int(q < 0.0)
-        for d in rest:
+        # the first row has no coupling term: esq / inf is 0.0, and
+        # d - s - 0.0 is d - s
+        q = math.inf
+        count = 0
+        for d in rows:
             q = d - s - esq / q
-            if -pivmin < q < pivmin:
-                q = -pivmin
-            if q < 0.0:
+            # a pivot below pivmin is negative, and one inside the band
+            # (-pivmin, pivmin) becomes -pivmin: one comparison on a positive
+            # row, the same pivots and count as a band guard then a sign test
+            if q < pivmin:
                 count += 1
+                if q > -pivmin:
+                    q = -pivmin
         counts.append(count)
     return np.array(counts, dtype=np.int64)
 
@@ -168,7 +172,10 @@ def discretize_and_solve(potential, grid: Grid, k: int,
     scale = max(abs(lo[0]), abs(hi[0]), 1.0)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        counts = _sturm_counts(diag, esq, mid)
+        # targets that still share an interval share its midpoint: count each
+        # distinct shift once
+        shifts, slot = np.unique(mid, return_inverse=True)
+        counts = _sturm_counts(diag, esq, shifts)[slot]
         above = counts >= targets
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)

@@ -5,8 +5,8 @@ import pytest
 
 from pdmdirac import (Grid, QuadratureFallback, RosenMorseSuperpotential,
                       count_nodes, discretize_and_solve, ode_residual,
-                      partner_potentials, quadrature_norm, rm2_wavefunction,
-                      si_remainder_ladder)
+                      partner_potentials, quadrature_norm, rm2_solve,
+                      rm2_wavefunction, si_remainder_ladder)
 
 
 def box_potential(x):
@@ -310,6 +310,32 @@ def test_eigenvalues_only_bits_are_pinned():
         "0x1.1ffff6fa728c1p+3"]
 
 
+def _rosen_morse_oracle_problem():
+    # the 6000-point whole-line problem the oracle checks, k = 3
+    w = rm2_solve(5.0, 20.0, 1.0, n_max=2).w
+    return (lambda x: partner_potentials(w, x).v_minus), Grid(-15.0, 15.0, 6000)
+
+
+def test_bisection_counts_each_distinct_shift_once(monkeypatch):
+    from pdmdirac import numerics
+
+    calls = []
+    counts = numerics._sturm_counts
+
+    def spy(diag, esq, shifts):
+        calls.append(np.array(shifts))
+        return counts(diag, esq, shifts)
+
+    monkeypatch.setattr(numerics, "_sturm_counts", spy)
+    potential, grid = _rosen_morse_oracle_problem()
+    discretize_and_solve(potential, grid, 3, eigenvectors=False)
+    assert calls
+    for shifts in calls:
+        assert np.unique(shifts).size == shifts.size
+    # the three targets share one interval until the first passes split them
+    assert sum(shifts.size for shifts in calls) < 3 * len(calls)
+
+
 def test_derivative_stencils_are_fourth_order():
     from pdmdirac.numerics import first_derivative, second_derivative_interior
 
@@ -334,3 +360,20 @@ def test_against_scipy_tridiagonal_solver():
     ref = scipy_linalg.eigh_tridiagonal(d, e, select="i",
                                         select_range=(0, 3))[0]
     assert np.max(np.abs(r.eigenvalues - ref)) < 1e-9
+
+
+def test_against_scipy_tridiagonal_solver_eigenvectors():
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    potential, g = _rosen_morse_oracle_problem()
+    r = discretize_and_solve(potential, g, 3)
+    h = g.step
+    d = 2.0 / h ** 2 + potential(g.points)
+    e = np.full(g.n_points - 1, -1.0 / h ** 2)
+    ref_vals, ref_vecs = scipy_linalg.eigh_tridiagonal(d, e, select="i",
+                                                       select_range=(0, 2))
+    assert np.max(np.abs(r.eigenvalues - ref_vals)) < 1e-9
+    for j in range(3):
+        # on a uniform grid the overlap h <a, b> / (h |a| |b|) is the cosine
+        ours = r.eigenvectors[j] / np.linalg.norm(r.eigenvectors[j])
+        theirs = ref_vecs[:, j] / np.linalg.norm(ref_vecs[:, j])
+        assert abs(float(ours @ theirs)) >= 1.0 - 1e-12
