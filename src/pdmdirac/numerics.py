@@ -77,15 +77,12 @@ def _sturm_counts(diag: np.ndarray, esq: float, shifts: np.ndarray) -> np.ndarra
     rows = diag.tolist()
     counts = []
     for s in shifts.tolist():
-        # the first row has no coupling term: esq / inf is 0.0, and
-        # d - s - 0.0 is d - s
-        q = math.inf
+        q = math.inf  # first row: esq / inf is 0.0, so q = d - s exactly
         count = 0
         for d in rows:
             q = d - s - esq / q
-            # a pivot below pivmin is negative, and one inside the band
-            # (-pivmin, pivmin) becomes -pivmin: one comparison on a positive
-            # row, the same pivots and count as a band guard then a sign test
+            # below pivmin counts as negative; inside (-pivmin, pivmin) the
+            # pivot becomes -pivmin.  A positive row costs one comparison.
             if q < pivmin:
                 count += 1
                 if q > -pivmin:
