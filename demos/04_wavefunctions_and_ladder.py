@@ -10,8 +10,7 @@ import numpy as np
 
 from pdmdirac import (Grid, PoschlTellerSuperpotential, gpt_wavefunction,
                       jacobi_eval, ladder_state, ode_residual,
-                      partner_potentials, quadrature_weights, rm2_solve,
-                      rm2_wavefunction)
+                      partner_potentials, rm2_solve, rm2_wavefunction)
 
 print("Jacobi values at general parameters, recurrence vs explicit sum:")
 for (n, a, b, z) in ((3, -2.3, 1.7, 0.4), (5, -4.1, -0.9, -0.6), (8, 2.2, -3.3, 0.9)):
@@ -23,7 +22,7 @@ print()
 v1, v2 = 20.0, -3.0
 sol = rm2_solve(0.0, v1, v2, n_max=3)
 grid = Grid(-15.0, 15.0, 6000)
-weights = quadrature_weights(grid.n_points + 2, grid.step)[1:-1]
+weights = grid.weights
 pot = lambda x: partner_potentials(sol.w, x).v_minus
 
 print(f"Rosen-Morse V1 = {v1}, V2 = {v2}:")
@@ -39,7 +38,7 @@ print()
 a, b, c = 12.0, 3.0, 1.0
 w = PoschlTellerSuperpotential(a=a, b=b, c=c)
 gridg = Grid(1e-3, 20.0, 6000)
-weightsg = quadrature_weights(gridg.n_points + 2, gridg.step)[1:-1]
+weightsg = gridg.weights
 potg = lambda x: partner_potentials(w, x).v_minus
 
 print(f"Poschl-Teller A = {a}, B = {b}, c = {c}:")

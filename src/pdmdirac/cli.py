@@ -382,7 +382,8 @@ def _default_grid(ns: dict, mode: str) -> Grid:
         x_min = ns["x_min"]
     if ns.get("x_max") is not None:
         x_max = ns["x_max"]
-    return Grid(x_min, x_max, ns.get("grid_points") or 6000)
+    n_points = ns.get("grid_points")
+    return Grid(x_min, x_max, 6000 if n_points is None else n_points)
 
 
 def cmd_wavefunction(ns: dict) -> int:
@@ -393,6 +394,7 @@ def cmd_wavefunction(ns: dict) -> int:
         raise CliError(str(exc)) from exc
     n = ns["level"]
     params = _model_params(ns) if (mode.startswith("example") or ns["with_spinor"]) else None
+    spinor = params if ns["with_spinor"] else None
     if mode in ("rm2", "example1"):
         if mode == "example1":
             from .susy import rm2_coefficients_from_params
@@ -403,8 +405,7 @@ def cmd_wavefunction(ns: dict) -> int:
             v1, v2 = ns["v1"], ns["v2"]
         try:
             state = rm2_wavefunction(n, v1, v2, grid)
-            spin = (rm2_wavefunction(n, v1, v2, grid, with_spinor=True, params=params)
-                    if ns["with_spinor"] else None)
+            spin = rm2_wavefunction(n, v1, v2, grid, spinor) if spinor is not None else None
         except ValueError as exc:
             raise CliError(str(exc)) from exc
     else:
@@ -416,9 +417,7 @@ def cmd_wavefunction(ns: dict) -> int:
             a, b = ns["sp_a"], ns["sp_b"]
         try:
             state = gpt_wavefunction(n, a, b, ns["c"], grid)
-            spin = (gpt_wavefunction(n, a, b, ns["c"], grid, with_spinor=True,
-                                     params=params)
-                    if ns["with_spinor"] else None)
+            spin = gpt_wavefunction(n, a, b, ns["c"], grid, spinor) if spinor is not None else None
         except ValueError as exc:
             raise CliError(str(exc)) from exc
     cols = ["x", "phi"]

@@ -28,18 +28,16 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, PoleError, SingularityError
-from .model import (ModelParams, Profile, evaluate_profile,
-                    profile_third_derivative)
+from .model import ModelParams, Profile, evaluate_profile
 from .numerics import Grid, first_derivative
 
 
 @dataclass(frozen=True)
 class MassProfile:
-    """Position-dependent mass with its first two derivatives (closed form)."""
+    """Position-dependent mass with its first derivative (closed form)."""
 
     m: Callable
     dm: Callable
-    d2m: Callable
 
 
 @dataclass(frozen=True)
@@ -94,17 +92,6 @@ def dirac_profiles(params: ModelParams, profile: Profile,
         r, q = p.a1 / p.a, p.b / p.a
         return m1 * (p.a2 / p.a - r * r) + m2 * (p.b1 / p.a - q * r)
 
-    def d2m(x):
-        p = _ratios(x)
-        a3 = profile_third_derivative(profile, x)
-        b2 = profile.gamma * p.a2 + profile.beta * a3
-        r, q = p.a1 / p.a, p.b / p.a
-        dr = p.a2 / p.a - r * r
-        dq = p.b1 / p.a - q * r
-        ddr = a3 / p.a - r * p.a2 / p.a - 2.0 * r * dr
-        ddq = b2 / p.a - r * p.b1 / p.a - dq * r - q * dr
-        return m1 * ddr + m2 * ddq
-
     def v(x):
         p = _ratios(x)
         return e_ref - e_ref / p.a
@@ -117,7 +104,7 @@ def dirac_profiles(params: ModelParams, profile: Profile,
         p = _ratios(x)
         return e_ref * p.a2 / (p.a * p.a) - 2.0 * e_ref * p.a1 * p.a1 / (p.a ** 3)
 
-    return MassProfile(m=m, dm=dm, d2m=d2m), RealPotential(v=v, dv=dv, d2v=d2v)
+    return MassProfile(m=m, dm=dm), RealPotential(v=v, dv=dv, d2v=d2v)
 
 
 def complete_potential(mass: MassProfile, v_r: Callable, v_r1: Callable,

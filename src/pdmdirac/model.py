@@ -202,24 +202,6 @@ def evaluate_profile(profile: Profile, x) -> ProfileValues:
     return ProfileValues(a=a, a1=a1, a2=a2, b=b, b1=b1)
 
 
-def profile_third_derivative(profile: Profile, x):
-    """A'''(x), needed for the second derivative of the mass profile."""
-    if isinstance(profile, CoshProfile):
-        if np.any(np.abs(np.asarray(x)) > HYPERBOLIC_LIMIT):
-            raise OverflowError(
-                f"cosh argument exceeds overflow threshold {HYPERBOLIC_LIMIT}")
-        return profile.delta * np.sinh(x)
-    if isinstance(profile, CothProfile):
-        if np.any(np.asarray(x) <= 0.0):
-            raise DomainError("coth profile is defined on x > 0 only")
-        u = profile.c * x
-        coth = 1.0 / np.tanh(u)
-        csch2 = _csch(u) ** 2
-        c = profile.c
-        return -2.0 * profile.delta * c ** 3 * csch2 * (2.0 * coth * coth + csch2)
-    raise TypeError(f"unsupported profile type: {type(profile).__name__}")
-
-
 @dataclass(frozen=True)
 class ConstraintSolution:
     """Derived constants of the coefficient-matching between the two chains.

@@ -50,6 +50,11 @@ class Grid:
         h = self.step
         return self.x_min + h * np.arange(1, self.n_points + 1)
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Quadrature weights of the interior nodes (Dirichlet zeros at the ends)."""
+        return quadrature_weights(self.n_points + 2, self.step)[1:-1]
+
 
 @dataclass(frozen=True)
 class EigenResult:
@@ -195,7 +200,6 @@ def discretize_and_solve(potential, grid: Grid, k: int,
     iters = []
     mat_scale = float(np.max(np.abs(diag))) + 2.0 * abs(e)
     floor = 20.0 * np.finfo(float).eps * mat_scale
-    w = quadrature_weights(grid.n_points + 2, h)[1:-1]
     # deterministic, parity-free start vector
     b0 = 1.0 + 0.5 * np.arange(n) / n
     for j in range(k):
@@ -222,11 +226,7 @@ def discretize_and_solve(potential, grid: Grid, k: int,
                 f"inverse iteration stalled for eigenvalue #{j}: residual "
                 f"{res:.3e} after {it} sweeps (matrix scale {mat_scale:.3e})")
         iters.append(it)
-        i_max = int(np.argmax(np.abs(y)))
-        if y[i_max] < 0.0:
-            y = -y
-        y = y / np.sqrt(np.sum(w * y * y))
-        vecs[j] = y
+        vecs[j], _ = normalize(y, grid)
         refined[j] = rq
 
     order = np.argsort(refined)
@@ -252,6 +252,27 @@ def quadrature_weights(n_samples: int, h: float) -> np.ndarray:
     w = np.full(n_samples, h)
     w[0] = w[-1] = h / 2.0
     return w
+
+
+def normalize(samples: np.ndarray, grid: Grid) -> tuple[np.ndarray, float]:
+    """Interior samples scaled to unit quadrature norm, largest sample positive.
+
+    Returns the scaled samples and the norm they had.  Refuses non-finite
+    samples (OverflowError) and a state that vanished on the grid (ValueError).
+    """
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        i = int(bad[0])
+        raise OverflowError(f"non-finite wavefunction sample at "
+                            f"x = {float(grid.points[i])!r} (node {i})")
+    norm = math.sqrt(float(np.sum(grid.weights * samples * samples)))
+    if norm == 0.0:
+        raise ValueError("state vanished on the grid; cannot normalize")
+    out = samples / norm
+    i_max = int(np.argmax(np.abs(out)))
+    if out[i_max] < 0.0:
+        out = -out
+    return out, norm
 
 
 def quadrature_norm(samples, grid: Grid) -> float:

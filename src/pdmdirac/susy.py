@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ModelParams, sigma_of
-from .numerics import Grid, first_derivative, quadrature_weights
+from .numerics import Grid, first_derivative, normalize
 
 
 def square(x):
@@ -488,7 +488,8 @@ def ladder_state(w: Superpotential, n: int, grid: Grid) -> np.ndarray:
     parameters and climbs with 4th-order numeric differentiation, so the
     result is an independent construction of the closed-form wavefunction
     (up to normalization).  Keep n small (<= 5); differencing error grows
-    with each application.
+    with each application.  A state that overflows or vanishes on the grid is
+    refused, as in :func:`pdmdirac.numerics.normalize`.
     """
     if n < 0:
         raise ValueError("level index must be nonnegative")
@@ -500,10 +501,4 @@ def ladder_state(w: Superpotential, n: int, grid: Grid) -> np.ndarray:
     for k in range(n - 1, -1, -1):
         wk = w.shifted(k)
         g = -first_derivative(g, grid.step) + wk.w(x) * g
-    weights = quadrature_weights(grid.n_points + 2, grid.step)[1:-1]
-    norm = math.sqrt(float(np.sum(weights * g * g)))
-    if norm == 0.0:
-        return g
-    g = g / norm
-    i_max = int(np.argmax(np.abs(g)))
-    return g if g[i_max] >= 0.0 else -g
+    return normalize(g, grid)[0]

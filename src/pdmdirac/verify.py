@@ -61,10 +61,6 @@ def _rel_diff(got, ref) -> float:
     return float(np.max(np.abs(got - ref) / (1.0 + np.abs(ref))))
 
 
-def _interior_weights(grid: numerics.Grid) -> np.ndarray:
-    return numerics.quadrature_weights(grid.n_points + 2, grid.step)[1:-1]
-
-
 # the two cases that criteria 9, 10 and 12 share, one per family:
 # (label, exact solution, closed-form state builder, grid)
 def _state_cases(n_points: int):
@@ -250,7 +246,7 @@ def suite_susy() -> list[Check]:
         checks.append(Check(f"criterion 10: partner spectra degenerate above the "
                             f"ground level ({label})", gap, 1e-3))
     for label, sol, closed, grid in _state_cases(4000):
-        weights = _interior_weights(grid)
+        weights = grid.weights
         defect = 0.0
         for n in (1, 2):
             lad = susy.ladder_state(sol.w, n, grid)
@@ -351,7 +347,7 @@ def suite_wavefunctions() -> list[Check]:
     # criterion 9: the states n <= 3; the Poschl-Teller wall needs skip = 45
     for (label, sol, closed, grid), skip in zip(_state_cases(6000), (0, 45)):
         pot = lambda x, w=sol.w: susy.partner_potentials(w, x).v_minus
-        weights = _interior_weights(grid)
+        weights = grid.weights
         res = 0.0
         nodes_ok = True
         states = []

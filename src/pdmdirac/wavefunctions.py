@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ModelParams
-from .numerics import Grid, count_nodes, quadrature_weights
-from .susy import (PoschlTellerSuperpotential, gpt_admissible, rm2_admissible,
-                   rm2_superpotential, si_remainder_ladder)
+from .numerics import Grid, count_nodes, normalize
+from .susy import (PoschlTellerSuperpotential, Superpotential, gpt_admissible,
+                   rm2_admissible, rm2_superpotential, si_remainder_ladder)
 
 # recurrence denominators closer to zero than this switch to the explicit
 # sum; at the boundary the cancellation error is ~eps/_GUARD ~ 1e-10, safely
@@ -149,19 +149,18 @@ def rm2_state_evaluator(n: int, v1: float, v2: float):
     r, s = rm2_exponents(n, v1, v2)
     aj, bj = -2.0 * r, -2.0 * s
 
-    def phi(x):
+    def _parts(x):
         x = np.asarray(x, dtype=float)
         u = 1.0 / (1.0 + np.exp(-2.0 * x))
         v = 1.0 / (1.0 + np.exp(2.0 * x))
-        t = np.tanh(x)
-        return u ** (-r) * v ** (-s) * jacobi_eval(n, aj, bj, -t)
+        return u ** (-r) * v ** (-s), np.tanh(x)
+
+    def phi(x):
+        pref, t = _parts(x)
+        return pref * jacobi_eval(n, aj, bj, -t)
 
     def dphi(x):
-        x = np.asarray(x, dtype=float)
-        u = 1.0 / (1.0 + np.exp(-2.0 * x))
-        v = 1.0 / (1.0 + np.exp(2.0 * x))
-        t = np.tanh(x)
-        pref = u ** (-r) * v ** (-s)
+        pref, t = _parts(x)
         poly = jacobi_eval(n, aj, bj, -t)
         dpoly = jacobi_derivative(n, aj, bj, -t)
         return pref * ((-r * (1.0 - t) + s * (1.0 + t)) * poly
@@ -170,30 +169,25 @@ def rm2_state_evaluator(n: int, v1: float, v2: float):
     return phi, dphi
 
 
-def _normalize(samples: np.ndarray, grid: Grid) -> tuple[np.ndarray, float]:
-    bad = np.flatnonzero(~np.isfinite(samples))
-    if bad.size:
-        i = int(bad[0])
-        raise OverflowError(f"non-finite wavefunction sample at "
-                            f"x = {float(grid.points[i])!r} (node {i})")
-    weights = quadrature_weights(grid.n_points + 2, grid.step)[1:-1]
-    norm = math.sqrt(float(np.sum(weights * samples * samples)))
-    if norm == 0.0:
-        raise ValueError("state vanished on the grid; cannot normalize")
-    out = samples / norm
-    i_max = int(np.argmax(np.abs(out)))
-    if out[i_max] < 0.0:
-        out = -out
-    return out, norm
+def _bound_state(n: int, samples: np.ndarray, mass: np.ndarray | None,
+                 w: Superpotential, grid: Grid) -> BoundState:
+    # the shared tail: optional sqrt(M) factor, normalization, level energy
+    if mass is not None:
+        if np.any(mass <= 0.0):
+            raise DomainError("M(x) must be positive on the grid for the "
+                              "spinor factor")
+        samples = np.sqrt(mass) * samples
+    samples, norm = normalize(samples, grid)
+    return BoundState(n=n, samples=samples, e_bar=si_remainder_ladder(w, n),
+                      norm=norm, nodes=count_nodes(samples))
 
 
 def rm2_wavefunction(n: int, v1: float, v2: float, grid: Grid,
-                     with_spinor: bool = False,
-                     params: ModelParams | None = None) -> BoundState:
+                     spinor: ModelParams | None = None) -> BoundState:
     """Normalized level-n Rosen-Morse bound state sampled on the grid.
 
-    ``with_spinor`` multiplies by sqrt(M(x)), M = m2 g + (m1 + b m2) tanh x
-    from ``params``; M must stay positive on the grid.
+    With model constants ``spinor``, the state is multiplied by sqrt(M(x)),
+    M = m2 g + (m1 + b m2) tanh x; M must stay positive on the grid.
     """
     disc = 1.0 + 4.0 * v1
     if disc <= 0.0:
@@ -205,20 +199,11 @@ def rm2_wavefunction(n: int, v1: float, v2: float, grid: Grid,
             f"level n = {n} is not admissible: needs C2 - n > 0 and "
             f"(C2 - n)^2 > |V2|/2 with C2 = {c2}")
     phi, _ = rm2_state_evaluator(n, v1, v2)
-    samples = phi(grid.points)
-    if with_spinor:
-        if params is None:
-            raise ValueError("with_spinor requires model params")
-        cross = params.m1 + params.beta_effective * params.m2
-        mass = params.m2 * params.gamma + cross * np.tanh(grid.points)
-        if np.any(mass <= 0.0):
-            raise DomainError("M(x) must be positive on the grid for the "
-                              "spinor factor")
-        samples = np.sqrt(mass) * samples
-    samples, norm = _normalize(samples, grid)
-    e_bar = si_remainder_ladder(w, n)
-    return BoundState(n=n, samples=samples, e_bar=e_bar, norm=norm,
-                      nodes=count_nodes(samples))
+    mass = None
+    if spinor is not None:
+        cross = spinor.m1 + spinor.beta_effective * spinor.m2
+        mass = spinor.m2 * spinor.gamma + cross * np.tanh(grid.points)
+    return _bound_state(n, phi(grid.points), mass, w, grid)
 
 
 # ----------------------------------------------------------------------
@@ -264,12 +249,11 @@ def gpt_state_evaluator(n: int, a: float, b: float, c: float):
 
 
 def gpt_wavefunction(n: int, a: float, b: float, c: float, grid: Grid,
-                     with_spinor: bool = False,
-                     params: ModelParams | None = None) -> BoundState:
+                     spinor: ModelParams | None = None) -> BoundState:
     """Normalized level-n Poschl-Teller bound state on a half-line grid.
 
-    ``with_spinor`` multiplies by sqrt(M(x)) with
-    M = m2 g - 2c (m1 + b m2) csch(2cx) from ``params``.
+    With model constants ``spinor``, the state is multiplied by sqrt(M(x)),
+    M = m2 g - 2c (m1 + b m2) csch(2cx); M must stay positive on the grid.
     """
     if np.any(grid.points <= 0.0):
         raise DomainError("grid must lie in x > 0")
@@ -278,19 +262,11 @@ def gpt_wavefunction(n: int, a: float, b: float, c: float, grid: Grid,
             f"level n = {n} is not admissible: needs A - B - 2cn > 0 and "
             f"A/c > 0, B/c > 0 (A = {a}, B = {b}, c = {c})")
     phi, _ = gpt_state_evaluator(n, a, b, c)
-    samples = phi(grid.points)
-    if with_spinor:
-        if params is None:
-            raise ValueError("with_spinor requires model params")
-        cross = params.m1 + params.beta_effective * params.m2
+    mass = None
+    if spinor is not None:
+        cross = spinor.m1 + spinor.beta_effective * spinor.m2
         u = 2.0 * c * grid.points
         csch = 2.0 * np.exp(-u) / (1.0 - np.exp(-2.0 * u))
-        mass = params.m2 * params.gamma - 2.0 * c * cross * csch
-        if np.any(mass <= 0.0):
-            raise DomainError("M(x) must be positive on the grid for the "
-                              "spinor factor")
-        samples = np.sqrt(mass) * samples
-    samples, norm = _normalize(samples, grid)
-    e_bar = si_remainder_ladder(PoschlTellerSuperpotential(a=a, b=b, c=c), n)
-    return BoundState(n=n, samples=samples, e_bar=e_bar, norm=norm,
-                      nodes=count_nodes(samples))
+        mass = spinor.m2 * spinor.gamma - 2.0 * c * cross * csch
+    return _bound_state(n, phi(grid.points), mass,
+                        PoschlTellerSuperpotential(a=a, b=b, c=c), grid)

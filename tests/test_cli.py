@@ -210,6 +210,16 @@ def test_wavefunction_inadmissible_level_is_config_error(capsys):
     assert "not admissible" in err
 
 
+@pytest.mark.parametrize("points", ["0", "15"])
+def test_wavefunction_grid_points_below_floor_is_config_error(points, capsys):
+    # 0 is a value, not a missing option: the grid's own check refuses it
+    code, out, err = run_cli(["wavefunction", "--v1", "12", "--v2", "1",
+                              "--level", "1", "--grid-points", points], capsys)
+    assert code == 1
+    assert out == ""
+    assert "n_points must be at least 16" in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_wavefunction_refuses_nonfinite_samples(capsys, monkeypatch):
     # the far-field Poschl-Teller state overflows to NaN

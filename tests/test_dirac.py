@@ -13,8 +13,7 @@ from pdmdirac.errors import DomainError, PoleError
 
 def constant_profiles(m_val, v_val, e_ref):
     mass = MassProfile(m=lambda x: m_val + 0.0 * np.asarray(x),
-                       dm=lambda x: 0.0 * np.asarray(x),
-                       d2m=lambda x: 0.0 * np.asarray(x))
+                       dm=lambda x: 0.0 * np.asarray(x))
     pot = RealPotential(v=lambda x: v_val + 0.0 * np.asarray(x),
                         dv=lambda x: 0.0 * np.asarray(x),
                         d2v=lambda x: 0.0 * np.asarray(x))
@@ -45,11 +44,9 @@ def test_mass_derivatives_match_finite_differences():
         mass, pot = dirac_profiles(params, prof, e_ref=1.3)
         h = 1e-5
         fd_m = (mass.m(xs + h) - mass.m(xs - h)) / (2 * h)
-        fd_m2 = (mass.dm(xs + h) - mass.dm(xs - h)) / (2 * h)
         fd_v = (pot.v(xs + h) - pot.v(xs - h)) / (2 * h)
         fd_v2 = (pot.dv(xs + h) - pot.dv(xs - h)) / (2 * h)
         assert np.max(np.abs(mass.dm(xs) - fd_m) / (1 + np.abs(fd_m))) < 1e-8
-        assert np.max(np.abs(mass.d2m(xs) - fd_m2) / (1 + np.abs(fd_m2))) < 1e-8
         assert np.max(np.abs(pot.dv(xs) - fd_v) / (1 + np.abs(fd_v))) < 1e-8
         assert np.max(np.abs(pot.d2v(xs) - fd_v2) / (1 + np.abs(fd_v2))) < 1e-8
 
@@ -109,8 +106,7 @@ def test_imaginary_bracket_vanishes_for_random_smooth_inputs():
         b0, b1w = rng.uniform(-0.8, 0.8, 2)
         mass = MassProfile(
             m=lambda x, a0=a0, a1w=a1w: a0 + 0.3 * np.sin(a1w * x) + 2.0,
-            dm=lambda x, a1w=a1w: 0.3 * a1w * np.cos(a1w * x),
-            d2m=lambda x, a1w=a1w: -0.3 * a1w * a1w * np.sin(a1w * x))
+            dm=lambda x, a1w=a1w: 0.3 * a1w * np.cos(a1w * x))
         pot = RealPotential(
             v=lambda x, b0=b0, b1w=b1w, a2w=a2w: b0 + 0.4 * np.cos(a2w * x) + b1w * x / 10.0,
             dv=lambda x, b1w=b1w, a2w=a2w: -0.4 * a2w * np.sin(a2w * x) + b1w / 10.0,
@@ -219,8 +215,7 @@ def test_spinor_upper_component_origin_value():
 
 def test_spinor_rejects_nonpositive_mass():
     mass = MassProfile(m=lambda x: np.tanh(np.asarray(x)),
-                       dm=lambda x: 1.0 / np.cosh(np.asarray(x)) ** 2,
-                       d2m=lambda x: 0.0 * np.asarray(x))
+                       dm=lambda x: 1.0 / np.cosh(np.asarray(x)) ** 2)
     pot = RealPotential(v=lambda x: 0.0 * np.asarray(x),
                         dv=lambda x: 0.0 * np.asarray(x),
                         d2v=lambda x: 0.0 * np.asarray(x))

@@ -7,6 +7,7 @@ from pdmdirac import (Grid, QuadratureFallback, RosenMorseSuperpotential,
                       count_nodes, discretize_and_solve, ode_residual,
                       partner_potentials, quadrature_norm, rm2_solve,
                       rm2_wavefunction, si_remainder_ladder)
+from pdmdirac.numerics import normalize
 
 
 def box_potential(x):
@@ -165,6 +166,23 @@ def test_quadrature_interior_vs_closed_and_fallback_warning():
         quadrature_norm(np.sin(g_even.points), g_even)
     with pytest.raises(ValueError, match="sample count"):
         quadrature_norm(np.ones(5), g)
+
+
+def test_grid_weights_are_the_interior_quadrature_weights():
+    # odd n_points + 2: Simpson; even n_points + 2: trapezoid
+    for n_points, first, end in ((999, 4.0 / 3.0, 1.0 / 3.0), (1000, 1.0, 0.5)):
+        g = Grid(0.0, math.pi, n_points)
+        assert g.weights.shape == (n_points,)
+        assert g.weights[0] == pytest.approx(first * g.step, rel=1e-15)
+        # the dropped end weights are all that is missing from the interval length
+        assert float(np.sum(g.weights)) == pytest.approx(math.pi - 2.0 * end * g.step,
+                                                         rel=1e-13)
+
+
+def test_normalize_refuses_a_vanished_state():
+    g = Grid(-1.0, 1.0, 64)
+    with pytest.raises(ValueError, match="state vanished on the grid"):
+        normalize(np.zeros(g.n_points), g)
 
 
 def test_count_nodes_cases():

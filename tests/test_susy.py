@@ -14,7 +14,7 @@ from pdmdirac import (BetaMode, ModelParams, PoschlTellerSuperpotential,
                       si_remainder_ladder)
 from pdmdirac.errors import DomainError
 from pdmdirac.susy import gpt_level_columns, rm2_level_columns
-from pdmdirac.numerics import Grid, quadrature_weights
+from pdmdirac.numerics import Grid
 from pdmdirac.wavefunctions import gpt_wavefunction, rm2_wavefunction
 
 
@@ -261,7 +261,7 @@ def test_ladder_state_overlap_rm2(n):
     grid = Grid(-15.0, 15.0, 4000)
     lad = ladder_state(w, n, grid)
     closed = rm2_wavefunction(n, v1, v2, grid).samples
-    weights = quadrature_weights(grid.n_points + 2, grid.step)[1:-1]
+    weights = grid.weights
     overlap = abs(float(np.sum(weights * lad * closed)))
     assert overlap > 1.0 - 1e-6
 
@@ -273,9 +273,17 @@ def test_ladder_state_overlap_gpt(n):
     grid = Grid(1e-3, 20.0, 4000)
     lad = ladder_state(w, n, grid)
     closed = gpt_wavefunction(n, a, b, c, grid).samples
-    weights = quadrature_weights(grid.n_points + 2, grid.step)[1:-1]
+    weights = grid.weights
     overlap = abs(float(np.sum(weights * lad * closed)))
     assert overlap > 1.0 - 1e-6
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ladder_state_refuses_an_overflowing_state():
+    # exp(-C1 x) cosh(x)^(-C2) overflows at the far left of this grid
+    grid = Grid(-800.0, 800.0, 4001)
+    with pytest.raises(OverflowError, match="non-finite"):
+        ladder_state(RosenMorseSuperpotential(c1=1.0, c2=3.0), 1, grid)
 
 
 def test_ladder_state_coarse_grid_warning():

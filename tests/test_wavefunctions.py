@@ -7,7 +7,7 @@ from pdmdirac import (BetaMode, Grid, ModelParams, PoschlTellerSuperpotential,
                       RosenMorseSuperpotential, count_nodes,
                       gpt_state_evaluator, gpt_wavefunction, jacobi_derivative,
                       jacobi_eval, jacobi_eval_sum, jacobi_recurrence_degenerate,
-                      ode_residual, partner_potentials, quadrature_weights,
+                      ode_residual, partner_potentials,
                       rm2_exponents, rm2_state_evaluator, rm2_wavefunction)
 from pdmdirac.errors import DomainError
 
@@ -198,7 +198,7 @@ def test_gpt_polynomial_satisfies_transformed_ode():
 
 def test_orthogonality_rm2():
     grid = Grid(-15.0, 15.0, 4000)
-    weights = quadrature_weights(grid.n_points + 2, grid.step)[1:-1]
+    weights = grid.weights
     states = [rm2_wavefunction(n, 20.0, -3.0, grid).samples for n in range(3)]
     for m in range(3):
         assert np.sum(weights * states[m] ** 2) == pytest.approx(1.0, abs=1e-12)
@@ -208,7 +208,7 @@ def test_orthogonality_rm2():
 
 def test_orthogonality_gpt():
     grid = Grid(1e-3, 20.0, 4000)
-    weights = quadrature_weights(grid.n_points + 2, grid.step)[1:-1]
+    weights = grid.weights
     states = [gpt_wavefunction(n, 12.0, 3.0, 1.0, grid).samples for n in range(3)]
     for m in range(3):
         for n in range(m + 1, 3):
@@ -221,11 +221,10 @@ def test_rm2_with_spinor_factor():
                          m1=0.1, m2=1.2)
     grid = Grid(-15.0, 15.0, 2001)
     plain = rm2_wavefunction(1, 12.0, 1.0, grid)
-    spinor = rm2_wavefunction(1, 12.0, 1.0, grid, with_spinor=True, params=params)
+    spinor = rm2_wavefunction(1, 12.0, 1.0, grid, spinor=params)
     mass = 1.2 * 1.0 + (0.1 + 0.25 * 1.2) * np.tanh(grid.points)
     recon = np.sqrt(mass) * plain.samples
-    recon /= np.sqrt(np.sum(quadrature_weights(grid.n_points + 2, grid.step)[1:-1]
-                            * recon ** 2))
+    recon /= np.sqrt(np.sum(grid.weights * recon ** 2))
     assert np.max(np.abs(np.abs(recon) - np.abs(spinor.samples))) < 1e-10
 
 
@@ -234,7 +233,7 @@ def test_rm2_with_spinor_rejects_sign_changing_mass():
                          m1=0.0, m2=4.2145)
     grid = Grid(-15.0, 15.0, 1001)
     with pytest.raises(DomainError):
-        rm2_wavefunction(0, 12.0, 1.0, grid, with_spinor=True, params=params)
+        rm2_wavefunction(0, 12.0, 1.0, grid, spinor=params)
 
 
 def test_gpt_with_spinor_constant_factor():
@@ -243,8 +242,7 @@ def test_gpt_with_spinor_constant_factor():
                          m1=0.3, m2=1.4, beta_mode=BetaMode.MASS_RATIO)
     grid = Grid(1e-3, 20.0, 2001)
     plain = gpt_wavefunction(0, 5.0, 1.5, 1.0, grid)
-    spinor = gpt_wavefunction(0, 5.0, 1.5, 1.0, grid, with_spinor=True,
-                              params=params)
+    spinor = gpt_wavefunction(0, 5.0, 1.5, 1.0, grid, spinor=params)
     assert np.max(np.abs(plain.samples - spinor.samples)) < 1e-12
 
 
