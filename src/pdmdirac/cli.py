@@ -9,7 +9,8 @@ sweep         relativistic energy of one level swept over a model parameter
 verify        named self-checks with residuals (exit 2 on any failure)
 
 Parameters may come from flags or from a flat ``key = value`` config file
-(``--config``); flags override the file, unknown keys are hard errors.
+(``--config``) whose lines are read as the flags their keys name; flags
+override the file, unknown keys are hard errors.
 Output is CSV (default) or JSON with a ``meta``/``rows`` layout; floats are
 serialized with 17 significant digits so they round-trip exactly.
 
@@ -20,9 +21,9 @@ Exit codes: 0 success, 1 invalid configuration, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import functools
-import io
 import json
 import math
 import re
@@ -37,8 +38,9 @@ from .errors import ConvergenceError, PoleError, SingularityError
 from .model import (BetaMode, ModelParams, derived_constants_from_params,
                     in_domain, resolve_beta)
 from .numerics import Grid
-from .susy import (gpt_ab, gpt_level_columns, gpt_solve, gpt_solve_from_params,
-                   rm2_coefficients, rm2_level_columns, rm2_solve,
+from .susy import (gpt_ab, gpt_level_columns, gpt_params_ab, gpt_solve,
+                   gpt_solve_from_params, rm2_coefficients,
+                   rm2_coefficients_from_params, rm2_level_columns, rm2_solve,
                    rm2_solve_from_params)
 from .wavefunctions import gpt_wavefunction, rm2_wavefunction
 
@@ -66,33 +68,32 @@ _MODE_MODEL_KEYS = {"rm2": (), "gpt": ("c", "delta", "gamma", "m2")}
 
 def _add_model_opts(p: _Parser):
     for key in MODEL_KEYS:
-        p.add_argument(f"--{key}", type=float, default=None)
-    p.add_argument("--beta-mode", dest="beta_mode", default=None,
-                   choices=[m.value for m in BetaMode])
+        p.add_argument(f"--{key}", type=float, default={"delta": 1.0, "c": 1.0, "m1": 0.0}.get(key))
+    p.add_argument("--beta-mode", dest="beta_mode", choices=[m.value for m in BetaMode])
 
 
 def _add_family_opts(p: _Parser):
-    p.add_argument("--example", type=int, choices=(1, 2), default=None,
+    p.add_argument("--example", type=int, choices=(1, 2),
                    help="1 = Rosen-Morse (cosh profile), 2 = Poschl-Teller (coth)")
-    p.add_argument("--v0", type=float, default=None)
-    p.add_argument("--v1", type=float, default=None)
-    p.add_argument("--v2", type=float, default=None)
-    p.add_argument("--sp-a", dest="sp_a", type=float, default=None,
+    p.add_argument("--v0", type=float)
+    p.add_argument("--v1", type=float)
+    p.add_argument("--v2", type=float)
+    p.add_argument("--sp-a", dest="sp_a", type=float,
                    help="superpotential tanh strength (half-line family)")
-    p.add_argument("--sp-b", dest="sp_b", type=float, default=None,
+    p.add_argument("--sp-b", dest="sp_b", type=float,
                    help="superpotential coth strength (half-line family)")
 
 
 def _add_grid_opts(p: _Parser):
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=None)
-    p.add_argument("--x-min", dest="x_min", type=float, default=None)
-    p.add_argument("--x-max", dest="x_max", type=float, default=None)
+    p.add_argument("--grid-points", dest="grid_points", type=int)
+    p.add_argument("--x-min", dest="x_min", type=float)
+    p.add_argument("--x-max", dest="x_max", type=float)
 
 
 def _add_output_opts(p: _Parser):
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--output", default=None)
-    p.add_argument("--config", default=None)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--output")
+    p.add_argument("--config")
 
 
 def build_parser() -> _Parser:
@@ -108,102 +109,80 @@ def build_parser() -> _Parser:
     _add_model_opts(p)
     _add_family_opts(p)
     _add_output_opts(p)
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
+    p.add_argument("--n-max", dest="n_max", type=int, default=5)
 
     p = sub.add_parser("wavefunction", help="sampled bound state")
     _add_model_opts(p)
     _add_family_opts(p)
     _add_grid_opts(p)
     _add_output_opts(p)
-    p.add_argument("--level", type=int, default=None)
+    p.add_argument("--level", type=int, default=0)
     p.add_argument("--with-spinor", dest="with_spinor",
-                   action=argparse.BooleanOptionalAction, default=None)
+                   action=argparse.BooleanOptionalAction, default=False)
 
     p = sub.add_parser("sweep", help="level energy over a parameter range")
     _add_model_opts(p)
     _add_family_opts(p)
     _add_output_opts(p)
-    p.add_argument("--param", default=None, choices=MODEL_KEYS)
-    p.add_argument("--from", dest="sweep_from", type=float, default=None)
-    p.add_argument("--to", dest="sweep_to", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--level", type=int, default=None)
+    p.add_argument("--param", choices=MODEL_KEYS)
+    p.add_argument("--from", dest="sweep_from", type=float)
+    p.add_argument("--to", dest="sweep_to", type=float)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--level", type=int, default=0)
 
     p = sub.add_parser("verify", help="self-check suites")
     _add_output_opts(p)
-    p.add_argument("--suite", default=None,
-                   choices=sorted(verify_mod.SUITES) + ["all"])
-    p.add_argument("--tolerance-scale", dest="tolerance_scale", type=float,
-                   default=None)
+    p.add_argument("--suite", default="all", choices=sorted(verify_mod.SUITES) + ["all"])
+    p.add_argument("--tolerance-scale", dest="tolerance_scale", type=float, default=1.0)
+
+    # each subcommand's options by flag name and by dest ("-" read as "_"):
+    # the keys of a config file, and the flags that _require names
+    parser.options = {
+        command: {key.replace("-", "_"): action for action in subparser._actions
+                  if action.dest not in ("help", "config")
+                  for key in (action.option_strings[0][2:], action.dest)}
+        for command, subparser in sub.choices.items()}
     return parser
 
 
-_BOOL_KEYS = {"with_spinor"}
-_INT_KEYS = {"n_max", "level", "steps", "grid_points", "example"}
-_STR_KEYS = {"beta_mode", "format", "output", "param", "suite", "command"}
-
-
-def _cast(key: str, raw: str):
-    if key in _BOOL_KEYS:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise CliError(f"config key {key!r}: expected a boolean, got {raw!r}")
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _STR_KEYS:
-        return raw
-    return float(raw)
-
-
-def _load_config(path: str, known: set[str]) -> dict:
-    out = {}
+def _config_flags(parser: _Parser, command: str, path: str) -> list[str]:
+    """The ``key = value`` lines of a config file as flags, one token a line."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}") from exc
+    tokens = []
     for lineno, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
-        if "=" not in text:
-            raise CliError(f"{path}:{lineno}: expected 'key = value'")
-        key, raw = (part.strip() for part in text.split("=", 1))
-        key = key.replace("-", "_")
-        if key not in known:
-            raise CliError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            out[key] = _cast(key, raw)
-        except ValueError as exc:
-            raise CliError(f"{path}:{lineno}: bad value for {key!r}: {raw!r}") from exc
-    return out
-
-
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Defaults <- config file <- explicit flags, as a plain dict."""
-    ns = vars(args).copy()
-    if ns.get("config"):
-        known = {k for k in ns if k != "config"}
-        file_vals = _load_config(ns["config"], known)
-        for key, val in file_vals.items():
-            if ns.get(key) is None:
-                ns[key] = val
-    defaults = {"format": "csv", "n_max": 5, "level": 0, "with_spinor": False,
-                "suite": "all", "tolerance_scale": 1.0,
-                "delta": 1.0, "c": 1.0, "m1": 0.0}
-    for key, val in defaults.items():
-        if key in ns and ns[key] is None:
-            ns[key] = val
-    return ns
+            if "=" not in text:
+                raise CliError("expected 'key = value'")
+            key, raw = (part.strip() for part in text.split("=", 1))
+            action = parser.options[command].get(key.replace("-", "_"))
+            if action is None:
+                raise CliError(f"unknown key {key!r}")
+            token = f"{action.option_strings[0]}={raw}"
+            if isinstance(action, argparse.BooleanOptionalAction):
+                if raw.lower() not in ("true", "1", "yes", "false", "0", "no"):
+                    raise CliError(f"expected a boolean for {key!r}, got {raw!r}")
+                # option_strings is (--flag, --no-flag)
+                token = action.option_strings[raw.lower() in ("false", "0", "no")]
+            parser.parse_args([command, token])  # each line checked alone
+        except CliError as exc:
+            raise CliError(f"{path}:{lineno}: {exc}") from exc
+        tokens.append(token)
+    return tokens
 
 
 def _require(ns: dict, *keys: str):
     missing = [k for k in keys if ns.get(k) is None]
     if missing:
-        raise CliError(f"missing required option(s): "
-                       + ", ".join("--" + k.replace("_", "-") for k in missing))
+        options = _parser().options[ns["command"]]
+        raise CliError("missing required option(s): " + ", ".join(
+            options[k].option_strings[0] for k in missing))
 
 
 def _model_fields(ns: dict) -> dict:
@@ -251,6 +230,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# writerow returns what the file's write returns: here the CSV line itself
+_CSV_LINE = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n")
+
+
 def _emit(ns: dict, meta: dict, columns: list[str], rows: list[dict]) -> str:
     if ns["format"] == "json":
         clean_rows = []
@@ -263,16 +246,8 @@ def _emit(ns: dict, meta: dict, columns: list[str], rows: list[dict]) -> str:
                 clean[key] = val
             clean_rows.append(clean)
         return json.dumps({"meta": meta, "rows": clean_rows}, indent=2) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row.get(key)) for key in columns])
-    return buf.getvalue()
-
-
-# writerow returns what the file's write returns: here the CSV line itself
-_CSV_LINE = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n")
+    lines = [_CSV_LINE.writerow([_fmt(row.get(key)) for key in columns]) for row in rows]
+    return _CSV_LINE.writerow(columns) + "".join(lines)
 
 
 def _csv_rows(columns: list[str], template: str, fields, rows: dict) -> str:
@@ -343,6 +318,9 @@ def _spectrum_rows(solution) -> list[dict]:
                          "is_real": lv.is_real, "admissible": lv.admissible,
                          "status": "pole"})
             continue
+        if not (math.isfinite(lv.e_bar) and cmath.isfinite(lv.e_rel)):
+            rows.append({"n": lv.n, "status": "overflow"})
+            continue
         rows.append({"n": lv.n, "e_bar": lv.e_bar, "e_re": lv.e_rel.real,
                      "e_im": lv.e_rel.imag, "is_real": lv.is_real,
                      "admissible": lv.admissible, "status": ""})
@@ -366,6 +344,8 @@ def cmd_constraints(ns: dict) -> int:
 
 def cmd_spectrum(ns: dict) -> int:
     mode = _resolve_mode(ns)
+    if ns["n_max"] < 0:
+        raise CliError("--n-max must be nonnegative")
     sol = _solve_spectrum(ns, mode, ns["n_max"])
     cols = ["n", "e_bar", "e_re", "e_im", "is_real", "admissible", "status"]
     _write(ns, _emit(ns, _meta(ns, "spectrum"), cols, _spectrum_rows(sol)))
@@ -388,38 +368,25 @@ def _default_grid(ns: dict, mode: str) -> Grid:
 
 def cmd_wavefunction(ns: dict) -> int:
     mode = _resolve_mode(ns)
+    n = ns["level"]
     try:
         grid = _default_grid(ns, mode)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    n = ns["level"]
-    params = _model_params(ns) if (mode.startswith("example") or ns["with_spinor"]) else None
-    spinor = params if ns["with_spinor"] else None
-    if mode in ("rm2", "example1"):
+        params = _model_params(ns) if (mode.startswith("example") or ns["with_spinor"]) else None
         if mode == "example1":
-            from .susy import rm2_coefficients_from_params
-            coeffs = rm2_coefficients_from_params(params)
-            v1, v2 = coeffs.v1, coeffs.v2
-        else:
+            co = rm2_coefficients_from_params(params)
+            build = functools.partial(rm2_wavefunction, n, co.v1, co.v2, grid)
+        elif mode == "rm2":
             _require(ns, "v1", "v2")
-            v1, v2 = ns["v1"], ns["v2"]
-        try:
-            state = rm2_wavefunction(n, v1, v2, grid)
-            spin = rm2_wavefunction(n, v1, v2, grid, spinor) if spinor is not None else None
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-    else:
-        if mode == "example2":
-            from .susy import gpt_params_ab
-            a, b = gpt_params_ab(params)
+            build = functools.partial(rm2_wavefunction, n, ns["v1"], ns["v2"], grid)
+        elif mode == "example2":
+            build = functools.partial(gpt_wavefunction, n, *gpt_params_ab(params), ns["c"], grid)
         else:
             _require(ns, "sp_a", "sp_b")
-            a, b = ns["sp_a"], ns["sp_b"]
-        try:
-            state = gpt_wavefunction(n, a, b, ns["c"], grid)
-            spin = gpt_wavefunction(n, a, b, ns["c"], grid, spinor) if spinor is not None else None
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+            build = functools.partial(gpt_wavefunction, n, ns["sp_a"], ns["sp_b"], ns["c"], grid)
+        state = build()
+        spin = build(params) if ns["with_spinor"] else None
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     cols = ["x", "phi"]
     samples = [grid.points, state.samples]
     if spin is not None:
@@ -573,9 +540,14 @@ def _parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
-        ns = _merge_config(args)
+        parser = _parser()
+        ns = vars(parser.parse_args(argv))
+        if ns["config"] is not None:
+            # the file's flags go first, so the command line overrides them
+            file_flags = _config_flags(parser, ns["command"], ns["config"])
+            ns = vars(parser.parse_args([ns["command"], *file_flags, *argv[1:]]))
         return COMMANDS[ns["command"]](ns)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -127,7 +127,7 @@ def test_sweep_requires_range(capsys):
                             "--alpha", "2", "--gamma", "0.1", "--beta", "6",
                             "--m2", "2", "--param", "m2"], capsys)
     assert code == 1
-    assert "missing required" in err
+    assert err == "error: missing required option(s): --from, --to, --steps\n"
 
 
 def test_sweep_rejects_param_the_mode_never_reads(capsys):
@@ -361,3 +361,98 @@ def test_negative_scientific_notation_is_a_value(argv, capsys):
     joined = re.sub(r" (-[0-9])", r"=\1", " ".join(argv)).split()
     assert joined != argv
     assert run_cli(joined, capsys)[:2] == (0, out)
+
+
+README_EXAMPLES = {
+    "constraints": ["constraints", "--omega", "3", "--alpha", "2", "--gamma", "0.1",
+                    "--m2", "2", "--beta-mode", "coupling"],
+    "spectrum": SPECTRUM_ARGS + ["--format", "json"],
+    "wavefunction": ["wavefunction", "--v1", "12", "--v2", "1", "--level", "1",
+                     "--grid-points", "2000", "--with-spinor", "--omega", "3",
+                     "--alpha", "0.5", "--gamma", "1.0", "--beta", "0.25",
+                     "--m1", "0.1", "--m2", "1.2"],
+    "sweep": ["sweep", "--example", "2", "--omega", "5", "--alpha", "1",
+              "--gamma", "10", "--delta", "0.5", "--c", "3", "--m2", "1",
+              "--level", "3", "--param", "m2", "--from", "0.1", "--to", "8",
+              "--steps", "400"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(README_EXAMPLES))
+def test_config_file_spelling_every_flag_gives_the_same_bytes(command, tmp_path,
+                                                              capsys):
+    argv = README_EXAMPLES[command]
+    lines, rest = [], argv[1:]
+    while rest:
+        flag, rest = rest[0][2:], rest[1:]
+        if rest and not rest[0].startswith("--"):
+            value, rest = rest[0], rest[1:]
+        else:
+            value = "true"  # a switch
+        lines.append(f"{flag} = {value}\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(lines), encoding="utf-8")
+    expected = run_cli(argv, capsys)
+    assert expected[0] == 0
+    assert run_cli([command, "--config", str(cfg)], capsys) == expected
+
+
+@pytest.mark.parametrize("key", ["from", "sweep_from", "sweep-from"])
+def test_config_key_is_the_flag_name_or_its_dest(key, tmp_path, capsys):
+    argv = README_EXAMPLES["sweep"]
+    i = argv.index("--from")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"{key} = {argv[i + 1]}\n", encoding="utf-8")
+    expected = run_cli(argv, capsys)
+    without_from = argv[:i] + argv[i + 2:]
+    assert run_cli(without_from + ["--config", str(cfg)], capsys) == expected
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("verify", "suite = bogus", "argument --suite: invalid choice: 'bogus'"),
+    ("spectrum", "format = xml", "argument --format: invalid choice: 'xml'"),
+    ("wavefunction", "level = 1.5", "argument --level: invalid int value: '1.5'"),
+    ("wavefunction", "with-spinor = maybe",
+     "expected a boolean for 'with-spinor', got 'maybe'"),
+    ("spectrum", "config = other.cfg", "unknown key 'config'"),
+    ("spectrum", "omega 3", "expected 'key = value'"),
+])
+def test_config_value_is_checked_like_its_flag(command, line, message, tmp_path,
+                                               capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# a comment\n{line}\n", encoding="utf-8")
+    code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {cfg}:2: {message}")
+    assert "Traceback" not in err
+
+
+def test_config_switch_off_and_command_line_override(tmp_path, capsys):
+    argv = README_EXAMPLES["wavefunction"]
+    cfg = tmp_path / "off.cfg"
+    cfg.write_text("with_spinor = no\n", encoding="utf-8")
+    plain = [a for a in argv if a != "--with-spinor"]
+    assert run_cli(plain + ["--config", str(cfg)], capsys) == run_cli(plain, capsys)
+    assert run_cli(argv + ["--config", str(cfg)], capsys) == run_cli(argv, capsys)
+
+
+def test_spectrum_overflow_rows_carry_a_status(capsys):
+    argv = ["spectrum", "--v0", "1.7e308", "--v1", "1e308", "--v2", "0", "--n-max", "2"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == ("n,e_bar,e_re,e_im,is_real,admissible,status\n"
+                   "0,,,,,,overflow\n1,,,,,,overflow\n2,,,,,,overflow\n")
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["rows"][0] == {
+        "n": 0, "e_bar": None, "e_re": None, "e_im": None, "is_real": None,
+        "admissible": None, "status": "overflow"}
+
+
+def test_spectrum_negative_n_max_is_config_error(capsys):
+    code, out, err = run_cli(["spectrum", "--v0", "1", "--v1", "12", "--v2", "1",
+                              "--n-max=-1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "--n-max must be nonnegative" in err

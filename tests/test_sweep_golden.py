@@ -39,7 +39,7 @@ PARSER = cli.build_parser()
 
 def _point_by_point(argv):
     """The sweep's bytes with every row built by ``_sweep_point``."""
-    ns = cli._merge_config(PARSER.parse_args(argv))
+    ns = vars(PARSER.parse_args(argv))
     mode = cli._resolve_mode(ns)
     steps, lo = ns["steps"], ns["sweep_from"]
     span = ns["sweep_to"] - lo
