@@ -3,20 +3,24 @@
 Uniform grid, Dirichlet boundaries at both truncation points.  The interior
 discretization is the standard symmetric tridiagonal matrix with diagonal
 2/h^2 + V_i and off-diagonal -1/h^2.  Eigenvalues come from bisection on
-Sturm sequence counts; eigenvectors from inverse iteration with a partially
-pivoted tridiagonal LU.  Everything here is deterministic and independent of
-the closed-form machinery it is used to check.
+Sturm sequence counts, each count stopped once it reaches the largest level
+that asks for it (Barth, Martin and Wilkinson, Numer. Math. 9, 1967);
+eigenvectors from a twisted LDL^T factorization, taken at the bisection
+midpoint and once more at the Rayleigh quotient of its vector.  Everything
+here is deterministic and independent of the closed-form machinery it is
+used to check.
 
-The two sequential recurrences (the Sturm count and the banded solve) loop
-over Python floats, not numpy arrays: each row depends on the one before, and
-a numpy call per row costs far more than the row's few flops.
+The sequential recurrences (the Sturm count and the two pivot sweeps of the
+twisted factorization) loop over Python floats, not numpy arrays: each row
+depends on the one before, and a numpy call per row costs far more than the
+row's few flops.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +65,6 @@ class EigenResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None  # shape (k, n_points), unit grid-quadrature norm
     grid: Grid
-    iterations: tuple[int, ...] = field(default=())
 
 
 def _sample(potential, pts: np.ndarray) -> np.ndarray:
@@ -74,14 +77,24 @@ def _sample(potential, pts: np.ndarray) -> np.ndarray:
     return v
 
 
-def _sturm_counts(diag: np.ndarray, esq: float, shifts: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues strictly below each shift (LDL^T sign count)."""
+def _pivmin(esq: float) -> float:
     # pivot floor only guards esq/q against overflow; it must stay far below
     # any physically meaningful pivot so counts are never perturbed
-    pivmin = max(esq * 1e-292, 1e-300)
+    return max(esq * 1e-292, 1e-300)
+
+
+def _sturm_counts(diag: np.ndarray, esq: float, shifts: np.ndarray,
+                  caps: np.ndarray | None = None) -> np.ndarray:
+    """Number of eigenvalues strictly below each shift (LDL^T sign count).
+
+    With ``caps`` (each at least 1) a shift's row loop stops once its count
+    reaches its cap, and the count returned is min(full count, cap).
+    """
+    pivmin = _pivmin(esq)
     rows = diag.tolist()
+    caps = [len(rows)] * len(shifts) if caps is None else caps.tolist()
     counts = []
-    for s in shifts.tolist():
+    for s, cap in zip(shifts.tolist(), caps):
         q = math.inf  # first row: esq / inf is 0.0, so q = d - s exactly
         count = 0
         for d in rows:
@@ -90,50 +103,45 @@ def _sturm_counts(diag: np.ndarray, esq: float, shifts: np.ndarray) -> np.ndarra
             # pivot becomes -pivmin.  A positive row costs one comparison.
             if q < pivmin:
                 count += 1
+                if count == cap:
+                    break
                 if q > -pivmin:
                     q = -pivmin
         counts.append(count)
     return np.array(counts, dtype=np.int64)
 
 
-def _solve_shifted(diag: np.ndarray, e: float, shift: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (T - shift I) y = rhs by banded LU with partial pivoting.
+def _twisted_vector(diag: np.ndarray, e: float, shift: float) -> np.ndarray:
+    """Eigenvector of T for the eigenvalue nearest shift, unnormalized.
 
-    Row swaps introduce fill-in on a second superdiagonal; near-singular
-    pivots are expected (inverse iteration) and are nudged off exact zero.
+    Forward and backward LDL^T pivots D+ and D- of T - shift I meet at the
+    twist r that minimizes |gamma_r| = |D+_r + D-_r - (d_r - shift)|; the
+    vector is 1 at r and each half is a running product of -e / D
+    (Parlett and Dhillon, Linear Algebra Appl. 267, 1997).  Pivots get the
+    Sturm count's guard, so no division is by zero.
     """
-    n = diag.shape[0]
-    abs_e = abs(e)
-    d = (diag - shift).tolist()  # main diagonal, mutated in place
-    du = [e] * n                 # first superdiagonal (du[n-1] unused)
-    du2 = [0.0] * n              # second superdiagonal fill-in per row
-    x = np.asarray(rhs, dtype=float).tolist()
-    tiny = 1e-290
-    for i in range(n - 1):
-        # row i: (d[i], du[i], du2[i]); untouched row i+1: (e, d[i+1], du[i+1])
-        if abs(d[i]) >= abs_e:
-            piv = d[i] if d[i] != 0.0 else tiny
-            d[i] = piv
-            m = e / piv
-            d[i + 1] -= m * du[i]
-            du[i + 1] -= m * du2[i]
-            x[i + 1] -= m * x[i]
-        else:
-            m = d[i] / e
-            b_i, c_i = du[i], du2[i]
-            d_lo, f_lo = d[i + 1], du[i + 1]
-            d[i], du[i], du2[i] = e, d_lo, f_lo
-            d[i + 1] = b_i - m * d_lo
-            du[i + 1] = c_i - m * f_lo
-            x[i], x[i + 1] = x[i + 1], x[i] - m * x[i + 1]
-    if d[n - 1] == 0.0:
-        d[n - 1] = tiny
-    x[n - 1] /= d[n - 1]
-    if n > 1:
-        x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / d[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
-    return np.array(x)
+    esq = e * e
+    pivmin = _pivmin(esq)
+    a = diag - shift
+
+    def pivots(rows):
+        out = []
+        q = math.inf
+        for d in rows:
+            q = d - esq / q
+            if -pivmin < q < pivmin:
+                q = -pivmin
+            out.append(q)
+        return out
+
+    rows = a.tolist()
+    d_plus = np.array(pivots(rows))
+    d_minus = np.array(pivots(reversed(rows)))[::-1]
+    r = int(np.argmin(np.abs(d_plus + d_minus - a)))
+    z = np.ones(a.shape[0])
+    z[:r] = np.cumprod(-e / d_plus[:r][::-1])[::-1]
+    z[r + 1:] = np.cumprod(-e / d_minus[r + 1:])
+    return z
 
 
 def discretize_and_solve(potential, grid: Grid, k: int,
@@ -175,9 +183,11 @@ def discretize_and_solve(potential, grid: Grid, k: int,
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         # targets that still share an interval share its midpoint: count each
-        # distinct shift once
+        # distinct shift once, and only as far as its largest target
         shifts, slot = np.unique(mid, return_inverse=True)
-        counts = _sturm_counts(diag, esq, shifts)[slot]
+        caps = np.zeros(shifts.size, dtype=np.int64)
+        np.maximum.at(caps, slot, targets)
+        counts = _sturm_counts(diag, esq, shifts, caps)[slot]
         above = counts >= targets
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
@@ -194,38 +204,25 @@ def discretize_and_solve(potential, grid: Grid, k: int,
             raise ConvergenceError("eigenvalues not strictly ascending")
         return EigenResult(eigenvalues=lams, eigenvectors=None, grid=grid)
 
-    n = grid.n_points
-    vecs = np.empty((k, n))
+    vecs = np.empty((k, grid.n_points))
     refined = np.empty(k)
-    iters = []
     mat_scale = float(np.max(np.abs(diag))) + 2.0 * abs(e)
-    floor = 20.0 * np.finfo(float).eps * mat_scale
-    # deterministic, parity-free start vector
-    b0 = 1.0 + 0.5 * np.arange(n) / n
     for j in range(k):
-        shift = lams[j]  # kept fixed; bisection already localized it well
-        y = b0
-        best = None
-        prev = np.inf
-        for it in range(1, 7):
-            y = _solve_shifted(diag, e, shift, y)
+        # one twisted solve at the bisection midpoint, one more at the
+        # Rayleigh quotient of its vector
+        rq = lams[j]
+        for _ in range(2):
+            y = _twisted_vector(diag, e, rq)
             y = y / np.linalg.norm(y)
             ty = diag * y
             ty[:-1] += e * y[1:]
             ty[1:] += e * y[:-1]
             rq = float(y @ ty)
-            res = float(np.linalg.norm(ty - rq * y))
-            if best is None or res < best[2]:
-                best = (rq, y, res)
-            if res <= floor or res >= 0.5 * prev:
-                break
-            prev = res
-        rq, y, res = best
+        res = float(np.linalg.norm(ty - rq * y))
         if res > 1e-6 * mat_scale:
             raise ConvergenceError(
-                f"inverse iteration stalled for eigenvalue #{j}: residual "
-                f"{res:.3e} after {it} sweeps (matrix scale {mat_scale:.3e})")
-        iters.append(it)
+                f"twisted factorization failed for eigenvalue #{j}: residual "
+                f"{res:.3e} (matrix scale {mat_scale:.3e})")
         vecs[j], _ = normalize(y, grid)
         refined[j] = rq
 
@@ -234,8 +231,7 @@ def discretize_and_solve(potential, grid: Grid, k: int,
     vecs = vecs[order]
     if np.any(np.diff(refined) <= 0.0):
         raise ConvergenceError("eigenvalues not strictly ascending after refinement")
-    return EigenResult(eigenvalues=refined, eigenvectors=vecs, grid=grid,
-                       iterations=tuple(iters))
+    return EigenResult(eigenvalues=refined, eigenvectors=vecs, grid=grid)
 
 
 def quadrature_weights(n_samples: int, h: float) -> np.ndarray:

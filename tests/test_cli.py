@@ -450,6 +450,22 @@ def test_spectrum_overflow_rows_carry_a_status(capsys):
         "admissible": None, "status": "overflow"}
 
 
+def test_constraints_overflow_row_carries_a_status(capsys):
+    # gamma^2 overflows: epsilon and e_squared are not finite, and the row
+    # must not read like an absent m1
+    argv = ["constraints", "--omega", "3", "--alpha", "2", "--gamma", "1e200",
+            "--m2", "2", "--beta-mode", "coupling"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == ("sigma,beta,epsilon,e_squared,m1_plus,m1_minus,status\n"
+                   ",,,,,,overflow\n")
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["rows"] == [{
+        "sigma": None, "beta": None, "epsilon": None, "e_squared": None,
+        "m1_plus": None, "m1_minus": None, "status": "overflow"}]
+
+
 def test_spectrum_negative_n_max_is_config_error(capsys):
     code, out, err = run_cli(["spectrum", "--v0", "1", "--v1", "12", "--v2", "1",
                               "--n-max=-1"], capsys)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pdmdirac import (Grid, QuadratureFallback, RosenMorseSuperpotential,
-                      count_nodes, discretize_and_solve, ode_residual,
+                      count_nodes, discretize_and_solve, gpt_solve, ode_residual,
                       partner_potentials, quadrature_norm, rm2_solve,
                       rm2_wavefunction, si_remainder_ladder)
 from pdmdirac.numerics import normalize
@@ -198,40 +198,52 @@ def test_count_nodes_cases():
     assert count_nodes(noisy) == 0
 
 
-def test_banded_solver_handles_pivoting():
-    from pdmdirac.numerics import _solve_shifted
+def _unit_angle(u, v):
+    # |u/|u| -/+ v/|v||, which is the angle between the lines up to O(angle^3)
+    u = u / np.linalg.norm(u)
+    v = v / np.linalg.norm(v)
+    return float(np.linalg.norm(u - math.copysign(1.0, float(u @ v)) * v))
+
+
+def test_twisted_vector_handles_every_pivot_class():
+    from pdmdirac.numerics import _twisted_vector
 
     rng = np.random.default_rng(3)
     n = 40
     e = -4.0
     for _ in range(20):
-        d = rng.uniform(-1.0, 1.0, n)
-        d[rng.integers(0, n, 5)] *= 1e-13  # force row swaps
-        rhs = rng.standard_normal(n)
-        shift = rng.uniform(-0.5, 0.5)
-        t = np.diag(d - shift) + np.diag(np.full(n - 1, e), 1) + np.diag(
-            np.full(n - 1, e), -1)
-        expected = np.linalg.solve(t, rhs)
-        got = _solve_shifted(d, e, shift, rhs)
-        assert np.max(np.abs(got - expected)) < 1e-9 * np.max(np.abs(expected))
-    # d - shift exactly 0.0 on every row: each row swaps with an exact zero
-    # multiplier, and the system stays regular for even n
-    n = 40
-    d = np.full(n, 0.25)
-    rhs = rng.standard_normal(n)
-    t = np.diag(np.full(n - 1, e), 1) + np.diag(np.full(n - 1, e), -1)
-    expected = np.linalg.solve(t, rhs)
-    got = _solve_shifted(d, e, 0.25, rhs)
-    assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
-    # for odd n the same matrix is singular: the last pivot is exactly 0.0,
-    # is nudged to the tiny floor, and the solve returns the null vector
-    n = 41
-    d = np.full(n, 0.25)
-    t = np.diag(np.full(n - 1, -1.0), 1) + np.diag(np.full(n - 1, -1.0), -1)
-    got = _solve_shifted(d, -1.0, 0.25, np.ones(n))
-    assert np.all(np.isfinite(got))
-    y = got / np.max(np.abs(got))
-    assert np.max(np.abs(t @ y)) < 1e-12
+        # build the diagonal row by row from chosen forward pivots of
+        # T - shift I: a few are tiny or 0.0, and the last is 0.0, so the
+        # shift is an eigenvalue of T
+        shift = float(rng.uniform(-0.5, 0.5))
+        forced = set(rng.choice(np.arange(2, n - 2, 3), 4, replace=False).tolist())
+        d = []
+        q = math.inf
+        for i in range(n):
+            if i in forced or i == n - 1:
+                piv = 0.0 if i % 2 or i == n - 1 else 1e-13 * float(rng.standard_normal())
+                d.append(shift + piv + e * e / q)
+            else:
+                d.append(float(rng.uniform(-1.0, 1.0)))
+            q = d[i] - shift - e * e / q
+            if abs(q) < 1e-300:  # only keeps this construction finite
+                q = -1e-300
+        d = np.array(d)
+        t = np.diag(d) + np.diag(np.full(n - 1, e), 1) + np.diag(np.full(n - 1, e), -1)
+        lams, vecs = np.linalg.eigh(t)
+        j = int(np.argmin(np.abs(lams - shift)))
+        got = _twisted_vector(d, e, shift)
+        assert np.all(np.isfinite(got))
+        assert _unit_angle(got, vecs[:, j]) < 1e-9
+    # d - shift exactly 0.0 on every row: every other pivot lands on 0.0 and
+    # takes the pivmin branch.  For odd n the shift is an eigenvalue, with
+    # the null vector (1, 0, -1, 0, ...)
+    for n in (40, 41):
+        got = _twisted_vector(np.full(n, 0.25), e, 0.25)
+        assert np.all(np.isfinite(got))
+    null = np.zeros(41)
+    null[::4], null[2::4] = 1.0, -1.0
+    assert _unit_angle(got, null) < 1e-9
 
 
 def test_sturm_counts_match_dense_eigenvalues():
@@ -292,8 +304,13 @@ def test_sturm_counts_match_reference_loop_on_every_pivot_class():
         shifts = np.concatenate((rng.uniform(-8.0, 8.0, 20), diag[:5],
                                  np.repeat(rng.uniform(-8.0, 8.0, 3), 3),
                                  [np.nan]))
-        assert (_sturm_counts(diag, esq, shifts).tolist()
-                == _sturm_counts_reference(diag.tolist(), esq, shifts.tolist()))
+        full = _sturm_counts_reference(diag.tolist(), esq, shifts.tolist())
+        assert _sturm_counts(diag, esq, shifts).tolist() == full
+        # a capped count stops at its cap
+        for cap in (1, 2, n):
+            caps = np.full(shifts.size, cap)
+            assert (_sturm_counts(diag, esq, shifts, caps).tolist()
+                    == [min(c, cap) for c in full])
     # esq = 1e-300 puts pivmin at 1e-300, and after a pivot of 1e300 the
     # coupling term esq / q underflows to 0.0: with shift 0 the next pivot is
     # the diagonal entry itself, so these rows land exactly on 0.0, on
@@ -308,8 +325,12 @@ def test_sturm_counts_match_reference_loop_on_every_pivot_class():
         for t in targets:
             diag += [1e300, t]
         shifts = [0.0, 0.0, -0.0, 1.0, -1.0, pivmin, -pivmin, 1e300]
-        assert (_sturm_counts(np.array(diag), esq, np.array(shifts)).tolist()
-                == _sturm_counts_reference(diag, esq, shifts))
+        full = _sturm_counts_reference(diag, esq, shifts)
+        assert _sturm_counts(np.array(diag), esq, np.array(shifts)).tolist() == full
+        for cap in (1, 2, len(diag)):
+            caps = np.full(len(shifts), cap)
+            assert (_sturm_counts(np.array(diag), esq, np.array(shifts), caps).tolist()
+                    == [min(c, cap) for c in full])
 
 
 def test_eigenvalues_only_bits_are_pinned():
@@ -340,9 +361,9 @@ def test_bisection_counts_each_distinct_shift_once(monkeypatch):
     calls = []
     counts = numerics._sturm_counts
 
-    def spy(diag, esq, shifts):
+    def spy(diag, esq, shifts, caps=None):
         calls.append(np.array(shifts))
-        return counts(diag, esq, shifts)
+        return counts(diag, esq, shifts, caps)
 
     monkeypatch.setattr(numerics, "_sturm_counts", spy)
     potential, grid = _rosen_morse_oracle_problem()
@@ -352,6 +373,26 @@ def test_bisection_counts_each_distinct_shift_once(monkeypatch):
         assert np.unique(shifts).size == shifts.size
     # the three targets share one interval until the first passes split them
     assert sum(shifts.size for shifts in calls) < 3 * len(calls)
+
+
+@pytest.mark.parametrize("solve, coeffs, domain", [
+    (rm2_solve, (5.0, 20.0, 1.0), (-15.0, 15.0)),
+    (gpt_solve, (9.0, 2.5, 1.0), (1e-3, 20.0)),
+])
+def test_oracle_eigenvectors_on_the_oracle_problems(solve, coeffs, domain):
+    # the 6000-point problems the oracle checks: eigenvector j has exactly j
+    # raw sign changes, tails included, and its Rayleigh quotient matches
+    # the eigenvalues-only bisection
+    w = solve(*coeffs, n_max=2).w
+    potential = lambda x: partner_potentials(w, x).v_minus
+    grid = Grid(*domain, 6000)
+    r = discretize_and_solve(potential, grid, 3)
+    bisected = discretize_and_solve(potential, grid, 3, eigenvectors=False)
+    h = grid.step
+    scale = float(np.max(np.abs(2.0 / h ** 2 + potential(grid.points)))) + 2.0 / h ** 2
+    for j, v in enumerate(r.eigenvectors):
+        assert int(np.sum(v[1:] * v[:-1] < 0.0)) == j
+        assert abs(r.eigenvalues[j] - bisected.eigenvalues[j]) <= 1e-12 * scale
 
 
 def test_derivative_stencils_are_fourth_order():
