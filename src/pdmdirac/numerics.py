@@ -83,15 +83,15 @@ def _pivmin(esq: float) -> float:
     return max(esq * 1e-292, 1e-300)
 
 
-def _sturm_counts(diag: np.ndarray, esq: float, shifts: np.ndarray,
+def _sturm_counts(rows: list[float], esq: float, shifts: np.ndarray,
                   caps: np.ndarray | None = None) -> np.ndarray:
     """Number of eigenvalues strictly below each shift (LDL^T sign count).
 
-    With ``caps`` (each at least 1) a shift's row loop stops once its count
-    reaches its cap, and the count returned is min(full count, cap).
+    ``rows`` is the diagonal as Python floats.  With ``caps`` (each at
+    least 1) a shift's row loop stops once its count reaches its cap, and
+    the count returned is min(full count, cap).
     """
     pivmin = _pivmin(esq)
-    rows = diag.tolist()
     caps = [len(rows)] * len(shifts) if caps is None else caps.tolist()
     counts = []
     for s, cap in zip(shifts.tolist(), caps):
@@ -180,6 +180,7 @@ def discretize_and_solve(potential, grid: Grid, k: int,
     hi = np.full(k, np.max(diag) + radius)
     targets = np.arange(1, k + 1)
     scale = max(abs(lo[0]), abs(hi[0]), 1.0)
+    rows = diag.tolist()
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         # targets that still share an interval share its midpoint: count each
@@ -187,7 +188,7 @@ def discretize_and_solve(potential, grid: Grid, k: int,
         shifts, slot = np.unique(mid, return_inverse=True)
         caps = np.zeros(shifts.size, dtype=np.int64)
         np.maximum.at(caps, slot, targets)
-        counts = _sturm_counts(diag, esq, shifts, caps)[slot]
+        counts = _sturm_counts(rows, esq, shifts, caps)[slot]
         above = counts >= targets
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)

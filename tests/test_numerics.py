@@ -261,14 +261,14 @@ def test_sturm_counts_match_dense_eigenvalues():
         shifts = np.concatenate((rng.uniform(lams[0] - 1.0, lams[-1] + 1.0, 30),
                                  diag))
         expected = [int(np.sum(lams < s)) for s in shifts]
-        assert _sturm_counts(diag, e * e, shifts).tolist() == expected
+        assert _sturm_counts(diag.tolist(), e * e, shifts).tolist() == expected
     # constant diagonal 1, e = -1, shift 0: the second pivot is 1 - 1/1 = 0.0
     diag = np.ones(n)
     t = np.diag(diag) - np.eye(n, k=1) - np.eye(n, k=-1)
     lams = np.linalg.eigvalsh(t)
     shifts = np.array([0.0, 1.0, 2.0, -0.5])
     expected = [int(np.sum(lams < s)) for s in shifts]
-    assert _sturm_counts(diag, 1.0, shifts).tolist() == expected
+    assert _sturm_counts(diag.tolist(), 1.0, shifts).tolist() == expected
 
 
 def _sturm_counts_reference(diag, esq, shifts):
@@ -305,11 +305,11 @@ def test_sturm_counts_match_reference_loop_on_every_pivot_class():
                                  np.repeat(rng.uniform(-8.0, 8.0, 3), 3),
                                  [np.nan]))
         full = _sturm_counts_reference(diag.tolist(), esq, shifts.tolist())
-        assert _sturm_counts(diag, esq, shifts).tolist() == full
+        assert _sturm_counts(diag.tolist(), esq, shifts).tolist() == full
         # a capped count stops at its cap
         for cap in (1, 2, n):
             caps = np.full(shifts.size, cap)
-            assert (_sturm_counts(diag, esq, shifts, caps).tolist()
+            assert (_sturm_counts(diag.tolist(), esq, shifts, caps).tolist()
                     == [min(c, cap) for c in full])
     # esq = 1e-300 puts pivmin at 1e-300, and after a pivot of 1e300 the
     # coupling term esq / q underflows to 0.0: with shift 0 the next pivot is
@@ -326,11 +326,11 @@ def test_sturm_counts_match_reference_loop_on_every_pivot_class():
             diag += [1e300, t]
         shifts = [0.0, 0.0, -0.0, 1.0, -1.0, pivmin, -pivmin, 1e300]
         full = _sturm_counts_reference(diag, esq, shifts)
-        assert _sturm_counts(np.array(diag), esq, np.array(shifts)).tolist() == full
+        assert _sturm_counts(np.array(diag).tolist(), esq, np.array(shifts)).tolist() == full
         for cap in (1, 2, len(diag)):
             caps = np.full(len(shifts), cap)
-            assert (_sturm_counts(np.array(diag), esq, np.array(shifts), caps).tolist()
-                    == [min(c, cap) for c in full])
+            assert (_sturm_counts(np.array(diag).tolist(), esq, np.array(shifts),
+                                  caps).tolist() == [min(c, cap) for c in full])
 
 
 def test_eigenvalues_only_bits_are_pinned():
@@ -361,9 +361,9 @@ def test_bisection_counts_each_distinct_shift_once(monkeypatch):
     calls = []
     counts = numerics._sturm_counts
 
-    def spy(diag, esq, shifts, caps=None):
+    def spy(rows, esq, shifts, caps=None):
         calls.append(np.array(shifts))
-        return counts(diag, esq, shifts, caps)
+        return counts(rows, esq, shifts, caps)
 
     monkeypatch.setattr(numerics, "_sturm_counts", spy)
     potential, grid = _rosen_morse_oracle_problem()
