@@ -333,13 +333,12 @@ def cmd_constraints(ns: dict) -> int:
         sol = derived_constants_from_params(params)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    cols = ["sigma", "beta", "epsilon", "e_squared", "m1_plus", "m1_minus"]
-    row = {key: getattr(sol, key) for key in cols}
+    cols = ["sigma", "beta", "epsilon", "e_squared", "m1_plus", "m1_minus", "status"]
+    row = {key: getattr(sol, key) for key in cols[:-1]}
     if all(val is None or math.isfinite(val) for val in row.values()):
         row["status"] = "" if sol.has_m1 else "m1-absent"
     else:
         row = {"status": "overflow"}
-    cols.append("status")
     _write(ns, _emit(ns, _meta(ns, "constraints"), cols, [row]))
     return 0
 
