@@ -34,7 +34,7 @@ from .wavefunctions import (BoundState, gpt_state_evaluator,
                             jacobi_eval_sum, jacobi_recurrence_degenerate,
                             rm2_exponents, rm2_state_evaluator,
                             rm2_wavefunction)
-from .numerics import (EigenResult, Grid, QuadratureFallback, count_nodes,
+from .numerics import (EigenResult, Grid, count_nodes,
                        discretize_and_solve, first_derivative, ode_residual,
                        quadrature_norm, quadrature_weights,
                        second_derivative_interior)

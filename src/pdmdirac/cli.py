@@ -357,8 +357,10 @@ def _default_grid(ns: dict, mode: str) -> Grid:
     c = ns["c"]
     if mode in ("rm2", "example1"):
         x_min, x_max = -15.0, 15.0
-    else:
+    elif c > 0.0:
         x_min, x_max = 1e-3 / c, 20.0 / c
+    else:
+        raise ValueError(f"c must be positive, got {c}")
     if ns.get("x_min") is not None:
         x_min = ns["x_min"]
     if ns.get("x_max") is not None:

@@ -51,11 +51,10 @@ class RealPotential:
 
 @dataclass(frozen=True)
 class DiracPotential:
-    """Complex vector potential V = V_R + i V_I and the reference energy in V_I."""
+    """Complex vector potential V = V_R + i V_I."""
 
     v_r: Callable
     v_i: Callable
-    e_ref: float
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,7 @@ def complete_potential(mass: MassProfile, v_r: Callable, v_r1: Callable,
             raise PoleError(f"E = V_R at x = {bad}")
         return np.asarray(mass.dm(x)) / (2.0 * mx) + np.asarray(v_r1(x)) / (2.0 * gap)
 
-    return DiracPotential(v_r=v_r, v_i=v_i, e_ref=e_ref)
+    return DiracPotential(v_r=v_r, v_i=v_i)
 
 
 def cancellation_residual(mass: MassProfile, pot: RealPotential,

@@ -91,10 +91,6 @@ class ModelParams:
         return resolve_beta(self.beta_mode, self.omega, self.alpha,
                             self.beta, self.m1, self.m2)
 
-    @property
-    def sigma(self) -> float:
-        return sigma_of(self.omega, self.alpha)
-
 
 def in_domain(omega, m2, delta, c):
     """Where ModelParams accepts these values, elementwise over arrays."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -230,12 +230,11 @@ class LevelSpectrum:
 
 @dataclass(frozen=True)
 class RM2Coeffs:
-    """Rosen-Morse well V0 - V1 sech^2 x + V2 tanh x (sigma kept when known)."""
+    """Rosen-Morse well V0 - V1 sech^2 x + V2 tanh x."""
 
     v0: float
     v1: float
     v2: float
-    sigma: float | None = None
 
 
 @dataclass(frozen=True)
@@ -243,7 +242,6 @@ class RM2Solution:
     coeffs: RM2Coeffs
     w: RosenMorseSuperpotential
     spectrum: LevelSpectrum
-    ground_energy: float  # lowest eigenvalue of -V1 sech^2 + V2 tanh (no constant)
 
 
 @dataclass(frozen=True)
@@ -267,7 +265,7 @@ def rm2_coefficients(omega, alpha, gamma, beta, m2) -> RM2Coeffs:
     v0 = w / 2.0 + g * g * s + 0.25 + square(sb1 / m2)
     v1 = w / 2.0 - g * g * (m2 * m2 - s) - 0.25 + sb1 * sb1 / (m2 * m2)
     v2 = 2.0 * g * sb1
-    return RM2Coeffs(v0=v0, v1=v1, v2=v2, sigma=s)
+    return RM2Coeffs(v0=v0, v1=v1, v2=v2)
 
 
 def rm2_coefficients_from_params(params: ModelParams) -> RM2Coeffs:
@@ -331,7 +329,6 @@ def rm2_solve(v0: float, v1: float, v2: float, n_max: int = 5) -> RM2Solution:
                       UserWarning, stacklevel=2)
     w = rm2_superpotential(disc, v2)
     c2 = w.c2
-    ground = -(w.c1 * w.c1 + c2 * c2)
 
     levels = []
     for n in range(n_max + 1):
@@ -344,9 +341,8 @@ def rm2_solve(v0: float, v1: float, v2: float, n_max: int = 5) -> RM2Solution:
         e_re, e_im, is_real = relativistic_energy(rm2_level_radicand(v0, v2, c2, n))
         levels.append(Level(n=n, e_bar=e_bar, e_rel=complex(e_re, e_im),
                             is_real=is_real, admissible=rm2_admissible(n, c2, v2)))
-    coeffs = RM2Coeffs(v0=v0, v1=v1, v2=v2, sigma=None)
-    return RM2Solution(coeffs=coeffs, w=w, spectrum=LevelSpectrum(tuple(levels)),
-                       ground_energy=ground)
+    return RM2Solution(coeffs=RM2Coeffs(v0=v0, v1=v1, v2=v2), w=w,
+                       spectrum=LevelSpectrum(tuple(levels)))
 
 
 def rm2_solve_from_params(params: ModelParams, n_max: int = 5) -> RM2Solution:
@@ -356,8 +352,7 @@ def rm2_solve_from_params(params: ModelParams, n_max: int = 5) -> RM2Solution:
     points produce bit-identical spectra.
     """
     coeffs = rm2_coefficients_from_params(params)
-    sol = rm2_solve(coeffs.v0, coeffs.v1, coeffs.v2, n_max=n_max)
-    return replace(sol, coeffs=coeffs)
+    return rm2_solve(coeffs.v0, coeffs.v1, coeffs.v2, n_max=n_max)
 
 
 def gpt_params_ab(params: ModelParams) -> tuple[float, float]:
@@ -501,4 +496,4 @@ def ladder_state(w: Superpotential, n: int, grid: Grid) -> np.ndarray:
     for k in range(n - 1, -1, -1):
         wk = w.shifted(k)
         g = -first_derivative(g, grid.step) + wk.w(x) * g
-    return normalize(g, grid)[0]
+    return normalize(g, grid)

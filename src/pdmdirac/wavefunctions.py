@@ -33,7 +33,6 @@ class BoundState:
     n: int
     samples: np.ndarray
     e_bar: float
-    norm: float  # pre-normalization quadrature norm of the raw closed form
     nodes: int
 
 
@@ -177,9 +176,9 @@ def _bound_state(n: int, samples: np.ndarray, mass: np.ndarray | None,
             raise DomainError("M(x) must be positive on the grid for the "
                               "spinor factor")
         samples = np.sqrt(mass) * samples
-    samples, norm = normalize(samples, grid)
+    samples = normalize(samples, grid)
     return BoundState(n=n, samples=samples, e_bar=si_remainder_ladder(w, n),
-                      norm=norm, nodes=count_nodes(samples))
+                      nodes=count_nodes(samples))
 
 
 def rm2_wavefunction(n: int, v1: float, v2: float, grid: Grid,

@@ -472,3 +472,19 @@ def test_spectrum_negative_n_max_is_config_error(capsys):
     assert code == 1
     assert out == ""
     assert "--n-max must be nonnegative" in err
+
+
+@pytest.mark.parametrize("mode", [
+    ["--sp-a", "9", "--sp-b", "1.5"],
+    ["--example", "2", "--omega", "5", "--alpha", "1", "--gamma", "10",
+     "--delta", "0.5", "--m2", "1"],
+], ids=["gpt", "example2"])
+@pytest.mark.parametrize("c", ["0", "-1"])
+def test_half_line_wavefunction_nonpositive_c_is_config_error(mode, c, capsys):
+    # the half-line default grid is [1e-3/c, 20/c]: c = 0 divided by zero
+    # (exit 3) and c < 0 was reported as an empty interval
+    code, out, err = run_cli(["wavefunction", *mode, f"--c={c}", "--level", "0"],
+                             capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: c must be positive, got {float(c)}\n"

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from pdmdirac import (Grid, QuadratureFallback, RosenMorseSuperpotential,
-                      count_nodes, discretize_and_solve, gpt_solve, ode_residual,
-                      partner_potentials, quadrature_norm, rm2_solve,
-                      rm2_wavefunction, si_remainder_ladder)
+from pdmdirac import (Grid, RosenMorseSuperpotential, count_nodes,
+                      discretize_and_solve, gpt_solve, ode_residual,
+                      partner_potentials, quadrature_norm, quadrature_weights,
+                      rm2_solve, rm2_wavefunction, si_remainder_ladder)
+from pdmdirac.errors import ConvergenceError
 from pdmdirac.numerics import normalize
 
 
@@ -155,28 +156,25 @@ def test_quadrature_gaussian_tail_truncation():
     assert quadrature_norm(closed, g) == pytest.approx(math.pi ** 0.25, abs=1e-12)
 
 
-def test_quadrature_interior_vs_closed_and_fallback_warning():
+def test_quadrature_interior_vs_closed():
     g = Grid(0.0, math.pi, 999)
     interior = np.sin(g.points)
     closed = np.sin(np.concatenate(([0.0], g.points, [math.pi])))
     assert quadrature_norm(interior, g) == pytest.approx(quadrature_norm(closed, g),
                                                          rel=1e-14)
-    g_even = Grid(0.0, math.pi, 1000)
-    with pytest.warns(QuadratureFallback):
-        quadrature_norm(np.sin(g_even.points), g_even)
     with pytest.raises(ValueError, match="sample count"):
         quadrature_norm(np.ones(5), g)
 
 
 def test_grid_weights_are_the_interior_quadrature_weights():
-    # odd n_points + 2: Simpson; even n_points + 2: trapezoid
-    for n_points, first, end in ((999, 4.0 / 3.0, 1.0 / 3.0), (1000, 1.0, 0.5)):
+    # trapezoid for either parity of n_points + 2
+    for n_points in (999, 1000):
         g = Grid(0.0, math.pi, n_points)
         assert g.weights.shape == (n_points,)
-        assert g.weights[0] == pytest.approx(first * g.step, rel=1e-15)
+        assert g.weights[0] == g.step
+        assert np.array_equal(g.weights, quadrature_weights(n_points + 2, g.step)[1:-1])
         # the dropped end weights are all that is missing from the interval length
-        assert float(np.sum(g.weights)) == pytest.approx(math.pi - 2.0 * end * g.step,
-                                                         rel=1e-13)
+        assert float(np.sum(g.weights)) == pytest.approx(math.pi - g.step, rel=1e-13)
 
 
 def test_normalize_refuses_a_vanished_state():
@@ -203,6 +201,30 @@ def _unit_angle(u, v):
     u = u / np.linalg.norm(u)
     v = v / np.linalg.norm(v)
     return float(np.linalg.norm(u - math.copysign(1.0, float(u @ v)) * v))
+
+
+def _double_well(depth):
+    return lambda x: 0.5 * (x * x - depth * depth) ** 2
+
+
+def test_close_pair_is_refused_on_the_eigenvector_path():
+    # the two lowest levels of the double well lie 9.4e-10 apart, below the
+    # bisection's final width (about 4.1e-9): their twisted vectors came back
+    # with a grid overlap of 0.30
+    g = Grid(-7.0, 7.0, 1400)
+    with pytest.raises(ConvergenceError, match="eigenvalues #0 and #1 lie within"):
+        discretize_and_solve(_double_well(3.0), g, 6)
+    r = discretize_and_solve(_double_well(3.0), g, 6, eigenvectors=False)
+    h = g.step
+    t = (np.diag(2.0 / h ** 2 + _double_well(3.0)(g.points))
+         + np.diag(np.full(g.n_points - 1, -1.0 / h ** 2), 1)
+         + np.diag(np.full(g.n_points - 1, -1.0 / h ** 2), -1))
+    assert np.max(np.abs(r.eigenvalues - np.linalg.eigvalsh(t)[:6])) < 1e-8
+    # a pair as far apart as levels 2 and 3 of that well (2.6e-7) is kept
+    # and comes out orthogonal
+    r = discretize_and_solve(_double_well(2.75), g, 2)
+    assert r.eigenvalues[1] - r.eigenvalues[0] == pytest.approx(2.76e-7, rel=0.01)
+    assert abs(float(np.sum(g.weights * r.eigenvectors[0] * r.eigenvectors[1]))) < 1e-4
 
 
 def test_twisted_vector_handles_every_pivot_class():

@@ -91,7 +91,6 @@ def test_rm2_solve_example():
     sol = rm2_solve(10.0, 6.0, 0.0, n_max=3)
     assert sol.w.c2 == 2.0
     assert sol.w.c1 == 0.0
-    assert sol.ground_energy == -4.0
     e_bars = [lv.e_bar for lv in sol.spectrum]
     assert e_bars[0] == 0.0
     assert e_bars[1] == pytest.approx(3.0)
@@ -119,7 +118,6 @@ def test_rm2_params_path_is_bit_identical():
         assert a.e_rel == b.e_rel
         assert a.is_real == b.is_real and a.admissible == b.admissible
     assert lit.w == via.w
-    assert via.coeffs.sigma == pytest.approx(25.0 / 9.0)
 
 
 def test_rm2_admissibility_needs_decay_margin():

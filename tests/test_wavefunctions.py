@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pdmdirac import (BetaMode, Grid, ModelParams, PoschlTellerSuperpotential,
-                      RosenMorseSuperpotential, count_nodes,
+                      RosenMorseSuperpotential, count_nodes, first_derivative,
                       gpt_state_evaluator, gpt_wavefunction, jacobi_derivative,
                       jacobi_eval, jacobi_eval_sum, jacobi_recurrence_degenerate,
                       ode_residual, partner_potentials,
@@ -194,6 +194,16 @@ def test_gpt_polynomial_satisfies_transformed_ode():
                + (-(a + b) / c - ((b - a) / c + 1.0) * ys) * dp
                + n * (n + (b - a) / c) * p)
         assert np.max(np.abs(res) / (1.0 + np.abs(p))) < 1e-8
+
+
+@pytest.mark.parametrize("a, b, c", [(12.0, 3.0, 1.0), (9.0, 3.0, 2.0), (5.0, 1.5, 1.0)])
+def test_gpt_state_derivative_matches_finite_differences(a, b, c):
+    grid = Grid(0.05 / c, 10.0 / c, 4000)
+    for n in (0, 1, 2):
+        phi, dphi = gpt_state_evaluator(n, a, b, c)
+        exact = dphi(grid.points)
+        numeric = first_derivative(phi(grid.points), grid.step)
+        assert np.max(np.abs(numeric - exact)) < 2e-6 * np.max(np.abs(exact))
 
 
 def test_orthogonality_rm2():
