@@ -3,12 +3,20 @@
 Uniform grid, Dirichlet boundaries at both truncation points.  The interior
 discretization is the standard symmetric tridiagonal matrix with diagonal
 2/h^2 + V_i and off-diagonal -1/h^2.  Eigenvalues come from bisection on
-Sturm sequence counts, each count stopped once it reaches the largest level
-that asks for it (Barth, Martin and Wilkinson, Numer. Math. 9, 1967);
-eigenvectors from a twisted LDL^T factorization, taken at the bisection
-midpoint and once more at the Rayleigh quotient of its vector.  Everything
-here is deterministic and independent of the closed-form machinery it is
-used to check.
+Sturm sequence counts (Barth, Martin and Wilkinson, Numer. Math. 9, 1967).
+Each count stops once it reaches the largest level that asks for it, or
+once it enters the right tail where every later row has d - s >= 2|e|
+(V above the shift) with a pivot of at least |e|: no later pivot can turn
+negative there.  Eigenvectors come from three twisted LDL^T factorizations
+per level, the first at the bisection midpoint and each further one at the
+Rayleigh quotient of the vector before (Parlett and Dhillon, Linear Algebra
+Appl. 267, 1997).  Since these converge cubically, the eigenvector path
+stops bisecting at 1e-7 of the matrix scale once every interval provably
+holds its one eigenvalue with no other within one interval width;
+otherwise, and always without eigenvectors, it bisects to 1e-13.  The
+vectors of levels closer than 1e-6 of the scale are orthogonalized within
+their cluster.  Everything here is deterministic and independent of the
+closed-form machinery it is used to check.
 
 The sequential recurrences (the Sturm count and the two pivot sweeps of the
 twisted factorization) loop over Python floats, not numpy arrays: each row
@@ -20,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -78,20 +87,35 @@ def _pivmin(esq: float) -> float:
 
 
 def _sturm_counts(rows: list[float], esq: float, shifts: np.ndarray,
-                  caps: np.ndarray | None = None) -> np.ndarray:
+                  caps: np.ndarray | None = None,
+                  suffix_min: np.ndarray | None = None) -> np.ndarray:
     """Number of eigenvalues strictly below each shift (LDL^T sign count).
 
     ``rows`` is the diagonal as Python floats.  With ``caps`` (each at
     least 1) a shift's row loop stops once its count reaches its cap, and
-    the count returned is min(full count, cap).
+    the count returned is min(full count, cap).  With ``suffix_min``, the
+    smallest diagonal entry from each row to the last, a shift's loop also
+    stops in the right tail where every row has d - s >= 2b, with
+    b = max(|e|, pivmin), once a pivot reaches b: each later pivot is then
+    d - s - e^2/q >= 2b - b, so no later row can add to the count.
     """
     pivmin = _pivmin(esq)
-    caps = [len(rows)] * len(shifts) if caps is None else caps.tolist()
+    n = len(rows)
+    caps = [n] * len(shifts) if caps is None else caps.tolist()
+    bound = max(math.sqrt(esq), pivmin)
+    if suffix_min is None:
+        tails = [n] * len(shifts)
+    else:
+        # the 1e-9 margin dwarfs the round-off of d - s, of e^2 / q and of
+        # the threshold itself; a NaN shift sorts past the last row
+        margin = 2.0 * bound + 1e-9 * (bound + np.abs(shifts))
+        tails = np.searchsorted(suffix_min, shifts + margin).tolist()
     counts = []
-    for s, cap in zip(shifts.tolist(), caps):
+    for s, cap, tail in zip(shifts.tolist(), caps, tails):
         q = math.inf  # first row: esq / inf is 0.0, so q = d - s exactly
         count = 0
-        for d in rows:
+        rest = iter(rows)
+        for d in islice(rest, tail):
             q = d - s - esq / q
             # below pivmin counts as negative; inside (-pivmin, pivmin) the
             # pivot becomes -pivmin.  A positive row costs one comparison.
@@ -101,6 +125,17 @@ def _sturm_counts(rows: list[float], esq: float, shifts: np.ndarray,
                     break
                 if q > -pivmin:
                     q = -pivmin
+        else:
+            for d in rest:
+                if q >= bound:
+                    break
+                q = d - s - esq / q
+                if q < pivmin:
+                    count += 1
+                    if count == cap:
+                        break
+                    if q > -pivmin:
+                        q = -pivmin
         counts.append(count)
     return np.array(counts, dtype=np.int64)
 
@@ -138,6 +173,65 @@ def _twisted_vector(diag: np.ndarray, e: float, shift: float) -> np.ndarray:
     return z
 
 
+def _tridiagonal_times(diag: np.ndarray, e: float, y: np.ndarray) -> np.ndarray:
+    ty = diag * y
+    ty[:-1] += e * y[1:]
+    ty[1:] += e * y[:-1]
+    return ty
+
+
+def _bisect(rows: list[float], esq: float, suffix_min: np.ndarray, lo: float,
+            hi: float, k: int, width: float, isolated_width: float = 0.0):
+    """Bisect [lo, hi), Gershgorin bounds of T, around each of its lowest k
+    eigenvalues until every interval is at most ``width`` wide.
+
+    With ``isolated_width`` the bisection stops earlier, once every interval
+    is at most that wide and no other eigenvalue lies within one interval
+    width of it.  Between two levels the intervals' own ends prove that;
+    above the top level one more count does.  Returns the interval ends
+    and whether that early stop was taken.
+    """
+    targets = np.arange(1, k + 1)
+    lo = np.full(k, lo)
+    hi = np.full(k, hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        # targets that still share an interval share its midpoint: count each
+        # distinct shift once, and only as far as its largest target
+        shifts, slot = np.unique(mid, return_inverse=True)
+        caps = np.zeros(shifts.size, dtype=np.int64)
+        np.maximum.at(caps, slot, targets)
+        counts = _sturm_counts(rows, esq, shifts, caps, suffix_min)[slot]
+        above = counts >= targets
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+        widest = np.max(hi - lo)
+        if widest <= width:
+            return lo, hi, False
+        if (widest <= isolated_width and np.all(lo[1:] - hi[:-1] >= widest)
+                and _sturm_counts(rows, esq, hi[-1:] + widest, np.array([k + 1]),
+                                  suffix_min)[0] == k):
+            return lo, hi, True
+    raise ConvergenceError(
+        f"bisection failed to localize eigenvalues: widths {hi - lo}")
+
+
+def _eigenpairs(diag: np.ndarray, e: float, shifts: np.ndarray):
+    """Unit eigenvectors (rows) and their Rayleigh quotients: one twisted
+    solve at each shift, then two more, each at the Rayleigh quotient of
+    the vector before."""
+    vecs = np.empty((shifts.size, diag.size))
+    rqs = np.empty(shifts.size)
+    for j, rq in enumerate(shifts.tolist()):
+        for _ in range(3):
+            y = _twisted_vector(diag, e, rq)
+            y = y / np.linalg.norm(y)
+            rq = float(y @ _tridiagonal_times(diag, e, y))
+        vecs[j] = y
+        rqs[j] = rq
+    return vecs, rqs
+
+
 def discretize_and_solve(potential, grid: Grid, k: int,
                          eigenvectors: bool = True) -> EigenResult:
     """Lowest ``k`` eigenpairs of -phi'' + V phi = lam phi with Dirichlet ends.
@@ -170,64 +264,61 @@ def discretize_and_solve(potential, grid: Grid, k: int,
     diag = 2.0 / (h * h) + v
 
     radius = 2.0 * abs(e)
-    lo = np.full(k, np.min(diag) - radius)
-    hi = np.full(k, np.max(diag) + radius)
-    targets = np.arange(1, k + 1)
-    scale = max(abs(lo[0]), abs(hi[0]), 1.0)
+    lo = float(np.min(diag)) - radius
+    hi = float(np.max(diag)) + radius
+    scale = max(abs(lo), abs(hi), 1.0)
     rows = diag.tolist()
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        # targets that still share an interval share its midpoint: count each
-        # distinct shift once, and only as far as its largest target
-        shifts, slot = np.unique(mid, return_inverse=True)
-        caps = np.zeros(shifts.size, dtype=np.int64)
-        np.maximum.at(caps, slot, targets)
-        counts = _sturm_counts(rows, esq, shifts, caps)[slot]
-        above = counts >= targets
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-        if np.max(hi - lo) <= 1e-13 * scale:
-            break
-    else:
-        raise ConvergenceError(
-            f"bisection failed to localize eigenvalues: widths {hi - lo}")
-    lams = 0.5 * (lo + hi)
-
-    if not eigenvectors:
-        lams = np.sort(lams)
-        if np.any(np.diff(lams) <= 0.0):
-            raise ConvergenceError("eigenvalues not strictly ascending")
-        return EigenResult(eigenvalues=lams, eigenvectors=None)
-    close = np.flatnonzero(np.diff(lams) <= 1e-13 * scale)
-    if close.size:
-        raise ConvergenceError(f"eigenvalues #{close[0]} and #{close[0] + 1} lie within the "
-                               f"bisection width {1e-13 * scale:.3e}: no orthogonal vectors")
-
-    vecs = np.empty((k, grid.n_points))
-    refined = np.empty(k)
-    mat_scale = float(np.max(np.abs(diag))) + 2.0 * abs(e)
-    for j in range(k):
-        # one twisted solve at the bisection midpoint, one more at the
-        # Rayleigh quotient of its vector
-        rq = lams[j]
-        for _ in range(2):
-            y = _twisted_vector(diag, e, rq)
-            y = y / np.linalg.norm(y)
-            ty = diag * y
-            ty[:-1] += e * y[1:]
-            ty[1:] += e * y[:-1]
-            rq = float(y @ ty)
-        res = float(np.linalg.norm(ty - rq * y))
-        if res > 1e-6 * mat_scale:
-            raise ConvergenceError(
-                f"twisted factorization failed for eigenvalue #{j}: residual "
-                f"{res:.3e} (matrix scale {mat_scale:.3e})")
-        vecs[j] = normalize(y, grid)
-        refined[j] = rq
+    suffix_min = np.minimum.accumulate(diag[::-1])[::-1]
+    # twisted solves at the Rayleigh quotient converge cubically, so the
+    # eigenvector path may stop bisecting at a coarse width, once every
+    # interval provably holds its one eigenvalue
+    lo_k, hi_k, early = _bisect(rows, esq, suffix_min, lo, hi, k, 1e-13 * scale,
+                                1e-7 * scale if eigenvectors else 0.0)
+    if early:
+        vecs, refined = _eigenpairs(diag, e, 0.5 * (lo_k + hi_k))
+        # a Rayleigh quotient that left its interval found another level
+        if not np.all((lo_k <= refined) & (refined < hi_k)):
+            lo_k, hi_k, early = _bisect(rows, esq, suffix_min, lo, hi, k, 1e-13 * scale)
+    if not early:
+        lams = 0.5 * (lo_k + hi_k)
+        if not eigenvectors:
+            lams = np.sort(lams)
+            if np.any(np.diff(lams) <= 0.0):
+                raise ConvergenceError("eigenvalues not strictly ascending")
+            return EigenResult(eigenvalues=lams, eigenvectors=None)
+        close = np.flatnonzero(np.diff(lams) <= 1e-13 * scale)
+        if close.size:
+            raise ConvergenceError(f"eigenvalues #{close[0]} and #{close[0] + 1} lie within the "
+                                   f"bisection width {1e-13 * scale:.3e}: no orthogonal vectors")
+        vecs, refined = _eigenpairs(diag, e, lams)
 
     order = np.argsort(refined)
     refined = refined[order]
     vecs = vecs[order]
+    # the twisted vectors of levels closer than 1e-6 of the scale (no level
+    # of the oracle problems is) need not be orthogonal: as LAPACK dstein
+    # does, take out of each its parts along the lower levels of its cluster
+    clustered = np.diff(refined) <= 1e-6 * scale
+    start = 0
+    for j in range(1, k):
+        if not clustered[j - 1]:
+            start = j
+            continue
+        y = vecs[j]
+        for i in range(start, j):
+            y = y - (vecs[i] @ y) * vecs[i]
+        y = y / np.linalg.norm(y)
+        vecs[j] = y
+        refined[j] = float(y @ _tridiagonal_times(diag, e, y))
+
+    mat_scale = float(np.max(np.abs(diag))) + 2.0 * abs(e)
+    for j in range(k):
+        res = float(np.linalg.norm(_tridiagonal_times(diag, e, vecs[j]) - refined[j] * vecs[j]))
+        if res > 1e-6 * mat_scale:
+            raise ConvergenceError(
+                f"twisted factorization failed for eigenvalue #{j}: residual "
+                f"{res:.3e} (matrix scale {mat_scale:.3e})")
+        vecs[j] = normalize(vecs[j], grid)
     if np.any(np.diff(refined) <= 0.0):
         raise ConvergenceError("eigenvalues not strictly ascending after refinement")
     return EigenResult(eigenvalues=refined, eigenvectors=vecs)

@@ -313,26 +313,37 @@ def _sturm_counts_reference(diag, esq, shifts):
     return counts
 
 
-def test_sturm_counts_match_reference_loop_on_every_pivot_class():
+def _assert_counts_match_reference(diag, esq, shifts):
+    # every cap, with and without the exit in the right tail, gives the
+    # reference loop's count
     from pdmdirac.numerics import _sturm_counts
 
+    rows = np.array(diag, dtype=float).tolist()
+    shifts = np.array(shifts, dtype=float)
+    suffix_min = np.minimum.accumulate(np.array(rows)[::-1])[::-1]
+    full = _sturm_counts_reference(rows, esq, shifts.tolist())
+    for tails in (None, suffix_min):
+        assert _sturm_counts(rows, esq, shifts, None, tails).tolist() == full
+        # a capped count stops at its cap
+        for cap in (1, 2, len(rows)):
+            caps = np.full(shifts.size, cap)
+            assert (_sturm_counts(rows, esq, shifts, caps, tails).tolist()
+                    == [min(c, cap) for c in full])
+
+
+def test_sturm_counts_match_reference_loop_on_every_pivot_class():
     rng = np.random.default_rng(23)
     for _ in range(20):
         n = int(rng.integers(16, 60))
         diag = rng.uniform(-5.0, 5.0, n)
         esq = rng.uniform(0.0, 2.0) ** 2
         # diag values as shifts land the first pivot on exactly 0.0; repeats
-        # and a NaN shift go through the same loop
+        # and a NaN shift go through the same loop; the last rows less 2|e|
+        # sit on the edge of the tail exit's threshold
         shifts = np.concatenate((rng.uniform(-8.0, 8.0, 20), diag[:5],
                                  np.repeat(rng.uniform(-8.0, 8.0, 3), 3),
-                                 [np.nan]))
-        full = _sturm_counts_reference(diag.tolist(), esq, shifts.tolist())
-        assert _sturm_counts(diag.tolist(), esq, shifts).tolist() == full
-        # a capped count stops at its cap
-        for cap in (1, 2, n):
-            caps = np.full(shifts.size, cap)
-            assert (_sturm_counts(diag.tolist(), esq, shifts, caps).tolist()
-                    == [min(c, cap) for c in full])
+                                 [np.nan], diag[-5:] - 2.0 * math.sqrt(esq)))
+        _assert_counts_match_reference(diag, esq, shifts)
     # esq = 1e-300 puts pivmin at 1e-300, and after a pivot of 1e300 the
     # coupling term esq / q underflows to 0.0: with shift 0 the next pivot is
     # the diagonal entry itself, so these rows land exactly on 0.0, on
@@ -346,13 +357,44 @@ def test_sturm_counts_match_reference_loop_on_every_pivot_class():
         diag = [first]
         for t in targets:
             diag += [1e300, t]
-        shifts = [0.0, 0.0, -0.0, 1.0, -1.0, pivmin, -pivmin, 1e300]
-        full = _sturm_counts_reference(diag, esq, shifts)
-        assert _sturm_counts(np.array(diag).tolist(), esq, np.array(shifts)).tolist() == full
-        for cap in (1, 2, len(diag)):
-            caps = np.full(len(shifts), cap)
-            assert (_sturm_counts(np.array(diag).tolist(), esq, np.array(shifts),
-                                  caps).tolist() == [min(c, cap) for c in full])
+        _assert_counts_match_reference(diag, esq, [0.0, 0.0, -0.0, 1.0, -1.0, pivmin,
+                                                   -pivmin, 1e300])
+
+
+class _RowsRead(list):
+    """A diagonal that counts the rows a Sturm count reads."""
+
+    read = 0
+
+    def __iter__(self):
+        for d in super().__iter__():
+            self.read += 1
+            yield d
+
+
+@pytest.mark.parametrize("solve, coeffs, domain, share", [
+    (rm2_solve, (5.0, 20.0, 1.0), (-15.0, 15.0), 0.9),
+    (gpt_solve, (9.0, 2.5, 1.0), (1e-3, 20.0), 0.4),
+])
+def test_sturm_counts_stop_in_the_forbidden_tail(solve, coeffs, domain, share):
+    # where V > s on every later node, a pivot of at least |e| stays so, and
+    # the count is final: on the oracle problems the counts at 50 shifts
+    # across the lowest levels are unchanged, and they read 0.86 (whole
+    # line) and 0.35 (half line) of the rows
+    from pdmdirac.numerics import _sturm_counts
+
+    w = solve(*coeffs, n_max=2).w
+    grid = Grid(*domain, 6000)
+    h = grid.step
+    diag = 2.0 / h ** 2 + partner_potentials(w, grid.points).v_minus
+    suffix_min = np.minimum.accumulate(diag[::-1])[::-1]
+    shifts = np.linspace(-1.0, 60.0, 50)
+    full, tail = _RowsRead(diag.tolist()), _RowsRead(diag.tolist())
+    esq = h ** -4
+    assert (_sturm_counts(tail, esq, shifts, None, suffix_min).tolist()
+            == _sturm_counts(full, esq, shifts).tolist())
+    assert full.read == 50 * 6000
+    assert tail.read < share * full.read
 
 
 def test_eigenvalues_only_bits_are_pinned():
@@ -383,9 +425,9 @@ def test_bisection_counts_each_distinct_shift_once(monkeypatch):
     calls = []
     counts = numerics._sturm_counts
 
-    def spy(rows, esq, shifts, caps=None):
+    def spy(rows, esq, shifts, caps=None, suffix_min=None):
         calls.append(np.array(shifts))
-        return counts(rows, esq, shifts, caps)
+        return counts(rows, esq, shifts, caps, suffix_min)
 
     monkeypatch.setattr(numerics, "_sturm_counts", spy)
     potential, grid = _rosen_morse_oracle_problem()
@@ -395,6 +437,89 @@ def test_bisection_counts_each_distinct_shift_once(monkeypatch):
         assert np.unique(shifts).size == shifts.size
     # the three targets share one interval until the first passes split them
     assert sum(shifts.size for shifts in calls) < 3 * len(calls)
+
+
+@pytest.mark.parametrize("solve, coeffs, domain", [
+    (rm2_solve, (5.0, 20.0, 1.0), (-15.0, 15.0)),
+    (gpt_solve, (9.0, 2.5, 1.0), (1e-3, 20.0)),
+])
+def test_eigenvector_path_stops_bisecting_early(monkeypatch, solve, coeffs, domain):
+    # the eigenvector path stops at 1e-7 of the scale (24 passes and one
+    # count above the top level); the eigenvalues-only path bisects to 1e-13
+    from pdmdirac import numerics
+
+    calls = []
+    counts = numerics._sturm_counts
+
+    def spy(*args):
+        calls.append(args[2].size)
+        return counts(*args)
+
+    monkeypatch.setattr(numerics, "_sturm_counts", spy)
+    w = solve(*coeffs, n_max=2).w
+    potential = lambda x: partner_potentials(w, x).v_minus
+    grid = Grid(*domain, 6000)
+    discretize_and_solve(potential, grid, 3)
+    assert len(calls) <= 26
+    calls.clear()
+    discretize_and_solve(potential, grid, 3, eigenvectors=False)
+    assert len(calls) == 44
+
+
+def test_early_stop_never_hands_back_the_wrong_level():
+    # level 1 of this well lies 5.4e-9 above level 0, far inside the early
+    # stop's width (about 4e-3): the interval around level 0 never holds it
+    # alone with a clear margin, so it bisects on to 1e-13 of the scale
+    g = Grid(-7.0, 7.0, 1400)
+    r = discretize_and_solve(_double_well(2.93), g, 1)
+    bisected = discretize_and_solve(_double_well(2.93), g, 1, eigenvectors=False)
+    h = g.step
+    scale = float(np.max(2.0 / h ** 2 + _double_well(2.93)(g.points))) + 2.0 / h ** 2
+    assert abs(r.eigenvalues[0] - bisected.eigenvalues[0]) <= 1e-12 * scale
+    v = r.eigenvectors[0]
+    assert int(np.sum(v[1:] * v[:-1] < 0.0)) == 0
+
+
+def test_rayleigh_quotient_outside_its_interval_falls_back_to_full_bisection(monkeypatch):
+    # a twisted solve that converged to a neighbouring level leaves its
+    # interval; the solve then bisects to 1e-13 of the scale, as the
+    # eigenvalues-only path does, and solves again from there
+    from pdmdirac import numerics
+
+    pairs = numerics._eigenpairs
+    shifts = []
+
+    def astray(diag, e, mids):
+        shifts.append(mids)
+        vecs, rqs = pairs(diag, e, mids)
+        return vecs, rqs + (1.0 if len(shifts) == 1 else 0.0)
+
+    monkeypatch.setattr(numerics, "_eigenpairs", astray)
+    potential, grid = _rosen_morse_oracle_problem()
+    r = discretize_and_solve(potential, grid, 3)
+    bisected = discretize_and_solve(potential, grid, 3, eigenvectors=False)
+    assert len(shifts) == 2
+    assert np.array_equal(shifts[1], bisected.eigenvalues)
+    assert np.max(np.abs(r.eigenvalues - bisected.eigenvalues)) < 1e-8
+
+
+@pytest.mark.parametrize("depth", [2.93, 2.9, 2.85])
+def test_close_pair_outside_the_refused_width_is_orthogonal(depth):
+    # the lowest pair of these wells lies 5.4e-9, 1.1e-8 and 3.3e-8 apart,
+    # just above the refused width: their twisted vectors had grid overlaps
+    # of 0.034, 0.011 and 1.6e-3 before the cluster was orthogonalized
+    g = Grid(-7.0, 7.0, 1400)
+    r = discretize_and_solve(_double_well(depth), g, 2)
+    v = r.eigenvectors
+    assert abs(float(np.sum(g.weights * v[0] * v[1]))) < 1e-12
+    h = g.step
+    diag = 2.0 / h ** 2 + _double_well(depth)(g.points)
+    for j in range(2):
+        y = v[j] / np.linalg.norm(v[j])
+        ty = diag * y
+        ty[:-1] += -1.0 / h ** 2 * y[1:]
+        ty[1:] += -1.0 / h ** 2 * y[:-1]
+        assert np.linalg.norm(ty - r.eigenvalues[j] * y) < 1e-9
 
 
 @pytest.mark.parametrize("solve, coeffs, domain", [
