@@ -271,7 +271,7 @@ def discretize_and_solve(potential, grid: Grid, k: int,
     suffix_min = np.minimum.accumulate(diag[::-1])[::-1]
     # twisted solves at the Rayleigh quotient converge cubically, so the
     # eigenvector path may stop bisecting at a coarse width, once every
-    # interval provably holds its one eigenvalue
+    # interval provably holds its one eigenvalue and no other lies near
     lo_k, hi_k, early = _bisect(rows, esq, suffix_min, lo, hi, k, 1e-13 * scale,
                                 1e-7 * scale if eigenvectors else 0.0)
     if early:
