@@ -140,6 +140,22 @@ def _sturm_counts(rows: list[float], esq: float, shifts: np.ndarray,
     return np.array(counts, dtype=np.int64)
 
 
+def _pivot_sweep(rows: list[float], shift: float, esq: float,
+                 pivmin: float) -> np.ndarray:
+    """LDL^T pivots of T - shift I, taken over ``rows`` in the order given.
+
+    A pivot inside (-pivmin, pivmin) becomes -pivmin, as in the Sturm count.
+    """
+    out = []
+    q = math.inf
+    for d in rows:
+        q = d - shift - esq / q
+        if -pivmin < q < pivmin:
+            q = -pivmin
+        out.append(q)
+    return np.array(out)
+
+
 def _twisted_vector(diag: np.ndarray, e: float, shift: float) -> np.ndarray:
     """Eigenvector of T for the eigenvalue nearest shift, unnormalized.
 
@@ -152,20 +168,9 @@ def _twisted_vector(diag: np.ndarray, e: float, shift: float) -> np.ndarray:
     esq = e * e
     pivmin = _pivmin(esq)
     a = diag - shift
-
-    def pivots(rows):
-        out = []
-        q = math.inf
-        for d in rows:
-            q = d - esq / q
-            if -pivmin < q < pivmin:
-                q = -pivmin
-            out.append(q)
-        return out
-
-    rows = a.tolist()
-    d_plus = np.array(pivots(rows))
-    d_minus = np.array(pivots(reversed(rows)))[::-1]
+    rows = diag.tolist()
+    d_plus = _pivot_sweep(rows, shift, esq, pivmin)
+    d_minus = _pivot_sweep(rows[::-1], shift, esq, pivmin)[::-1]
     r = int(np.argmin(np.abs(d_plus + d_minus - a)))
     z = np.ones(a.shape[0])
     z[:r] = np.cumprod(-e / d_plus[:r][::-1])[::-1]

@@ -268,6 +268,61 @@ def test_twisted_vector_handles_every_pivot_class():
     assert _unit_angle(got, null) < 1e-9
 
 
+def _pivots_reference(a, esq):
+    # the twisted factorization's pivot loop as first written, on the shifted
+    # diagonal a = d - shift; _pivot_sweep must give the same bits
+    pivmin = max(esq * 1e-292, 1e-300)
+    out = []
+    q = math.inf
+    for d in a:
+        q = d - esq / q
+        if -pivmin < q < pivmin:
+            q = -pivmin
+        out.append(q)
+    return np.array(out)
+
+
+def _assert_pivots_match_reference(diag, esq, shifts):
+    # forward over the rows and backward over their reversed copy
+    from pdmdirac.numerics import _pivot_sweep
+
+    rows = np.array(diag, dtype=float).tolist()
+    pivmin = max(esq * 1e-292, 1e-300)
+    for shift in np.array(shifts, dtype=float).tolist():
+        a = np.array(rows) - shift
+        for got, ref in ((_pivot_sweep(rows, shift, esq, pivmin), _pivots_reference(a, esq)),
+                         (_pivot_sweep(rows[::-1], shift, esq, pivmin),
+                          _pivots_reference(a[::-1], esq))):
+            assert got.shape == (len(rows),)
+            assert np.array_equal(got, ref)
+
+
+def test_pivot_sweep_matches_reference_loop_on_every_pivot_class():
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        n = int(rng.integers(16, 60))
+        diag = rng.uniform(-5.0, 5.0, n)
+        esq = rng.uniform(0.1, 2.0) ** 2
+        # diag values as shifts land the first pivot of a sweep on exactly
+        # 0.0, so the next row divides by it
+        _assert_pivots_match_reference(diag, esq, np.concatenate(
+            (rng.uniform(-8.0, 8.0, 10), diag[:3], diag[-3:])))
+    # as in the Sturm count's test: esq = 1e-300 puts pivmin at 1e-300, and
+    # after a pivot of 1e300 the coupling term underflows to 0.0, so with
+    # shift 0 these rows land exactly on 0.0, on +-pivmin and strictly
+    # inside (-pivmin, pivmin).  Each class gets its own diagonal, first,
+    # inside and last in both directions, so that no division by 0.0
+    # elsewhere sends the sweep to the guarded loop; one more holds them all
+    pivmin = 1e-300
+    targets = [0.0, pivmin, -pivmin, 0.5 * pivmin, -0.5 * pivmin,
+               np.nextafter(pivmin, 0.0), np.nextafter(-pivmin, 0.0),
+               5e-324, -5e-324, 2.0 * pivmin, -2.0 * pivmin]
+    diags = [[t, 1e300, t, 1e300, t] for t in targets]
+    diags.append([targets[-1]] + [d for t in targets for d in (1e300, t)])
+    for diag in diags:
+        _assert_pivots_match_reference(diag, 1e-300, [0.0, -0.0, 1.0, -1.0, pivmin])
+
+
 def test_sturm_counts_match_dense_eigenvalues():
     from pdmdirac.numerics import _sturm_counts
 
