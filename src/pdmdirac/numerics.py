@@ -10,7 +10,9 @@ once it enters the right tail where every later row has d - s >= 2|e|
 negative there.  Eigenvectors come from three twisted LDL^T factorizations
 per level, the first at the bisection midpoint and each further one at the
 Rayleigh quotient of the vector before (Parlett and Dhillon, Linear Algebra
-Appl. 267, 1997).  Since these converge cubically, the eigenvector path
+Appl. 267, 1997).  The first finds the level's twist index and the other
+two keep it, so their pivot sweeps stop at the twist: n - 1 rows instead of
+2n.  Since these converge cubically, the eigenvector path
 stops bisecting at 1e-7 of the matrix scale once every interval provably
 holds its one eigenvalue with no other within one interval width;
 otherwise, and always without eigenvectors, it bisects to 1e-13.  The
@@ -21,12 +23,14 @@ closed-form machinery it is used to check.
 The sequential recurrences (the Sturm count and the two pivot sweeps of the
 twisted factorization) loop over Python floats, not numpy arrays: each row
 depends on the one before, and a numpy call per row costs far more than the
-row's few flops.
+row's few flops.  A pivot sweep runs as one list comprehension, and falls
+back to the guarded loop only when a pivot lands inside the guard band.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import islice
 
@@ -44,8 +48,12 @@ class Grid:
     n_points: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValueError(f"x_min and x_max must be finite, got {self.x_min} and {self.x_max}")
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be below x_max")
+        if not isinstance(self.n_points, numbers.Integral):
+            raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 16:
             raise ValueError("n_points must be at least 16")
 
@@ -145,7 +153,20 @@ def _pivot_sweep(rows: list[float], shift: float, esq: float,
     """LDL^T pivots of T - shift I, taken over ``rows`` in the order given.
 
     A pivot inside (-pivmin, pivmin) becomes -pivmin, as in the Sturm count.
+    That guard almost never fires, so the rows first run through one
+    unguarded comprehension.  Its pivots stand when each is at least pivmin
+    in magnitude (a NaN is not), since the guard then changed nothing;
+    otherwise, or after a division by an exact 0.0, the guarded loop runs.
+    ``rows`` is a list, not an iterator, so that loop can read it again.
     """
+    q = math.inf
+    try:
+        out = np.array([(q := d - shift - esq / q) for d in rows])
+    except ZeroDivisionError:
+        pass
+    else:
+        if np.all(np.abs(out) >= pivmin):
+            return out
     out = []
     q = math.inf
     for d in rows:
@@ -156,26 +177,35 @@ def _pivot_sweep(rows: list[float], shift: float, esq: float,
     return np.array(out)
 
 
-def _twisted_vector(diag: np.ndarray, e: float, shift: float) -> np.ndarray:
-    """Eigenvector of T for the eigenvalue nearest shift, unnormalized.
+def _twisted_vector(diag: np.ndarray, rows: list[float], e: float, shift: float,
+                    r: int | None = None) -> tuple[np.ndarray, int]:
+    """Eigenvector of T for the eigenvalue nearest shift, unnormalized, and
+    its twist index.
 
     Forward and backward LDL^T pivots D+ and D- of T - shift I meet at the
-    twist r that minimizes |gamma_r| = |D+_r + D-_r - (d_r - shift)|; the
-    vector is 1 at r and each half is a running product of -e / D
-    (Parlett and Dhillon, Linear Algebra Appl. 267, 1997).  Pivots get the
-    Sturm count's guard, so no division is by zero.
+    twist r; the vector is 1 at r and each half is a running product of
+    -e / D (Parlett and Dhillon, Linear Algebra Appl. 267, 1997).  Without
+    ``r`` both sweeps run over all n rows and r minimizes
+    |gamma_r| = |D+_r + D-_r - (d_r - shift)|.  Any twist near the vector's
+    peak gives a small residual, so a given ``r`` is kept: D+ then runs over
+    the rows before it and D- over the rows after it, n - 1 rows in all.
+    ``rows`` is ``diag`` as Python floats.  Pivots get the Sturm count's
+    guard, so no division is by zero.
     """
     esq = e * e
     pivmin = _pivmin(esq)
-    a = diag - shift
-    rows = diag.tolist()
-    d_plus = _pivot_sweep(rows, shift, esq, pivmin)
-    d_minus = _pivot_sweep(rows[::-1], shift, esq, pivmin)[::-1]
-    r = int(np.argmin(np.abs(d_plus + d_minus - a)))
-    z = np.ones(a.shape[0])
-    z[:r] = np.cumprod(-e / d_plus[:r][::-1])[::-1]
-    z[r + 1:] = np.cumprod(-e / d_minus[r + 1:])
-    return z
+    if r is None:
+        d_plus = _pivot_sweep(rows, shift, esq, pivmin)
+        d_minus = _pivot_sweep(rows[::-1], shift, esq, pivmin)[::-1]
+        r = int(np.argmin(np.abs(d_plus + d_minus - (diag - shift))))
+        d_plus, d_minus = d_plus[:r], d_minus[r + 1:]
+    else:
+        d_plus = _pivot_sweep(rows[:r], shift, esq, pivmin)
+        d_minus = _pivot_sweep(rows[:r:-1], shift, esq, pivmin)[::-1]
+    z = np.ones(diag.size)
+    z[:r] = np.cumprod(-e / d_plus[::-1])[::-1]
+    z[r + 1:] = np.cumprod(-e / d_minus)
+    return z, r
 
 
 def _tridiagonal_times(diag: np.ndarray, e: float, y: np.ndarray) -> np.ndarray:
@@ -221,15 +251,16 @@ def _bisect(rows: list[float], esq: float, suffix_min: np.ndarray, lo: float,
         f"bisection failed to localize eigenvalues: widths {hi - lo}")
 
 
-def _eigenpairs(diag: np.ndarray, e: float, shifts: np.ndarray):
-    """Unit eigenvectors (rows) and their Rayleigh quotients: one twisted
-    solve at each shift, then two more, each at the Rayleigh quotient of
-    the vector before."""
+def _eigenpairs(diag: np.ndarray, rows: list[float], e: float, shifts: np.ndarray):
+    """Unit eigenvectors (rows of the result) and their Rayleigh quotients:
+    one twisted solve at each shift, then two more at the twist it found,
+    each at the Rayleigh quotient of the vector before."""
     vecs = np.empty((shifts.size, diag.size))
     rqs = np.empty(shifts.size)
     for j, rq in enumerate(shifts.tolist()):
+        r = None
         for _ in range(3):
-            y = _twisted_vector(diag, e, rq)
+            y, r = _twisted_vector(diag, rows, e, rq, r)
             y = y / np.linalg.norm(y)
             rq = float(y @ _tridiagonal_times(diag, e, y))
         vecs[j] = y
@@ -264,6 +295,9 @@ def discretize_and_solve(potential, grid: Grid, k: int,
         raise ValueError(f"k must be in 1..{grid.n_points}, got {k}")
 
     h = grid.step
+    if h < 1e-75:
+        raise ValueError(f"grid step {h:.3e} is below 1e-75, where the squared "
+                         "coupling 1/h^4 overflows")
     e = -1.0 / (h * h)
     esq = e * e
     diag = 2.0 / (h * h) + v
@@ -280,7 +314,7 @@ def discretize_and_solve(potential, grid: Grid, k: int,
     lo_k, hi_k, early = _bisect(rows, esq, suffix_min, lo, hi, k, 1e-13 * scale,
                                 1e-7 * scale if eigenvectors else 0.0)
     if early:
-        vecs, refined = _eigenpairs(diag, e, 0.5 * (lo_k + hi_k))
+        vecs, refined = _eigenpairs(diag, rows, e, 0.5 * (lo_k + hi_k))
         # a Rayleigh quotient that left its interval found another level
         if not np.all((lo_k <= refined) & (refined < hi_k)):
             lo_k, hi_k, early = _bisect(rows, esq, suffix_min, lo, hi, k, 1e-13 * scale)
@@ -295,7 +329,7 @@ def discretize_and_solve(potential, grid: Grid, k: int,
         if close.size:
             raise ConvergenceError(f"eigenvalues #{close[0]} and #{close[0] + 1} lie within the "
                                    f"bisection width {1e-13 * scale:.3e}: no orthogonal vectors")
-        vecs, refined = _eigenpairs(diag, e, lams)
+        vecs, refined = _eigenpairs(diag, rows, e, lams)
 
     order = np.argsort(refined)
     refined = refined[order]

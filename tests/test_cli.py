@@ -474,6 +474,16 @@ def test_spectrum_negative_n_max_is_config_error(capsys):
     assert "--n-max must be nonnegative" in err
 
 
+def test_wavefunction_infinite_grid_end_is_config_error(capsys):
+    # an infinite --x-min made NaN grid points, and the run exited 3 with
+    # "non-finite wavefunction sample at x = nan"
+    code, out, err = run_cli(["wavefunction", "--v1", "12", "--v2", "1", "--level", "0",
+                              "--x-min=-inf"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: x_min and x_max must be finite, got -inf and 15.0\n"
+
+
 @pytest.mark.parametrize("mode", [
     ["--sp-a", "9", "--sp-b", "1.5"],
     ["--example", "2", "--omega", "5", "--alpha", "1", "--gamma", "10",

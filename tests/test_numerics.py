@@ -20,6 +20,13 @@ def test_grid_validation():
         Grid(1.0, 0.0, 100)
     with pytest.raises(ValueError):
         Grid(0.0, 1.0, 8)
+    # an infinite end made NaN points, and 100.5 points made 101
+    for ends in ((-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            Grid(*ends, 100)
+    with pytest.raises(ValueError, match="must be an integer"):
+        Grid(0.0, 1.0, 100.5)
+    assert Grid(0.0, 1.0, np.int64(100)).n_points == 100
     g = Grid(0.0, 1.0, 99)
     assert g.step == pytest.approx(0.01)
     assert len(g.points) == 99
@@ -108,6 +115,12 @@ def test_nonfinite_potential_reports_location():
 
     with pytest.raises(ValueError, match="not finite at x"):
         discretize_and_solve(pot, g, 1)
+
+
+def test_grid_step_too_small_for_the_matrix_is_refused():
+    # h^2 underflowed to 0.0 and the solve divided by it
+    with pytest.raises(ValueError, match="grid step 9.901e-163 is below 1e-75"):
+        discretize_and_solve(box_potential, Grid(0.0, 1e-160, 100), 1)
 
 
 def test_ode_residual_exact_eigenfunction():
@@ -254,15 +267,20 @@ def test_twisted_vector_handles_every_pivot_class():
         t = np.diag(d) + np.diag(np.full(n - 1, e), 1) + np.diag(np.full(n - 1, e), -1)
         lams, vecs = np.linalg.eigh(t)
         j = int(np.argmin(np.abs(lams - shift)))
-        got = _twisted_vector(d, e, shift)
+        got, r = _twisted_vector(d, d.tolist(), e, shift)
         assert np.all(np.isfinite(got))
         assert _unit_angle(got, vecs[:, j]) < 1e-9
+        # solved again at that twist, the sweeps stop there and give the
+        # same vector
+        assert np.array_equal(_twisted_vector(d, d.tolist(), e, shift, r)[0], got)
     # d - shift exactly 0.0 on every row: every other pivot lands on 0.0 and
     # takes the pivmin branch.  For odd n the shift is an eigenvalue, with
     # the null vector (1, 0, -1, 0, ...)
     for n in (40, 41):
-        got = _twisted_vector(np.full(n, 0.25), e, 0.25)
+        d = np.full(n, 0.25)
+        got, r = _twisted_vector(d, d.tolist(), e, 0.25)
         assert np.all(np.isfinite(got))
+        assert np.array_equal(_twisted_vector(d, d.tolist(), e, 0.25, r)[0], got)
     null = np.zeros(41)
     null[::4], null[2::4] = 1.0, -1.0
     assert _unit_angle(got, null) < 1e-9
@@ -521,6 +539,33 @@ def test_eigenvector_path_stops_bisecting_early(monkeypatch, solve, coeffs, doma
     assert len(calls) == 44
 
 
+@pytest.mark.parametrize("solve, coeffs, domain", [
+    (rm2_solve, (5.0, 20.0, 1.0), (-15.0, 15.0)),
+    (gpt_solve, (9.0, 2.5, 1.0), (1e-3, 20.0)),
+])
+def test_later_twisted_solves_keep_the_twist(monkeypatch, solve, coeffs, domain):
+    # each level's first solve sweeps all n rows both ways to find its twist;
+    # its two later solves sweep up to the twist and back down to it, n - 1
+    # rows: 71,994 rows for k = 3 instead of 108,000
+    from pdmdirac import numerics
+
+    rows_read = []
+    sweep = numerics._pivot_sweep
+
+    def spy(rows, *args):
+        rows_read.append(len(rows))
+        return sweep(rows, *args)
+
+    monkeypatch.setattr(numerics, "_pivot_sweep", spy)
+    w = solve(*coeffs, n_max=2).w
+    n = 6000
+    discretize_and_solve(lambda x: partner_potentials(w, x).v_minus, Grid(*domain, n), 3)
+    assert rows_read[:2] == [n, n]
+    per_solve = [a + b for a, b in zip(rows_read[::2], rows_read[1::2])]
+    assert per_solve == [2 * n, n - 1, n - 1] * 3
+    assert sum(rows_read) == 71_994
+
+
 def test_early_stop_never_hands_back_the_wrong_level():
     # level 1 of this well lies 5.4e-9 above level 0, far inside the early
     # stop's width (about 4e-3): the interval around level 0 never holds it
@@ -544,9 +589,9 @@ def test_rayleigh_quotient_outside_its_interval_falls_back_to_full_bisection(mon
     pairs = numerics._eigenpairs
     shifts = []
 
-    def astray(diag, e, mids):
+    def astray(diag, rows, e, mids):
         shifts.append(mids)
-        vecs, rqs = pairs(diag, e, mids)
+        vecs, rqs = pairs(diag, rows, e, mids)
         return vecs, rqs + (1.0 if len(shifts) == 1 else 0.0)
 
     monkeypatch.setattr(numerics, "_eigenpairs", astray)
