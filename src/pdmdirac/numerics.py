@@ -48,8 +48,11 @@ class Grid:
     n_points: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
-            raise ValueError(f"x_min and x_max must be finite, got {self.x_min} and {self.x_max}")
+        # an infinite or NaN end, or a width that overflows, makes the step
+        # non-finite
+        if not math.isfinite(self.x_max - self.x_min):
+            raise ValueError(f"x_min and x_max must be finite and finitely far apart, "
+                             f"got {self.x_min} and {self.x_max}")
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be below x_max")
         if not isinstance(self.n_points, numbers.Integral):

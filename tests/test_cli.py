@@ -481,7 +481,8 @@ def test_wavefunction_infinite_grid_end_is_config_error(capsys):
                               "--x-min=-inf"], capsys)
     assert code == 1
     assert out == ""
-    assert err == "error: x_min and x_max must be finite, got -inf and 15.0\n"
+    assert err == ("error: x_min and x_max must be finite and finitely far apart, "
+                   "got -inf and 15.0\n")
 
 
 @pytest.mark.parametrize("mode", [

@@ -20,8 +20,9 @@ def test_grid_validation():
         Grid(1.0, 0.0, 100)
     with pytest.raises(ValueError):
         Grid(0.0, 1.0, 8)
-    # an infinite end made NaN points, and 100.5 points made 101
-    for ends in ((-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0)):
+    # an infinite end made NaN points, ends 2e308 apart an infinite step, and
+    # 100.5 points made 101
+    for ends in ((-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0), (-1e308, 1e308)):
         with pytest.raises(ValueError, match="must be finite"):
             Grid(*ends, 100)
     with pytest.raises(ValueError, match="must be an integer"):
