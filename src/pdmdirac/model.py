@@ -158,11 +158,20 @@ def _csch(u):
     return 2.0 * eu / (1.0 - eu * eu)
 
 
+# (key, ProfileValues) of the last array call, swapped in one assignment.
+# The key holds bits, not values: -0.0 == 0.0, yet sinh tells them apart.
+_last_profile: tuple = (None, None)
+
+
 def evaluate_profile(profile: Profile, x) -> ProfileValues:
     """Evaluate A, A', A'', B, B' at ``x`` (scalar or array).
 
     Derivatives are exact closed forms.  B and B' are built from the same
     A-values, so ``b == gamma*a + beta*a1`` holds bit-for-bit.
+
+    Array calls are memoized for the last (profile, grid), matched by exact
+    bits, so the returned arrays are read-only and one grid's five arrays
+    stay in memory until the next array call (about 0.3 MB at 6000 points).
 
     Raises
     ------
@@ -171,6 +180,27 @@ def evaluate_profile(profile: Profile, x) -> ProfileValues:
     OverflowError
         for a CoshProfile with |x| beyond the hyperbolic overflow threshold.
     """
+    if not np.ndim(x) or not isinstance(profile, (CoshProfile, CothProfile)):
+        return _profile_values(profile, x)
+    global _last_profile
+    x = np.asarray(x, dtype=float)
+    key = _profile_key(profile, x)
+    last_key, values = _last_profile
+    if last_key == key:
+        return values
+    values = _profile_values(profile, x)
+    for arr in (values.a, values.a1, values.a2, values.b, values.b1):
+        arr.flags.writeable = False
+    _last_profile = (key, values)
+    return values
+
+
+def _profile_key(profile: Profile, x: np.ndarray) -> tuple:
+    fields = np.array(list(vars(profile).values()), dtype=float)
+    return type(profile), fields.tobytes(), x.shape, x.tobytes()
+
+
+def _profile_values(profile: Profile, x) -> ProfileValues:
     x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
     if isinstance(profile, CoshProfile):
         if np.any(np.abs(x) > HYPERBOLIC_LIMIT):

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from pdmdirac import Grid, ModelParams, cli, rm2_solve_from_params, susy
+from pdmdirac import Grid, ModelParams, cli, model, rm2_solve_from_params, susy
 from pdmdirac.cli import main
 
 
@@ -347,6 +347,20 @@ def test_verify_fails_when_the_ladder_is_wrong(monkeypatch, capsys):
     failed = {row["name"] for row in json.loads(out)["rows"] if not row["passed"]}
     assert failed == {"criterion 1: Rosen-Morse ladder vs eigensolver, worst error/tol",
                       "criterion 2: Poschl-Teller ladder vs eigensolver, worst error/tol"}
+
+
+def test_verify_bits_do_not_depend_on_the_profile_memo(monkeypatch, capsys):
+    # only the wall-clock values of the "seconds" checks may differ
+    def lines():
+        code, out, _ = run_cli(["verify", "--suite", "all"], capsys)
+        assert code == 0
+        return [re.sub(r"(: seconds .*\(value )[^,]+", r"\1*", line)
+                for line in out.splitlines()]
+
+    memoized = lines()
+    assert sum("(value *," in line for line in memoized) == 3
+    monkeypatch.setattr(model, "_profile_key", lambda profile, x: object())
+    assert lines() == memoized
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdmdirac import (BetaMode, CoshProfile, CothProfile, ModelParams,
-                      derived_constants, evaluate_profile,
-                      m1_linear_constraint, profile_from_params, sigma_of)
+from pdmdirac import (BetaMode, CoshProfile, CothProfile, Grid, ModelParams,
+                      cancellation_residual, complete_potential,
+                      derived_constants, dirac_profiles,
+                      effective_potential_ansatz, effective_potential_general,
+                      evaluate_profile, hermitian_coeffs, m1_linear_constraint,
+                      model, nonhermitian_coeffs, profile_from_params,
+                      rho_weight, schrodinger_potential, sigma_of)
 from pdmdirac.errors import DomainError
 from pdmdirac.susy import square
 
@@ -174,3 +178,103 @@ def test_square_matches_python_pow_bit_for_bit():
     differ = np.flatnonzero(got.view(np.int64) != expected.view(np.int64))
     assert differ.size == 0, f"{differ.size} squares differ, first at x = {x[differ[0]]!r}"
     assert square(-3.0) == 9.0 and isinstance(square(-3.0), float)
+
+
+FIELDS = ("a", "a1", "a2", "b", "b1")
+
+
+def assert_same_bits(got, want):
+    for name in FIELDS:
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    monkeypatch.setattr(model, "_last_profile", (None, None))
+
+
+_GRID = np.linspace(0.0, 2.0, 10)
+_POSITIVE = np.linspace(0.5, 2.5, 10)
+
+
+def _with(x, i, value):
+    x = x.copy()
+    x[i] = value
+    return x
+
+
+@pytest.mark.parametrize("first, second", [
+    ((CoshProfile(delta=1.0, gamma=0.2, beta=0.3), _GRID),
+     (CoshProfile(delta=1.0, gamma=0.2, beta=0.3), _with(_GRID, 0, -0.0))),
+    ((CoshProfile(delta=1.0, gamma=0.2, beta=0.3), _GRID),
+     (CoshProfile(delta=1.0, gamma=0.2, beta=0.3), _with(_GRID, 3, np.nan))),
+    ((CoshProfile(delta=1.0, gamma=0.2, beta=0.3), _GRID),
+     (CoshProfile(delta=1.0, gamma=0.2, beta=0.3), _GRID.reshape(2, -1))),
+    # gamma*A is -0.0 here, so the sign of beta's zero decides the sign of B
+    ((CoshProfile(delta=1.0, gamma=-0.0, beta=0.0), _POSITIVE),
+     (CoshProfile(delta=1.0, gamma=-0.0, beta=-0.0), _POSITIVE)),
+    ((CoshProfile(delta=1.0, gamma=0.2, beta=0.3), _POSITIVE),
+     (CothProfile(delta=1.0, gamma=0.2, beta=0.3), _POSITIVE)),
+], ids=["negative-zero-x", "nan-x", "reshape", "negative-zero-beta", "other-class"])
+def test_profile_memo_misses_on_any_other_bits(first, second, empty_memo):
+    stored = evaluate_profile(*first)
+    got = evaluate_profile(*second)
+    assert got is not stored
+    assert_same_bits(got, model._profile_values(*second))
+
+
+def test_profile_memo_hit_is_read_only_and_survives_a_raising_call(empty_memo):
+    prof = CothProfile(delta=1.5, c=0.8, gamma=0.2, beta=0.6)
+    stored = evaluate_profile(prof, _POSITIVE)
+    assert evaluate_profile(prof, _POSITIVE.copy()) is stored
+    assert_same_bits(stored, model._profile_values(prof, _POSITIVE))
+    for name in FIELDS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(stored, name)[0] = 1.0
+    with pytest.raises(DomainError):
+        evaluate_profile(prof, _with(_POSITIVE, 0, 0.0))
+    with pytest.raises(OverflowError):
+        evaluate_profile(CoshProfile(), _with(_POSITIVE, 0, 800.0))
+    assert evaluate_profile(prof, _POSITIVE) is stored
+
+
+def _chain(params, family, grid, e_ref=1.2, epsilon=0.3):
+    """One family's hermitization and Dirac chain: 26 profile evaluations."""
+    prof = profile_from_params(params, family)
+    x = grid.points
+    for coeffs in (nonhermitian_coeffs(params, prof), hermitian_coeffs(params, prof)):
+        coeffs.c2(x), coeffs.c1(x), coeffs.c0(x)
+    rho_weight(params, prof, x)
+    schrodinger_potential(params, prof, epsilon, x, form="generic")
+    schrodinger_potential(params, prof, epsilon, x, form="ansatz")
+    mass, v_r = dirac_profiles(params, prof, e_ref)
+    pot = complete_potential(mass, v_r.v, v_r.dv, e_ref)
+    pot.v_i(x)
+    cancellation_residual(mass, v_r, pot.v_i, e_ref, x)
+    effective_potential_general(mass, v_r, e_ref, x)
+    effective_potential_ansatz(params, prof, e_ref, x)
+
+
+def test_one_profile_computation_per_family_and_grid(monkeypatch, empty_memo):
+    computed = []
+    values = model._profile_values
+
+    def spy(profile, x):
+        computed.append(profile)
+        return values(profile, x)
+
+    monkeypatch.setattr(model, "_profile_values", spy)
+    cosh = ModelParams(omega=3.0, alpha=0.5, gamma=0.5, beta=-0.9, m1=0.35, m2=0.5)
+    coth = ModelParams(omega=3.0, alpha=0.5, gamma=3.5, beta=-0.5, m1=0.3, m2=2.0)
+    line, half = Grid(-15.0, 15.0, 6000), Grid(1e-3, 20.0, 6000)
+    _chain(cosh, "cosh", line)
+    assert len(computed) == 1
+    _chain(coth, "coth", half)
+    assert len(computed) == 2
+    _chain(cosh, "cosh", Grid(-14.0, 14.0, 6000))
+    assert len(computed) == 3
+    # with every lookup a miss, the same chain evaluates the profile 26 times
+    monkeypatch.setattr(model, "_profile_key", lambda profile, x: object())
+    _chain(cosh, "cosh", line)
+    assert len(computed) == 3 + 26
