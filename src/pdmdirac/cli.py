@@ -395,11 +395,6 @@ def cmd_wavefunction(ns: dict) -> int:
     if spin is not None:
         cols.append("spinor")
         samples.append(spin.samples)
-    finite = np.isfinite(samples).all(axis=0)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise OverflowError(f"non-finite wavefunction sample at x = "
-                            f"{float(grid.points[i])!r} (node {i})")
     fields = list(zip(*(s.tolist() for s in samples)))
     if ns["format"] == "json":
         text = _emit(ns, _meta(ns, "wavefunction"), cols,

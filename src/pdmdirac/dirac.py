@@ -106,6 +106,15 @@ def dirac_profiles(params: ModelParams, profile: Profile,
     return MassProfile(m=m, dm=dm), RealPotential(v=v, dv=dv, d2v=d2v)
 
 
+def _pole_gap(e_ref: float, vr, x):
+    """E - V_R at x, refusing the points where it is zero."""
+    gap = e_ref - vr
+    if np.any(gap == 0.0):
+        bad = np.asarray(x)[gap == 0.0] if np.ndim(x) else x
+        raise PoleError(f"E = V_R at x = {bad}")
+    return gap
+
+
 def complete_potential(mass: MassProfile, v_r: Callable, v_r1: Callable,
                        e_ref: float) -> DiracPotential:
     """Attach the imaginary part V_I = M'/(2M) + V_R'/(2(E - V_R)).
@@ -118,10 +127,7 @@ def complete_potential(mass: MassProfile, v_r: Callable, v_r1: Callable,
         mx = np.asarray(mass.m(x))
         if np.any(mx == 0.0):
             raise SingularityError("M(x) = 0 inside the imaginary part")
-        gap = e_ref - np.asarray(v_r(x))
-        if np.any(gap == 0.0):
-            bad = np.asarray(x)[np.asarray(gap) == 0.0] if np.ndim(x) else x
-            raise PoleError(f"E = V_R at x = {bad}")
+        gap = _pole_gap(e_ref, np.asarray(v_r(x)), x)
         return np.asarray(mass.dm(x)) / (2.0 * mx) + np.asarray(v_r1(x)) / (2.0 * gap)
 
     return DiracPotential(v_r=v_r, v_i=v_i)
@@ -143,10 +149,7 @@ def effective_potential_general(mass: MassProfile, pot: RealPotential,
                                 e_ref: float, x):
     """V_eff from (M, V_R, E) directly; poles at E = V_R are refused."""
     vr = np.asarray(pot.v(x))
-    gap = e_ref - vr
-    if np.any(gap == 0.0):
-        bad = np.asarray(x)[gap == 0.0] if np.ndim(x) else x
-        raise PoleError(f"E = V_R at x = {bad}")
+    gap = _pole_gap(e_ref, vr, x)
     mx = np.asarray(mass.m(x))
     dvr = np.asarray(pot.dv(x))
     return (-vr * vr + mx * mx + 2.0 * e_ref * vr

@@ -82,12 +82,9 @@ class EigenResult:
 
 
 def _sample(potential, pts: np.ndarray) -> np.ndarray:
-    try:
-        v = np.asarray(potential(pts), dtype=float)
-        if v.shape != pts.shape:
-            raise TypeError
-    except TypeError:
-        v = np.array([float(potential(x)) for x in pts])
+    v = np.asarray(potential(pts), dtype=float)
+    if v.shape != pts.shape:
+        raise ValueError(f"potential returned shape {v.shape}, not the nodes' {pts.shape}")
     return v
 
 
@@ -98,31 +95,26 @@ def _pivmin(esq: float) -> float:
 
 
 def _sturm_counts(rows: list[float], esq: float, shifts: np.ndarray,
-                  caps: np.ndarray | None = None,
-                  suffix_min: np.ndarray | None = None) -> np.ndarray:
-    """Number of eigenvalues strictly below each shift (LDL^T sign count).
+                  caps: np.ndarray, suffix_min: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues strictly below each shift (LDL^T sign count),
+    each capped.
 
-    ``rows`` is the diagonal as Python floats.  With ``caps`` (each at
-    least 1) a shift's row loop stops once its count reaches its cap, and
-    the count returned is min(full count, cap).  With ``suffix_min``, the
-    smallest diagonal entry from each row to the last, a shift's loop also
-    stops in the right tail where every row has d - s >= 2b, with
-    b = max(|e|, pivmin), once a pivot reaches b: each later pivot is then
-    d - s - e^2/q >= 2b - b, so no later row can add to the count.
+    ``rows`` is the diagonal as Python floats.  A shift's row loop stops
+    once its count reaches its cap (each at least 1), and the count
+    returned is min(full count, cap).  ``suffix_min`` is the smallest
+    diagonal entry from each row to the last: a shift's loop also stops in
+    the right tail where every row has d - s >= 2b, with
+    b = max(|e|, pivmin), once a pivot reaches b, since each later pivot is
+    then d - s - e^2/q >= 2b - b and no later row can add to the count.
     """
     pivmin = _pivmin(esq)
-    n = len(rows)
-    caps = [n] * len(shifts) if caps is None else caps.tolist()
     bound = max(math.sqrt(esq), pivmin)
-    if suffix_min is None:
-        tails = [n] * len(shifts)
-    else:
-        # the 1e-9 margin dwarfs the round-off of d - s, of e^2 / q and of
-        # the threshold itself; a NaN shift sorts past the last row
-        margin = 2.0 * bound + 1e-9 * (bound + np.abs(shifts))
-        tails = np.searchsorted(suffix_min, shifts + margin).tolist()
+    # the 1e-9 margin dwarfs the round-off of d - s, of e^2 / q and of the
+    # threshold itself; a NaN shift sorts past the last row
+    margin = 2.0 * bound + 1e-9 * (bound + np.abs(shifts))
+    tails = np.searchsorted(suffix_min, shifts + margin).tolist()
     counts = []
-    for s, cap, tail in zip(shifts.tolist(), caps, tails):
+    for s, cap, tail in zip(shifts.tolist(), caps.tolist(), tails):
         q = math.inf  # first row: esq / inf is 0.0, so q = d - s exactly
         count = 0
         rest = iter(rows)
@@ -278,7 +270,8 @@ def discretize_and_solve(potential, grid: Grid, k: int,
     Parameters
     ----------
     potential : callable
-        Evaluator of V(x); must be finite at every interior node.
+        Evaluator of V(x): maps the array of interior nodes to an array of
+        the same shape, finite at every node.
     k : int
         Number of eigenvalues requested (k <= n_points).
 
@@ -442,6 +435,7 @@ def ode_residual(potential, e_bar: float, samples, grid: Grid,
                  skip: int = 0) -> float:
     """|| -D4 phi + V phi - Ebar phi ||_2 / || phi ||_2 on the trimmed interior.
 
+    ``potential`` maps the array of nodes to an array of the same shape.
     The 4th-order stencil drops two points per side; ``skip`` trims that many
     further points per side (used near non-smooth potential walls, where the
     formal order of the stencil collapses).

@@ -1,13 +1,11 @@
 import csv
-import dataclasses
 import io
 import json
-import math
 import re
 
 import pytest
 
-from pdmdirac import Grid, ModelParams, cli, model, rm2_solve_from_params, susy
+from pdmdirac import ModelParams, cli, model, rm2_solve_from_params, susy
 from pdmdirac.cli import main
 
 
@@ -221,30 +219,15 @@ def test_wavefunction_grid_points_below_floor_is_config_error(points, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_wavefunction_refuses_nonfinite_samples(capsys, monkeypatch):
-    # the far-field Poschl-Teller state overflows to NaN
+def test_wavefunction_refuses_nonfinite_samples(capsys):
+    # the far-field Poschl-Teller state overflows to NaN; numerics.normalize
+    # refuses it and names the node (tests/test_wavefunctions.py pins that)
     code, out, err = run_cli(["wavefunction", "--sp-a", "9", "--sp-b", "1.5",
                               "--c", "1", "--level", "1", "--x-max", "400",
                               "--grid-points", "4000"], capsys)
     assert code == 3
     assert out == ""
     assert "non-finite" in err and "x = " in err
-    # the message names the first non-finite node
-    real = cli.rm2_wavefunction
-
-    def poisoned(*args, **kwargs):
-        state = real(*args, **kwargs)
-        samples = state.samples.copy()
-        samples[[5, 9]] = math.inf
-        return dataclasses.replace(state, samples=samples)
-
-    monkeypatch.setattr(cli, "rm2_wavefunction", poisoned)
-    code, out, err = run_cli(["wavefunction", "--v1", "12", "--v2", "1",
-                              "--grid-points", "64", "--x-min", "-8",
-                              "--x-max", "8"], capsys)
-    assert code == 3
-    assert out == ""
-    assert f"x = {float(Grid(-8.0, 8.0, 64).points[5])!r} (node 5)" in err
 
 
 def test_config_file_merge_and_override(tmp_path, capsys):

@@ -118,6 +118,16 @@ def test_nonfinite_potential_reports_location():
         discretize_and_solve(pot, g, 1)
 
 
+def test_potential_must_return_an_array_of_the_nodes_shape():
+    # a scalar, or any other shape, was once sampled node by node instead
+    g = Grid(0.0, 1.0, 99)
+    with pytest.raises(ValueError, match=r"returned shape \(\), not the nodes' \(99,\)"):
+        discretize_and_solve(lambda x: 5.0, g, 1)
+    samples = np.sin(np.pi * g.points)
+    with pytest.raises(ValueError, match=r"returned shape \(\), not the nodes' \(95,\)"):
+        ode_residual(lambda x: 5.0, 0.0, samples, g)
+
+
 def test_grid_step_too_small_for_the_matrix_is_refused():
     # h^2 underflowed to 0.0 and the solve divided by it
     with pytest.raises(ValueError, match="grid step 9.901e-163 is below 1e-75"):
@@ -357,14 +367,20 @@ def test_sturm_counts_match_dense_eigenvalues():
         shifts = np.concatenate((rng.uniform(lams[0] - 1.0, lams[-1] + 1.0, 30),
                                  diag))
         expected = [int(np.sum(lams < s)) for s in shifts]
-        assert _sturm_counts(diag.tolist(), e * e, shifts).tolist() == expected
+        # a cap of n never stops a count early
+        caps = np.full(shifts.size, n)
+        suffix_min = np.minimum.accumulate(diag[::-1])[::-1]
+        assert (_sturm_counts(diag.tolist(), e * e, shifts, caps, suffix_min).tolist()
+                == expected)
     # constant diagonal 1, e = -1, shift 0: the second pivot is 1 - 1/1 = 0.0
     diag = np.ones(n)
     t = np.diag(diag) - np.eye(n, k=1) - np.eye(n, k=-1)
     lams = np.linalg.eigvalsh(t)
     shifts = np.array([0.0, 1.0, 2.0, -0.5])
     expected = [int(np.sum(lams < s)) for s in shifts]
-    assert _sturm_counts(diag.tolist(), 1.0, shifts).tolist() == expected
+    # on a constant diagonal the suffix minimum is the diagonal itself
+    assert (_sturm_counts(diag.tolist(), 1.0, shifts, np.full(shifts.size, n), diag).tolist()
+            == expected)
 
 
 def _sturm_counts_reference(diag, esq, shifts):
@@ -388,21 +404,18 @@ def _sturm_counts_reference(diag, esq, shifts):
 
 
 def _assert_counts_match_reference(diag, esq, shifts):
-    # every cap, with and without the exit in the right tail, gives the
-    # reference loop's count
+    # every cap, with the exit in the right tail, gives the reference loop's
+    # count, stopped at the cap; a cap of n never stops a count early
     from pdmdirac.numerics import _sturm_counts
 
     rows = np.array(diag, dtype=float).tolist()
     shifts = np.array(shifts, dtype=float)
     suffix_min = np.minimum.accumulate(np.array(rows)[::-1])[::-1]
     full = _sturm_counts_reference(rows, esq, shifts.tolist())
-    for tails in (None, suffix_min):
-        assert _sturm_counts(rows, esq, shifts, None, tails).tolist() == full
-        # a capped count stops at its cap
-        for cap in (1, 2, len(rows)):
-            caps = np.full(shifts.size, cap)
-            assert (_sturm_counts(rows, esq, shifts, caps, tails).tolist()
-                    == [min(c, cap) for c in full])
+    for cap in (1, 2, len(rows)):
+        caps = np.full(shifts.size, cap)
+        assert (_sturm_counts(rows, esq, shifts, caps, suffix_min).tolist()
+                == [min(c, cap) for c in full])
 
 
 def test_sturm_counts_match_reference_loop_on_every_pivot_class():
@@ -453,8 +466,8 @@ class _RowsRead(list):
 def test_sturm_counts_stop_in_the_forbidden_tail(solve, coeffs, domain, share):
     # where V > s on every later node, a pivot of at least |e| stays so, and
     # the count is final: on the oracle problems the counts at 50 shifts
-    # across the lowest levels are unchanged, and they read 0.86 (whole
-    # line) and 0.35 (half line) of the rows
+    # across the lowest levels are the reference loop's, and they read 0.86
+    # (whole line) and 0.35 (half line) of the rows
     from pdmdirac.numerics import _sturm_counts
 
     w = solve(*coeffs, n_max=2).w
@@ -463,12 +476,12 @@ def test_sturm_counts_stop_in_the_forbidden_tail(solve, coeffs, domain, share):
     diag = 2.0 / h ** 2 + partner_potentials(w, grid.points).v_minus
     suffix_min = np.minimum.accumulate(diag[::-1])[::-1]
     shifts = np.linspace(-1.0, 60.0, 50)
-    full, tail = _RowsRead(diag.tolist()), _RowsRead(diag.tolist())
+    tail = _RowsRead(diag.tolist())
     esq = h ** -4
-    assert (_sturm_counts(tail, esq, shifts, None, suffix_min).tolist()
-            == _sturm_counts(full, esq, shifts).tolist())
-    assert full.read == 50 * 6000
-    assert tail.read < share * full.read
+    caps = np.full(shifts.size, 6000)
+    assert (_sturm_counts(tail, esq, shifts, caps, suffix_min).tolist()
+            == _sturm_counts_reference(diag.tolist(), esq, shifts.tolist()))
+    assert tail.read < share * 50 * 6000
 
 
 def test_eigenvalues_only_bits_are_pinned():
