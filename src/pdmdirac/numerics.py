@@ -374,13 +374,17 @@ def normalize(samples: np.ndarray, grid: Grid) -> np.ndarray:
     """Interior samples scaled to unit trapezoid norm, largest sample positive.
 
     Refuses non-finite samples (OverflowError) and a state that vanished on
-    the grid (ValueError).
+    the grid (ValueError).  A peak outside [1e-150, 1e150], whose square
+    would overflow or underflow, is divided out first.
     """
     bad = np.flatnonzero(~np.isfinite(samples))
     if bad.size:
         i = int(bad[0])
         raise OverflowError(f"non-finite wavefunction sample at "
                             f"x = {float(grid.points[i])!r} (node {i})")
+    peak = float(np.max(np.abs(samples)))
+    if peak > 0.0 and not 1e-150 <= peak <= 1e150:
+        samples = samples / peak
     norm = math.sqrt(float(np.sum(grid.weights * samples * samples)))
     if norm == 0.0:
         raise ValueError("state vanished on the grid; cannot normalize")

@@ -291,23 +291,32 @@ def _whole_line_window() -> list[Check]:
 
     Caption-literal constants: n = 3, alpha = 2, omega = 3, gamma = 0.1, beta = 6.
     """
+    omega, alpha, gamma, beta = 3.0, 2.0, 0.1, 6.0
     claims = {4.2145: 0.0565786, 5.6142: 0.0310165}
     claim_err = 0.0
     for m2, expected in claims.items():
-        params = ModelParams(omega=3.0, alpha=2.0, gamma=0.1, beta=6.0, m2=m2)
+        params = ModelParams(omega=omega, alpha=alpha, gamma=gamma, beta=beta, m2=m2)
         lv = susy.rm2_solve_from_params(params, n_max=3).spectrum.levels[3]
         claim_err = max(claim_err, abs(abs(lv.e_rel.imag) - expected))
     window = []
     flags_consistent = True
     for m2 in np.linspace(4.0, 6.0, 201):
-        params = ModelParams(omega=3.0, alpha=2.0, gamma=0.1, beta=6.0, m2=m2)
-        sol = susy.rm2_solve_from_params(params, n_max=3)
-        lv = sol.spectrum.levels[3]
+        params = ModelParams(omega=omega, alpha=alpha, gamma=gamma, beta=beta, m2=m2)
+        lv = susy.rm2_solve_from_params(params, n_max=3).spectrum.levels[3]
         window.append(not lv.is_real)
-        # the reality flag mirrors the explicit inequality conditions
-        disc_ok = 1.0 + 4.0 * sol.coeffs.v1 > 0.0
-        rad = susy.rm2_level_radicand(sol.coeffs.v0, sol.coeffs.v2, sol.w.c2, 3)
-        flags_consistent &= disc_ok and (lv.is_real == (rad >= 0.0))
+        # the reality flag against the level-3 radicand V0 + S^2 - V2^2/(4 S^2),
+        # S = C2 - 3, written out here from the model constants apart from susy;
+        # a radicand within round-off of zero may carry either flag
+        sigma = (omega ** 2 + 4.0 * alpha ** 2) / omega ** 2
+        v0 = omega / 2.0 + gamma ** 2 * sigma + 0.25 + ((sigma * beta - 1.0) / m2) ** 2
+        v1 = (omega / 2.0 - gamma ** 2 * (m2 ** 2 - sigma) - 0.25
+              + (sigma * beta - 1.0) ** 2 / m2 ** 2)
+        v2 = 2.0 * gamma * (sigma * beta - 1.0)
+        disc = 1.0 + 4.0 * v1
+        s = (math.sqrt(max(disc, 0.0)) - 1.0) / 2.0 - 3.0
+        rad = v0 + s ** 2 - v2 ** 2 / (4.0 * s ** 2)
+        near_zero = abs(rad) <= 1e-12 * (1.0 + abs(v0))
+        flags_consistent &= disc > 0.0 and (near_zero or lv.is_real == (rad > 0.0))
     return [Check("criterion 8: |Im E_3| at the window ends against the paper",
                   claim_err, 1e-3),
             _holds("criterion 8: imaginary window inside m2 in [4, 6]",

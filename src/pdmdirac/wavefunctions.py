@@ -254,6 +254,8 @@ def gpt_wavefunction(n: int, a: float, b: float, c: float, grid: Grid,
     With model constants ``spinor``, the state is multiplied by sqrt(M(x)),
     M = m2 g - 2c (m1 + b m2) csch(2cx); M must stay positive on the grid.
     """
+    if not c > 0.0:
+        raise ValueError(f"c must be positive, got {c}")
     if np.any(grid.points <= 0.0):
         raise DomainError("grid must lie in x > 0")
     if not gpt_admissible(n, a, b, c):

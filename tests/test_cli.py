@@ -188,6 +188,49 @@ def test_sweep_direct_gpt_mode_moves_with_swept_key(capsys):
     assert float(rows[0]["e_re"]) < float(rows[1]["e_re"])
 
 
+EXAMPLE_1 = ["--omega", "3", "--alpha", "0.5", "--gamma", "0.5", "--beta=-0.9",
+             "--m1", "0.35", "--m2", "0.5"]
+EXAMPLE_2 = ["--omega", "3", "--alpha", "0.5", "--gamma", "3.5", "--beta=-0.5",
+             "--m1", "0.3", "--m2", "2", "--c", "1"]
+
+
+@pytest.mark.parametrize("spinor", [False, True], ids=["plain", "spinor"])
+@pytest.mark.parametrize("example", [1, 2])
+def test_wavefunction_example_matches_direct_coefficients(example, spinor, capsys):
+    # --example N passes the well coefficients of the model constants on;
+    # the direct run gets them as repr floats, so the bytes must agree
+    if example == 1:
+        model_flags = EXAMPLE_1
+        co = susy.rm2_coefficients_from_params(
+            ModelParams(omega=3.0, alpha=0.5, gamma=0.5, beta=-0.9, m1=0.35, m2=0.5))
+        direct = [f"--v1={co.v1!r}", f"--v2={co.v2!r}"]
+    else:
+        model_flags = EXAMPLE_2
+        a, b = susy.gpt_params_ab(
+            ModelParams(omega=3.0, alpha=0.5, gamma=3.5, beta=-0.5, m1=0.3, m2=2.0, c=1.0))
+        direct = [f"--sp-a={a!r}", f"--sp-b={b!r}", "--c", "1"]
+    common = ["--level", "1", "--grid-points", "400"]
+    if spinor:
+        direct += model_flags
+        common.append("--with-spinor")
+    code, out, err = run_cli(["wavefunction", "--example", str(example), *model_flags,
+                              *common], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("x,phi,spinor\n" if spinor else "x,phi\n")
+    assert out.count("\n") == 401
+    assert run_cli(["wavefunction", *direct, *common], capsys) == (0, out, "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--example", "1", *EXAMPLE_1, "--param", "m2", "--from", "1",
+      "--to", "2", "--steps", "1"], "--steps must be at least 2"),
+    (["wavefunction", "--v1", "12", "--sp-a", "9", "--level", "0"],
+     "give either --v0/--v1/--v2 or --sp-a/--sp-b, not both"),
+], ids=["one-step", "both-families"])
+def test_config_error_exits_1(argv, message, capsys):
+    assert run_cli(argv, capsys) == (1, "", f"error: {message}\n")
+
+
 def test_wavefunction_with_spinor_columns(capsys):
     code, out, _ = run_cli(["wavefunction", "--v1", "12", "--v2", "1",
                             "--level", "1", "--grid-points", "64",

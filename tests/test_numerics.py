@@ -119,7 +119,7 @@ def test_nonfinite_potential_reports_location():
 
 
 def test_potential_must_return_an_array_of_the_nodes_shape():
-    # a scalar, or any other shape, was once sampled node by node instead
+    # the potential is sampled in one call; a scalar is not taken node by node
     g = Grid(0.0, 1.0, 99)
     with pytest.raises(ValueError, match=r"returned shape \(\), not the nodes' \(99,\)"):
         discretize_and_solve(lambda x: 5.0, g, 1)
@@ -205,6 +205,21 @@ def test_normalize_refuses_a_vanished_state():
     g = Grid(-1.0, 1.0, 64)
     with pytest.raises(ValueError, match="state vanished on the grid"):
         normalize(np.zeros(g.n_points), g)
+
+
+def test_normalize_divides_out_a_peak_whose_square_leaves_the_float_range():
+    # 1e-170 squared underflows to 0.0: the state was refused as vanished
+    g = Grid(0.0, 1.0, 100)
+    unit = normalize(np.full(100, 1e-170), g)
+    assert np.allclose(unit, 1.0 / math.sqrt(100 * g.step), rtol=1e-15, atol=0.0)
+    # 1e200 squared overflows: the state normalized to zeros
+    samples = np.sin(np.pi * g.points)
+    assert np.allclose(normalize(1e200 * samples, g), normalize(samples, g),
+                       rtol=1e-14, atol=0.0)
+    # a non-finite sample is still refused, however large the others
+    samples[7] = math.inf
+    with pytest.raises(OverflowError, match=r"\(node 7\)"):
+        normalize(1e200 * samples, g)
 
 
 def test_count_nodes_cases():

@@ -252,6 +252,16 @@ def test_ladder_state_n0_is_ground_state():
     assert np.max(np.abs(ratio / ratio[1000] - 1.0)) < 1e-12
 
 
+def test_ladder_state_with_a_huge_raw_peak():
+    # the raw ground state peaks at 3.7e156, whose square overflows: it
+    # normalized to 4000 zeros; V1 = C2 (C2 + 1) and V2 = 2 C1 C2 name the
+    # same well for the closed form
+    grid = Grid(-1.0, 1.18, 4000)
+    lad = ladder_state(RosenMorseSuperpotential(c1=-599.0, c2=600.0), 0, grid)
+    closed = rm2_wavefunction(0, 360600.0, -718800.0, grid).samples
+    assert np.max(np.abs(lad - closed)) < 1e-10
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_ladder_state_overlap_rm2(n):
     v1, v2 = 20.0, -3.0

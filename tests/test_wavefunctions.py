@@ -133,6 +133,14 @@ def test_gpt_inadmissible_level_rejected():
         gpt_wavefunction(2, 5.0, 1.5, 1.0, grid)
 
 
+@pytest.mark.parametrize("c", [0.0, -1.0])
+def test_gpt_nonpositive_c_rejected(c):
+    # c = 0 raised a bare ZeroDivisionError from the admissibility test
+    grid = Grid(1e-3, 20.0, 1000)
+    with pytest.raises(ValueError, match=f"c must be positive, got {c}"):
+        gpt_wavefunction(0, 5.0, 1.5, c, grid)
+
+
 @pytest.mark.parametrize("v1, v2, levels", [(12.0, 1.0, (0, 1, 2)),
                                             (20.0, -3.0, (0, 1, 2))])
 def test_rm2_ode_residual(v1, v2, levels):
