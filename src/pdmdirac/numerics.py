@@ -15,7 +15,10 @@ two keep it, so their pivot sweeps stop at the twist: n - 1 rows instead of
 2n.  Since these converge cubically, the eigenvector path
 stops bisecting at 1e-7 of the matrix scale once every interval provably
 holds its one eigenvalue with no other within one interval width;
-otherwise, and always without eigenvectors, it bisects to 1e-13.  The
+otherwise, and always without eigenvectors, it bisects to 1e-13.  A
+Rayleigh quotient that leaves its interval makes the solve bisect on from
+the intervals it stopped at, down to 1e-13; bisection keeps no other
+state, so those intervals are the ones a full bisection ends with.  The
 vectors of levels closer than 1e-6 of the scale are orthogonalized within
 their cluster.  Everything here is deterministic and independent of the
 closed-form machinery it is used to check.
@@ -25,6 +28,9 @@ twisted factorization) loop over Python floats, not numpy arrays: each row
 depends on the one before, and a numpy call per row costs far more than the
 row's few flops.  A pivot sweep runs as one list comprehension, and falls
 back to the guarded loop only when a pivot lands inside the guard band.
+Each solve lays T out once (``_tridiagonal``): the diagonal as floats, the
+squared coupling, the pivot floor, the suffix minimum and the Gershgorin
+ends, which also give the one matrix scale.
 """
 
 from __future__ import annotations
@@ -72,7 +78,7 @@ class Grid:
     @property
     def weights(self) -> np.ndarray:
         """Trapezoid weights of the interior nodes (Dirichlet zeros at the ends)."""
-        return np.full(self.n_points, self.step)
+        return quadrature_weights(self.n_points + 2, self.step)[1:-1]
 
 
 @dataclass(frozen=True)
@@ -88,36 +94,56 @@ def _sample(potential, pts: np.ndarray) -> np.ndarray:
     return v
 
 
-def _pivmin(esq: float) -> float:
-    # pivot floor only guards esq/q against overflow; it must stay far below
-    # any physically meaningful pivot so counts are never perturbed
-    return max(esq * 1e-292, 1e-300)
+@dataclass(frozen=True)
+class _Tridiagonal:
+    """Symmetric tridiagonal T laid out for the row sweeps: the diagonal as
+    an array and as Python floats (``rows``), the constant coupling ``e`` and
+    its square, the pivot floor, the smallest diagonal entry from each row
+    to the last, and the Gershgorin ends ``lo`` and ``hi`` of the spectrum.
+    """
+
+    diag: np.ndarray
+    rows: list[float]
+    e: float
+    esq: float
+    pivmin: float
+    suffix_min: np.ndarray
+    lo: float
+    hi: float
 
 
-def _sturm_counts(rows: list[float], esq: float, shifts: np.ndarray,
-                  caps: np.ndarray, suffix_min: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues strictly below each shift (LDL^T sign count),
-    each capped.
+def _tridiagonal(diag: np.ndarray, e: float) -> _Tridiagonal:
+    esq = e * e
+    radius = 2.0 * abs(e)
+    # the pivot floor only guards esq/q against overflow; it must stay far
+    # below any physically meaningful pivot so counts are never perturbed
+    return _Tridiagonal(diag=diag, rows=diag.tolist(), e=e, esq=esq,
+                        pivmin=max(esq * 1e-292, 1e-300),
+                        suffix_min=np.minimum.accumulate(diag[::-1])[::-1],
+                        lo=float(np.min(diag)) - radius, hi=float(np.max(diag)) + radius)
 
-    ``rows`` is the diagonal as Python floats.  A shift's row loop stops
-    once its count reaches its cap (each at least 1), and the count
-    returned is min(full count, cap).  ``suffix_min`` is the smallest
-    diagonal entry from each row to the last: a shift's loop also stops in
+
+def _sturm_counts(t: _Tridiagonal, shifts: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues of T strictly below each shift (LDL^T sign
+    count), each capped.
+
+    A shift's row loop stops once its count reaches its cap (each at least
+    1), and the count returned is min(full count, cap).  It also stops in
     the right tail where every row has d - s >= 2b, with
     b = max(|e|, pivmin), once a pivot reaches b, since each later pivot is
     then d - s - e^2/q >= 2b - b and no later row can add to the count.
     """
-    pivmin = _pivmin(esq)
+    esq, pivmin = t.esq, t.pivmin
     bound = max(math.sqrt(esq), pivmin)
     # the 1e-9 margin dwarfs the round-off of d - s, of e^2 / q and of the
     # threshold itself; a NaN shift sorts past the last row
     margin = 2.0 * bound + 1e-9 * (bound + np.abs(shifts))
-    tails = np.searchsorted(suffix_min, shifts + margin).tolist()
+    tails = np.searchsorted(t.suffix_min, shifts + margin).tolist()
     counts = []
     for s, cap, tail in zip(shifts.tolist(), caps.tolist(), tails):
         q = math.inf  # first row: esq / inf is 0.0, so q = d - s exactly
         count = 0
-        rest = iter(rows)
+        rest = iter(t.rows)
         for d in islice(rest, tail):
             q = d - s - esq / q
             # below pivmin counts as negative; inside (-pivmin, pivmin) the
@@ -172,7 +198,7 @@ def _pivot_sweep(rows: list[float], shift: float, esq: float,
     return np.array(out)
 
 
-def _twisted_vector(diag: np.ndarray, rows: list[float], e: float, shift: float,
+def _twisted_vector(t: _Tridiagonal, shift: float,
                     r: int | None = None) -> tuple[np.ndarray, int]:
     """Eigenvector of T for the eigenvalue nearest shift, unnormalized, and
     its twist index.
@@ -184,46 +210,45 @@ def _twisted_vector(diag: np.ndarray, rows: list[float], e: float, shift: float,
     |gamma_r| = |D+_r + D-_r - (d_r - shift)|.  Any twist near the vector's
     peak gives a small residual, so a given ``r`` is kept: D+ then runs over
     the rows before it and D- over the rows after it, n - 1 rows in all.
-    ``rows`` is ``diag`` as Python floats.  Pivots get the Sturm count's
-    guard, so no division is by zero.
+    Pivots get the Sturm count's guard, so no division is by zero.
     """
-    esq = e * e
-    pivmin = _pivmin(esq)
+    rows, esq, pivmin = t.rows, t.esq, t.pivmin
     if r is None:
         d_plus = _pivot_sweep(rows, shift, esq, pivmin)
         d_minus = _pivot_sweep(rows[::-1], shift, esq, pivmin)[::-1]
-        r = int(np.argmin(np.abs(d_plus + d_minus - (diag - shift))))
+        r = int(np.argmin(np.abs(d_plus + d_minus - (t.diag - shift))))
         d_plus, d_minus = d_plus[:r], d_minus[r + 1:]
     else:
         d_plus = _pivot_sweep(rows[:r], shift, esq, pivmin)
         d_minus = _pivot_sweep(rows[:r:-1], shift, esq, pivmin)[::-1]
-    z = np.ones(diag.size)
-    z[:r] = np.cumprod(-e / d_plus[::-1])[::-1]
-    z[r + 1:] = np.cumprod(-e / d_minus)
+    z = np.ones(t.diag.size)
+    z[:r] = np.cumprod(-t.e / d_plus[::-1])[::-1]
+    z[r + 1:] = np.cumprod(-t.e / d_minus)
     return z, r
 
 
-def _tridiagonal_times(diag: np.ndarray, e: float, y: np.ndarray) -> np.ndarray:
-    ty = diag * y
-    ty[:-1] += e * y[1:]
-    ty[1:] += e * y[:-1]
+def _tridiagonal_times(t: _Tridiagonal, y: np.ndarray) -> np.ndarray:
+    ty = t.diag * y
+    ty[:-1] += t.e * y[1:]
+    ty[1:] += t.e * y[:-1]
     return ty
 
 
-def _bisect(rows: list[float], esq: float, suffix_min: np.ndarray, lo: float,
-            hi: float, k: int, width: float, isolated_width: float = 0.0):
-    """Bisect [lo, hi), Gershgorin bounds of T, around each of its lowest k
-    eigenvalues until every interval is at most ``width`` wide.
+def _bisect(t: _Tridiagonal, lo: np.ndarray, hi: np.ndarray, width: float,
+            isolated_width: float = 0.0):
+    """Bisect each [lo_j, hi_j) around the (j + 1)-th lowest eigenvalue of T
+    until every interval is at most ``width`` wide.
 
-    With ``isolated_width`` the bisection stops earlier, once every interval
-    is at most that wide and no other eigenvalue lies within one interval
-    width of it.  Between two levels the intervals' own ends prove that;
-    above the top level one more count does.  Returns the interval ends
-    and whether that early stop was taken.
+    Bisection keeps no state beyond the intervals, so it may start from the
+    Gershgorin ends or go on from intervals an earlier call returned.  With
+    ``isolated_width`` it stops earlier, once every interval is at most
+    that wide and no other eigenvalue lies within one interval width of it.
+    Between two levels the intervals' own ends prove that; above the top
+    level one more count does.  Returns the interval ends and whether that
+    early stop was taken.
     """
+    k = lo.size
     targets = np.arange(1, k + 1)
-    lo = np.full(k, lo)
-    hi = np.full(k, hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         # targets that still share an interval share its midpoint: count each
@@ -231,7 +256,7 @@ def _bisect(rows: list[float], esq: float, suffix_min: np.ndarray, lo: float,
         shifts, slot = np.unique(mid, return_inverse=True)
         caps = np.zeros(shifts.size, dtype=np.int64)
         np.maximum.at(caps, slot, targets)
-        counts = _sturm_counts(rows, esq, shifts, caps, suffix_min)[slot]
+        counts = _sturm_counts(t, shifts, caps)[slot]
         above = counts >= targets
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
@@ -239,25 +264,24 @@ def _bisect(rows: list[float], esq: float, suffix_min: np.ndarray, lo: float,
         if widest <= width:
             return lo, hi, False
         if (widest <= isolated_width and np.all(lo[1:] - hi[:-1] >= widest)
-                and _sturm_counts(rows, esq, hi[-1:] + widest, np.array([k + 1]),
-                                  suffix_min)[0] == k):
+                and _sturm_counts(t, hi[-1:] + widest, np.array([k + 1]))[0] == k):
             return lo, hi, True
     raise ConvergenceError(
         f"bisection failed to localize eigenvalues: widths {hi - lo}")
 
 
-def _eigenpairs(diag: np.ndarray, rows: list[float], e: float, shifts: np.ndarray):
+def _eigenpairs(t: _Tridiagonal, shifts: np.ndarray):
     """Unit eigenvectors (rows of the result) and their Rayleigh quotients:
     one twisted solve at each shift, then two more at the twist it found,
     each at the Rayleigh quotient of the vector before."""
-    vecs = np.empty((shifts.size, diag.size))
+    vecs = np.empty((shifts.size, t.diag.size))
     rqs = np.empty(shifts.size)
     for j, rq in enumerate(shifts.tolist()):
         r = None
         for _ in range(3):
-            y, r = _twisted_vector(diag, rows, e, rq, r)
+            y, r = _twisted_vector(t, rq, r)
             y = y / np.linalg.norm(y)
-            rq = float(y @ _tridiagonal_times(diag, e, y))
+            rq = float(y @ _tridiagonal_times(t, y))
         vecs[j] = y
         rqs[j] = rq
     return vecs, rqs
@@ -294,26 +318,21 @@ def discretize_and_solve(potential, grid: Grid, k: int,
     if h < 1e-75:
         raise ValueError(f"grid step {h:.3e} is below 1e-75, where the squared "
                          "coupling 1/h^4 overflows")
-    e = -1.0 / (h * h)
-    esq = e * e
-    diag = 2.0 / (h * h) + v
-
-    radius = 2.0 * abs(e)
-    lo = float(np.min(diag)) - radius
-    hi = float(np.max(diag)) + radius
-    scale = max(abs(lo), abs(hi), 1.0)
-    rows = diag.tolist()
-    suffix_min = np.minimum.accumulate(diag[::-1])[::-1]
+    t = _tridiagonal(2.0 / (h * h) + v, -1.0 / (h * h))
+    # the Gershgorin end farther from zero is max|d| + 2|e|, the same sum
+    mat_scale = max(abs(t.lo), abs(t.hi))
+    scale = max(mat_scale, 1.0)
     # twisted solves at the Rayleigh quotient converge cubically, so the
     # eigenvector path may stop bisecting at a coarse width, once every
     # interval provably holds its one eigenvalue and no other lies near
-    lo_k, hi_k, early = _bisect(rows, esq, suffix_min, lo, hi, k, 1e-13 * scale,
+    lo_k, hi_k, early = _bisect(t, np.full(k, t.lo), np.full(k, t.hi), 1e-13 * scale,
                                 1e-7 * scale if eigenvectors else 0.0)
     if early:
-        vecs, refined = _eigenpairs(diag, rows, e, 0.5 * (lo_k + hi_k))
-        # a Rayleigh quotient that left its interval found another level
+        vecs, refined = _eigenpairs(t, 0.5 * (lo_k + hi_k))
+        # a Rayleigh quotient that left its interval found another level:
+        # bisect on from these intervals to the full width
         if not np.all((lo_k <= refined) & (refined < hi_k)):
-            lo_k, hi_k, early = _bisect(rows, esq, suffix_min, lo, hi, k, 1e-13 * scale)
+            lo_k, hi_k, early = _bisect(t, lo_k, hi_k, 1e-13 * scale)
     if not early:
         lams = 0.5 * (lo_k + hi_k)
         if not eigenvectors:
@@ -325,7 +344,7 @@ def discretize_and_solve(potential, grid: Grid, k: int,
         if close.size:
             raise ConvergenceError(f"eigenvalues #{close[0]} and #{close[0] + 1} lie within the "
                                    f"bisection width {1e-13 * scale:.3e}: no orthogonal vectors")
-        vecs, refined = _eigenpairs(diag, rows, e, lams)
+        vecs, refined = _eigenpairs(t, lams)
 
     order = np.argsort(refined)
     refined = refined[order]
@@ -344,11 +363,10 @@ def discretize_and_solve(potential, grid: Grid, k: int,
             y = y - (vecs[i] @ y) * vecs[i]
         y = y / np.linalg.norm(y)
         vecs[j] = y
-        refined[j] = float(y @ _tridiagonal_times(diag, e, y))
+        refined[j] = float(y @ _tridiagonal_times(t, y))
 
-    mat_scale = float(np.max(np.abs(diag))) + 2.0 * abs(e)
     for j in range(k):
-        res = float(np.linalg.norm(_tridiagonal_times(diag, e, vecs[j]) - refined[j] * vecs[j]))
+        res = float(np.linalg.norm(_tridiagonal_times(t, vecs[j]) - refined[j] * vecs[j]))
         if res > 1e-6 * mat_scale:
             raise ConvergenceError(
                 f"twisted factorization failed for eigenvalue #{j}: residual "
@@ -396,20 +414,14 @@ def normalize(samples: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def quadrature_norm(samples, grid: Grid) -> float:
-    """L2 norm of samples over [x_min, x_max] by the trapezoid rule.
-
-    Accepts either ``n_points`` interior samples (Dirichlet zeros are implied
-    at both ends) or ``n_points + 2`` samples covering the closed interval.
+    """L2 norm of ``n_points`` interior samples over [x_min, x_max] by the
+    trapezoid rule of ``grid.weights``, with Dirichlet zeros implied at both
+    ends.  Any other sample count is refused with ValueError.
     """
     f = np.asarray(samples, dtype=float)
-    if f.shape[0] == grid.n_points:
-        f = np.concatenate(([0.0], f, [0.0]))
-    elif f.shape[0] != grid.n_points + 2:
-        raise ValueError(
-            f"sample count {f.shape[0]} matches neither the interior "
-            f"({grid.n_points}) nor the closed grid ({grid.n_points + 2})")
-    w = quadrature_weights(f.shape[0], grid.step)
-    return float(np.sqrt(np.sum(w * f * f)))
+    if f.shape[0] != grid.n_points:
+        raise ValueError(f"sample count {f.shape[0]} is not the {grid.n_points} interior nodes")
+    return math.sqrt(float(np.sum(grid.weights * f * f)))
 
 
 def first_derivative(samples: np.ndarray, h: float) -> np.ndarray:

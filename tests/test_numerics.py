@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdmdirac import (Grid, RosenMorseSuperpotential, count_nodes,
                       discretize_and_solve, gpt_solve, ode_residual,
@@ -160,34 +162,30 @@ def test_ode_residual_rm2_first_level():
     assert ode_residual(pot, st.e_bar, st.samples, g) < 1e-6
 
 
-def test_quadrature_constant():
-    g = Grid(0.0, 1.0, 99)
-    closed = np.ones(101)
-    assert quadrature_norm(closed, g) == pytest.approx(1.0, abs=1e-14)
-
-
 def test_quadrature_sin_norm():
     g = Grid(0.0, math.pi, 999)
-    closed = np.sin(np.concatenate(([0.0], g.points, [math.pi])))
-    assert quadrature_norm(closed, g) == pytest.approx(math.sqrt(math.pi / 2.0),
-                                                       abs=1e-10)
+    assert quadrature_norm(np.sin(g.points), g) == pytest.approx(math.sqrt(math.pi / 2.0),
+                                                                 abs=1e-10)
 
 
 def test_quadrature_gaussian_tail_truncation():
     # || e^{-x^2/2} ||_2 = pi^{1/4}; truncation at 12 sigma is below 1e-12
     g = Grid(-12.0, 12.0, 79999)
-    closed = np.exp(-np.concatenate(([g.x_min], g.points, [g.x_max])) ** 2 / 2.0)
-    assert quadrature_norm(closed, g) == pytest.approx(math.pi ** 0.25, abs=1e-12)
+    interior = np.exp(-g.points ** 2 / 2.0)
+    assert quadrature_norm(interior, g) == pytest.approx(math.pi ** 0.25, abs=1e-12)
 
 
 def test_quadrature_interior_vs_closed():
+    # interior samples only: the closed grid's count is refused like any other
     g = Grid(0.0, math.pi, 999)
     interior = np.sin(g.points)
     closed = np.sin(np.concatenate(([0.0], g.points, [math.pi])))
-    assert quadrature_norm(interior, g) == pytest.approx(quadrature_norm(closed, g),
+    w = quadrature_weights(closed.size, g.step)
+    assert quadrature_norm(interior, g) == pytest.approx(math.sqrt(float(np.sum(w * closed ** 2))),
                                                          rel=1e-14)
-    with pytest.raises(ValueError, match="sample count"):
-        quadrature_norm(np.ones(5), g)
+    for count in (5, g.n_points + 2):
+        with pytest.raises(ValueError, match="sample count"):
+            quadrature_norm(np.ones(count), g)
 
 
 def test_grid_weights_are_the_interior_quadrature_weights():
@@ -267,7 +265,7 @@ def test_close_pair_is_refused_on_the_eigenvector_path():
 
 
 def test_twisted_vector_handles_every_pivot_class():
-    from pdmdirac.numerics import _twisted_vector
+    from pdmdirac.numerics import _tridiagonal, _twisted_vector
 
     rng = np.random.default_rng(3)
     n = 40
@@ -293,20 +291,21 @@ def test_twisted_vector_handles_every_pivot_class():
         t = np.diag(d) + np.diag(np.full(n - 1, e), 1) + np.diag(np.full(n - 1, e), -1)
         lams, vecs = np.linalg.eigh(t)
         j = int(np.argmin(np.abs(lams - shift)))
-        got, r = _twisted_vector(d, d.tolist(), e, shift)
+        t = _tridiagonal(d, e)
+        got, r = _twisted_vector(t, shift)
         assert np.all(np.isfinite(got))
         assert _unit_angle(got, vecs[:, j]) < 1e-9
         # solved again at that twist, the sweeps stop there and give the
         # same vector
-        assert np.array_equal(_twisted_vector(d, d.tolist(), e, shift, r)[0], got)
+        assert np.array_equal(_twisted_vector(t, shift, r)[0], got)
     # d - shift exactly 0.0 on every row: every other pivot lands on 0.0 and
     # takes the pivmin branch.  For odd n the shift is an eigenvalue, with
     # the null vector (1, 0, -1, 0, ...)
     for n in (40, 41):
-        d = np.full(n, 0.25)
-        got, r = _twisted_vector(d, d.tolist(), e, 0.25)
+        t = _tridiagonal(np.full(n, 0.25), e)
+        got, r = _twisted_vector(t, 0.25)
         assert np.all(np.isfinite(got))
-        assert np.array_equal(_twisted_vector(d, d.tolist(), e, 0.25, r)[0], got)
+        assert np.array_equal(_twisted_vector(t, 0.25, r)[0], got)
     null = np.zeros(41)
     null[::4], null[2::4] = 1.0, -1.0
     assert _unit_angle(got, null) < 1e-9
@@ -368,7 +367,7 @@ def test_pivot_sweep_matches_reference_loop_on_every_pivot_class():
 
 
 def test_sturm_counts_match_dense_eigenvalues():
-    from pdmdirac.numerics import _sturm_counts
+    from pdmdirac.numerics import _sturm_counts, _tridiagonal
 
     rng = np.random.default_rng(11)
     n = 40
@@ -384,17 +383,14 @@ def test_sturm_counts_match_dense_eigenvalues():
         expected = [int(np.sum(lams < s)) for s in shifts]
         # a cap of n never stops a count early
         caps = np.full(shifts.size, n)
-        suffix_min = np.minimum.accumulate(diag[::-1])[::-1]
-        assert (_sturm_counts(diag.tolist(), e * e, shifts, caps, suffix_min).tolist()
-                == expected)
+        assert _sturm_counts(_tridiagonal(diag, e), shifts, caps).tolist() == expected
     # constant diagonal 1, e = -1, shift 0: the second pivot is 1 - 1/1 = 0.0
     diag = np.ones(n)
     t = np.diag(diag) - np.eye(n, k=1) - np.eye(n, k=-1)
     lams = np.linalg.eigvalsh(t)
     shifts = np.array([0.0, 1.0, 2.0, -0.5])
     expected = [int(np.sum(lams < s)) for s in shifts]
-    # on a constant diagonal the suffix minimum is the diagonal itself
-    assert (_sturm_counts(diag.tolist(), 1.0, shifts, np.full(shifts.size, n), diag).tolist()
+    assert (_sturm_counts(_tridiagonal(diag, -1.0), shifts, np.full(shifts.size, n)).tolist()
             == expected)
 
 
@@ -418,18 +414,17 @@ def _sturm_counts_reference(diag, esq, shifts):
     return counts
 
 
-def _assert_counts_match_reference(diag, esq, shifts):
+def _assert_counts_match_reference(diag, e, shifts):
     # every cap, with the exit in the right tail, gives the reference loop's
     # count, stopped at the cap; a cap of n never stops a count early
-    from pdmdirac.numerics import _sturm_counts
+    from pdmdirac.numerics import _sturm_counts, _tridiagonal
 
-    rows = np.array(diag, dtype=float).tolist()
+    t = _tridiagonal(np.array(diag, dtype=float), e)
     shifts = np.array(shifts, dtype=float)
-    suffix_min = np.minimum.accumulate(np.array(rows)[::-1])[::-1]
-    full = _sturm_counts_reference(rows, esq, shifts.tolist())
-    for cap in (1, 2, len(rows)):
+    full = _sturm_counts_reference(t.rows, e * e, shifts.tolist())
+    for cap in (1, 2, len(t.rows)):
         caps = np.full(shifts.size, cap)
-        assert (_sturm_counts(rows, esq, shifts, caps, suffix_min).tolist()
+        assert (_sturm_counts(t, shifts, caps).tolist()
                 == [min(c, cap) for c in full])
 
 
@@ -438,19 +433,19 @@ def test_sturm_counts_match_reference_loop_on_every_pivot_class():
     for _ in range(20):
         n = int(rng.integers(16, 60))
         diag = rng.uniform(-5.0, 5.0, n)
-        esq = rng.uniform(0.0, 2.0) ** 2
+        e = rng.uniform(0.0, 2.0)
         # diag values as shifts land the first pivot on exactly 0.0; repeats
         # and a NaN shift go through the same loop; the last rows less 2|e|
         # sit on the edge of the tail exit's threshold
         shifts = np.concatenate((rng.uniform(-8.0, 8.0, 20), diag[:5],
                                  np.repeat(rng.uniform(-8.0, 8.0, 3), 3),
-                                 [np.nan], diag[-5:] - 2.0 * math.sqrt(esq)))
-        _assert_counts_match_reference(diag, esq, shifts)
-    # esq = 1e-300 puts pivmin at 1e-300, and after a pivot of 1e300 the
-    # coupling term esq / q underflows to 0.0: with shift 0 the next pivot is
+                                 [np.nan], diag[-5:] - 2.0 * math.sqrt(e * e)))
+        _assert_counts_match_reference(diag, e, shifts)
+    # e = 1e-150 puts pivmin at 1e-300, and after a pivot of 1e300 the
+    # coupling term e^2 / q underflows to 0.0: with shift 0 the next pivot is
     # the diagonal entry itself, so these rows land exactly on 0.0, on
     # +-pivmin and strictly inside (0, pivmin) and (-pivmin, 0)
-    esq = 1e-300
+    e = 1e-150
     pivmin = 1e-300
     targets = [0.0, pivmin, -pivmin, 0.5 * pivmin, -0.5 * pivmin,
                np.nextafter(pivmin, 0.0), np.nextafter(-pivmin, 0.0),
@@ -459,8 +454,8 @@ def test_sturm_counts_match_reference_loop_on_every_pivot_class():
         diag = [first]
         for t in targets:
             diag += [1e300, t]
-        _assert_counts_match_reference(diag, esq, [0.0, 0.0, -0.0, 1.0, -1.0, pivmin,
-                                                   -pivmin, 1e300])
+        _assert_counts_match_reference(diag, e, [0.0, 0.0, -0.0, 1.0, -1.0, pivmin,
+                                                 -pivmin, 1e300])
 
 
 class _RowsRead(list):
@@ -483,20 +478,37 @@ def test_sturm_counts_stop_in_the_forbidden_tail(solve, coeffs, domain, share):
     # the count is final: on the oracle problems the counts at 50 shifts
     # across the lowest levels are the reference loop's, and they read 0.86
     # (whole line) and 0.35 (half line) of the rows
-    from pdmdirac.numerics import _sturm_counts
+    from dataclasses import replace
+
+    from pdmdirac.numerics import _sturm_counts, _tridiagonal
 
     w = solve(*coeffs, n_max=2).w
     grid = Grid(*domain, 6000)
     h = grid.step
     diag = 2.0 / h ** 2 + partner_potentials(w, grid.points).v_minus
-    suffix_min = np.minimum.accumulate(diag[::-1])[::-1]
     shifts = np.linspace(-1.0, 60.0, 50)
-    tail = _RowsRead(diag.tolist())
-    esq = h ** -4
+    t = _tridiagonal(diag, -1.0 / h ** 2)
+    tail = _RowsRead(t.rows)
     caps = np.full(shifts.size, 6000)
-    assert (_sturm_counts(tail, esq, shifts, caps, suffix_min).tolist()
-            == _sturm_counts_reference(diag.tolist(), esq, shifts.tolist()))
+    assert (_sturm_counts(replace(t, rows=tail), shifts, caps).tolist()
+            == _sturm_counts_reference(t.rows, t.esq, shifts.tolist()))
     assert tail.read < share * 50 * 6000
+
+
+@given(diag=st.lists(st.one_of(st.floats(-1.0, 1.0), st.floats(-1e6, 1e6)),
+                     min_size=16, max_size=40),
+       negative=st.booleans(), e=st.floats(-2.0, 2.0))
+@settings(max_examples=200, deadline=None)
+def test_matrix_scale_is_the_farther_gershgorin_end(diag, negative, e):
+    # the residual refusal's threshold is 1e-6 of max|d| + 2|e|; the solve
+    # reads that scale off the Gershgorin ends, whichever is farther from 0,
+    # and it must be the same sum bit for bit, for mixed-sign and
+    # all-negative diagonals and for |e| on either side of 0.5
+    from pdmdirac.numerics import _tridiagonal
+
+    d = -np.abs(diag) if negative else np.array(diag)
+    t = _tridiagonal(d, e)
+    assert max(abs(t.lo), abs(t.hi)) == float(np.max(np.abs(d))) + 2.0 * abs(e)
 
 
 def test_eigenvalues_only_bits_are_pinned():
@@ -527,9 +539,9 @@ def test_bisection_counts_each_distinct_shift_once(monkeypatch):
     calls = []
     counts = numerics._sturm_counts
 
-    def spy(rows, esq, shifts, caps=None, suffix_min=None):
+    def spy(t, shifts, caps):
         calls.append(np.array(shifts))
-        return counts(rows, esq, shifts, caps, suffix_min)
+        return counts(t, shifts, caps)
 
     monkeypatch.setattr(numerics, "_sturm_counts", spy)
     potential, grid = _rosen_morse_oracle_problem()
@@ -554,7 +566,7 @@ def test_eigenvector_path_stops_bisecting_early(monkeypatch, solve, coeffs, doma
     counts = numerics._sturm_counts
 
     def spy(*args):
-        calls.append(args[2].size)
+        calls.append(args[1].size)
         return counts(*args)
 
     monkeypatch.setattr(numerics, "_sturm_counts", spy)
@@ -611,21 +623,31 @@ def test_early_stop_never_hands_back_the_wrong_level():
 
 def test_rayleigh_quotient_outside_its_interval_falls_back_to_full_bisection(monkeypatch):
     # a twisted solve that converged to a neighbouring level leaves its
-    # interval; the solve then bisects to 1e-13 of the scale, as the
-    # eigenvalues-only path does, and solves again from there
+    # interval; the solve then bisects on from the early-stop intervals to
+    # 1e-13 of the scale, to the eigenvalues-only path's exact midpoints, and
+    # solves again from there.  Bisecting on takes 45 Sturm counts on this
+    # problem; restarting from the Gershgorin ends took 69
     from pdmdirac import numerics
 
     pairs = numerics._eigenpairs
+    counts = numerics._sturm_counts
     shifts = []
+    calls = []
 
-    def astray(diag, rows, e, mids):
+    def astray(t, mids):
         shifts.append(mids)
-        vecs, rqs = pairs(diag, rows, e, mids)
+        vecs, rqs = pairs(t, mids)
         return vecs, rqs + (1.0 if len(shifts) == 1 else 0.0)
 
+    def spy(*args):
+        calls.append(args[1].size)
+        return counts(*args)
+
     monkeypatch.setattr(numerics, "_eigenpairs", astray)
+    monkeypatch.setattr(numerics, "_sturm_counts", spy)
     potential, grid = _rosen_morse_oracle_problem()
     r = discretize_and_solve(potential, grid, 3)
+    assert len(calls) <= 46
     bisected = discretize_and_solve(potential, grid, 3, eigenvectors=False)
     assert len(shifts) == 2
     assert np.array_equal(shifts[1], bisected.eigenvalues)
