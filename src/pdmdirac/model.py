@@ -286,14 +286,3 @@ def derived_constants_from_params(params: ModelParams) -> ConstraintSolution:
     return derived_constants(params.omega, params.alpha, params.gamma, params.m2,
                              params.beta_mode, beta=params.beta, m1=params.m1)
 
-
-def m1_linear_constraint(omega: float, alpha: float, beta: float, m2: float) -> float:
-    """The m1 satisfying the linear cross-term matching m2 (m1 + beta m2) = sigma beta - 1.
-
-    This is the value that makes the cosh-family mass profile equal
-    m2*gamma + ((sigma*beta - 1)/m2) * tanh(x).
-    """
-    if m2 == 0.0:
-        raise ValueError("m2 must be nonzero")
-    sigma = sigma_of(omega, alpha)
-    return (sigma * beta - 1.0) / m2 - beta * m2

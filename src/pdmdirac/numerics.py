@@ -10,12 +10,14 @@ once it enters the right tail where every later row has d - s >= 2|e|
 negative there.  Eigenvectors come from three twisted LDL^T factorizations
 per level, the first at the bisection midpoint and each further one at the
 Rayleigh quotient of the vector before (Parlett and Dhillon, Linear Algebra
-Appl. 267, 1997).  The first finds the level's twist index and the other
-two keep it, so their pivot sweeps stop at the twist: n - 1 rows instead of
-2n.  Since these converge cubically, the eigenvector path
-stops bisecting at 1e-7 of the matrix scale once every interval provably
-holds its one eigenvalue with no other within one interval width;
-otherwise, and always without eigenvectors, it bisects to 1e-13.  A
+Appl. 267, 1997).  The first finds the level's twist index on the allowed
+span, the rows where V is at or below the shift, so its sweeps stop at the
+span's far ends: n plus the span's rows instead of 2n.  The other two keep
+that twist, so their sweeps stop at it: n - 1 rows.  Since these converge
+cubically, the eigenvector path stops bisecting at 1e-7 of the matrix
+scale once every interval provably holds its one eigenvalue with no other
+within one interval width; otherwise, and always without eigenvectors, it
+bisects to 1e-13.  A
 Rayleigh quotient that leaves its interval makes the solve bisect on from
 the intervals it stopped at, down to 1e-13; bisection keeps no other
 state, so those intervals are the ones a full bisection ends with.  The
@@ -182,7 +184,7 @@ def _pivot_sweep(rows: list[float], shift: float, esq: float,
     """
     q = math.inf
     try:
-        out = np.array([(q := d - shift - esq / q) for d in rows])
+        out = np.fromiter([(q := d - shift - esq / q) for d in rows], float, len(rows))
     except ZeroDivisionError:
         pass
     else:
@@ -206,18 +208,30 @@ def _twisted_vector(t: _Tridiagonal, shift: float,
     Forward and backward LDL^T pivots D+ and D- of T - shift I meet at the
     twist r; the vector is 1 at r and each half is a running product of
     -e / D (Parlett and Dhillon, Linear Algebra Appl. 267, 1997).  Without
-    ``r`` both sweeps run over all n rows and r minimizes
-    |gamma_r| = |D+_r + D-_r - (d_r - shift)|.  Any twist near the vector's
-    peak gives a small residual, so a given ``r`` is kept: D+ then runs over
-    the rows before it and D- over the rows after it, n - 1 rows in all.
+    ``r``, r minimizes |gamma_r| = |D+_r + D-_r - (d_r - shift)| over the
+    allowed span [first, last], the first and last rows with
+    d - shift <= 2|e| (V at or below the shift), or over all rows when
+    there are none.  That twist sits at the vector's peak, and the peak
+    lies in the span: at a peak z_r of an eigenvector,
+    (d_r - lambda) z_r = |e| (z_{r-1} + z_{r+1}) <= 2|e| z_r.  So D+ runs
+    forward to ``last`` and D- backward to ``first``, n plus the span's
+    rows.  The pivots the vector uses are the prefix and suffix that sweeps
+    over all rows give, so wherever those sweeps' argmin lies in the span,
+    r and the vector keep every bit.  Any twist near the vector's peak
+    gives a small residual, so a given ``r`` is kept: D+ then runs over the
+    rows before it and D- over the rows after it, n - 1 rows in all.
     Pivots get the Sturm count's guard, so no division is by zero.
     """
     rows, esq, pivmin = t.rows, t.esq, t.pivmin
     if r is None:
-        d_plus = _pivot_sweep(rows, shift, esq, pivmin)
-        d_minus = _pivot_sweep(rows[::-1], shift, esq, pivmin)[::-1]
-        r = int(np.argmin(np.abs(d_plus + d_minus - (t.diag - shift))))
-        d_plus, d_minus = d_plus[:r], d_minus[r + 1:]
+        a = t.diag - shift
+        allowed = np.flatnonzero(a <= 2.0 * abs(t.e))
+        first, last = (int(allowed[0]), int(allowed[-1])) if allowed.size else (0, a.size - 1)
+        d_plus = _pivot_sweep(rows[:last + 1], shift, esq, pivmin)
+        d_minus = _pivot_sweep(rows[first:][::-1], shift, esq, pivmin)[::-1]
+        r = first + int(np.argmin(np.abs(d_plus[first:] + d_minus[:last + 1 - first]
+                                         - a[first:last + 1])))
+        d_plus, d_minus = d_plus[:r], d_minus[r + 1 - first:]
     else:
         d_plus = _pivot_sweep(rows[:r], shift, esq, pivmin)
         d_minus = _pivot_sweep(rows[:r:-1], shift, esq, pivmin)[::-1]
@@ -297,7 +311,8 @@ def discretize_and_solve(potential, grid: Grid, k: int,
         Evaluator of V(x): maps the array of interior nodes to an array of
         the same shape, finite at every node.
     k : int
-        Number of eigenvalues requested (k <= n_points).
+        Number of eigenvalues requested, an integer in 1..n_points; any
+        other value is refused with ValueError before V is sampled.
 
     Returns
     -------
@@ -306,13 +321,13 @@ def discretize_and_solve(potential, grid: Grid, k: int,
         eigenvectors (if requested) unit-norm under grid quadrature with a
         deterministic sign (largest-magnitude component positive).
     """
+    if not (isinstance(k, numbers.Integral) and 1 <= k <= grid.n_points):
+        raise ValueError(f"k must be an integer in 1..{grid.n_points}, got {k!r}")
     pts = grid.points
     v = _sample(potential, pts)
     if not np.all(np.isfinite(v)):
         i = int(np.argmax(~np.isfinite(v)))
         raise ValueError(f"potential is not finite at x = {pts[i]} (node {i})")
-    if not 1 <= k <= grid.n_points:
-        raise ValueError(f"k must be in 1..{grid.n_points}, got {k}")
 
     h = grid.step
     if h < 1e-75:
@@ -452,10 +467,13 @@ def ode_residual(potential, e_bar: float, samples, grid: Grid,
     """|| -D4 phi + V phi - Ebar phi ||_2 / || phi ||_2 on the trimmed interior.
 
     ``potential`` maps the array of nodes to an array of the same shape.
-    The 4th-order stencil drops two points per side; ``skip`` trims that many
-    further points per side (used near non-smooth potential walls, where the
-    formal order of the stencil collapses).
+    The 4th-order stencil drops two points per side; ``skip``, a
+    non-negative integer, trims that many further points per side (used
+    near non-smooth potential walls, where the formal order of the stencil
+    collapses).
     """
+    if not (isinstance(skip, numbers.Integral) and skip >= 0):
+        raise ValueError(f"skip must be a non-negative integer, got {skip!r}")
     f = np.asarray(samples, dtype=float)
     if f.shape[0] != grid.n_points:
         raise ValueError("sample count does not match the grid")

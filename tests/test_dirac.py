@@ -5,7 +5,6 @@ from pdmdirac import (BetaMode, CoshProfile, Grid, MassProfile, ModelParams,
                       RealPotential, cancellation_residual, complete_potential,
                       consistent_energy_cosh, dirac_profiles,
                       effective_potential_ansatz, effective_potential_general,
-                      m1_linear_constraint,
                       profile_from_params, rm2_state_evaluator, sigma_of,
                       spinor_components)
 from pdmdirac.errors import DomainError, PoleError
@@ -20,11 +19,15 @@ def constant_profiles(m_val, v_val, e_ref):
     return mass, pot
 
 
+def _cosh_mass_m1(omega, alpha, beta, m2):
+    # the m1 of the linear cross-term constraint m2 (m1 + beta m2) = sigma beta - 1,
+    # which makes the cosh mass m2*gamma + ((sigma*beta - 1)/m2) * tanh(x)
+    return (sigma_of(omega, alpha) * beta - 1.0) / m2 - beta * m2
+
+
 def test_cosh_mass_matches_tanh_form():
-    # with m1 from the linear cross-term constraint the mass is
-    # m2*gamma + ((sigma*beta - 1)/m2) * tanh(x)
     omega, alpha, gamma, beta, m2 = 3.0, 0.5, 0.3, 1.0 / 3.0, 2.0
-    m1 = m1_linear_constraint(omega, alpha, beta, m2)
+    m1 = _cosh_mass_m1(omega, alpha, beta, m2)
     params = ModelParams(omega=omega, alpha=alpha, gamma=gamma, beta=beta,
                          m1=m1, m2=m2)
     prof = CoshProfile(delta=1.0, gamma=gamma, beta=beta)
@@ -132,7 +135,7 @@ def test_effective_potential_reproduces_sech_tanh_well():
 
     omega, alpha, gamma, m2 = 3.0, 0.5, 0.3, 2.0
     sol = derived_constants(omega, alpha, gamma, m2, BetaMode.COUPLING)
-    m1 = m1_linear_constraint(omega, alpha, sol.beta, m2)
+    m1 = _cosh_mass_m1(omega, alpha, sol.beta, m2)
     params = ModelParams(omega=omega, alpha=alpha, gamma=gamma, beta=sol.beta,
                          m1=m1, m2=m2)
     prof = CoshProfile(delta=1.0, gamma=gamma, beta=sol.beta)

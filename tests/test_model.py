@@ -7,9 +7,9 @@ from pdmdirac import (BetaMode, CoshProfile, CothProfile, Grid, ModelParams,
                       cancellation_residual, complete_potential,
                       derived_constants, dirac_profiles,
                       effective_potential_ansatz, effective_potential_general,
-                      evaluate_profile, hermitian_coeffs, m1_linear_constraint,
-                      model, nonhermitian_coeffs, profile_from_params,
-                      rho_weight, schrodinger_potential, sigma_of)
+                      evaluate_profile, hermitian_coeffs, model,
+                      nonhermitian_coeffs, profile_from_params, rho_weight,
+                      schrodinger_potential, sigma_of)
 from pdmdirac.errors import DomainError
 from pdmdirac.susy import square
 
@@ -98,13 +98,6 @@ def test_m1_roots_solve_their_quadratic():
     for root in (sol.m1_plus, sol.m1_minus):
         assert root is not None
         assert root * (root + sol.beta * 2.0) == pytest.approx(target, rel=1e-12)
-
-
-def test_m1_linear_constraint_closure():
-    omega, alpha, beta, m2 = 3.0, 0.5, 1.0 / 3.0, 2.0
-    m1 = m1_linear_constraint(omega, alpha, beta, m2)
-    sigma = sigma_of(omega, alpha)
-    assert m2 * (m1 + beta * m2) == pytest.approx(sigma * beta - 1.0, rel=1e-12)
 
 
 @given(omega=st.floats(0.1, 50.0), alpha=st.floats(-10.0, 10.0))

@@ -162,6 +162,40 @@ def test_ode_residual_rm2_first_level():
     assert ode_residual(pot, st.e_bar, st.samples, g) < 1e-6
 
 
+def test_ode_residual_refuses_a_negative_or_non_integer_skip():
+    # skip = -1 sliced res[-1:1], an empty array, and read 0.0 at any energy
+    g = Grid(-5.0, 5.0, 400)
+    ground = np.exp(-0.5 * g.points ** 2)
+    harmonic = lambda x: x * x
+    assert ode_residual(harmonic, 1.0, ground, g) < 1e-3
+    assert ode_residual(harmonic, 7.0, ground, g) > 1.0
+    for skip in (-1, -3, 1.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match=f"skip must be a non-negative integer, got {skip!r}"):
+            ode_residual(harmonic, 7.0, ground, g, skip=skip)
+    assert (ode_residual(harmonic, 7.0, ground, g, skip=np.int64(2))
+            == ode_residual(harmonic, 7.0, ground, g, skip=2) > 1.0)
+
+
+def test_solve_refuses_a_bad_k_before_sampling_the_potential():
+    # k = 2.5 failed deep in numpy and k = "3" in a comparison, both after
+    # the potential was sampled
+    g = Grid(0.0, 1.0, 99)
+    sampled = []
+
+    def potential(x):
+        sampled.append(x.size)
+        return 0.0 * x
+
+    for k in (0, -1, 100, 2.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match=rf"k must be an integer in 1\.\.99, got {k!r}"):
+            discretize_and_solve(potential, g, k)
+    assert sampled == []
+    r = discretize_and_solve(potential, g, np.int64(2), eigenvectors=False)
+    assert sampled == [99]
+    assert np.array_equal(r.eigenvalues, discretize_and_solve(potential, g, 2,
+                                                              eigenvectors=False).eigenvalues)
+
+
 def test_quadrature_sin_norm():
     g = Grid(0.0, math.pi, 999)
     assert quadrature_norm(np.sin(g.points), g) == pytest.approx(math.sqrt(math.pi / 2.0),
@@ -585,26 +619,123 @@ def test_eigenvector_path_stops_bisecting_early(monkeypatch, solve, coeffs, doma
     (gpt_solve, (9.0, 2.5, 1.0), (1e-3, 20.0)),
 ])
 def test_later_twisted_solves_keep_the_twist(monkeypatch, solve, coeffs, domain):
-    # each level's first solve sweeps all n rows both ways to find its twist;
-    # its two later solves sweep up to the twist and back down to it, n - 1
-    # rows: 71,994 rows for k = 3 instead of 108,000
+    # each level's first solve finds its twist on the allowed span (V at or
+    # below the shift): D+ sweeps forward to the span's last row and D-
+    # backward to its first.  Its two later solves sweep up to the twist and
+    # back down to it, n - 1 rows: for k = 3, 55,149 rows (Rosen-Morse) and
+    # 55,024 (Poschl-Teller) instead of the 71,994 that full first sweeps
+    # read, and 108,000 with no twist kept
     from pdmdirac import numerics
 
     rows_read = []
+    shifts = []
     sweep = numerics._pivot_sweep
 
-    def spy(rows, *args):
+    def spy(rows, shift, *args):
         rows_read.append(len(rows))
-        return sweep(rows, *args)
+        shifts.append(shift)
+        return sweep(rows, shift, *args)
 
     monkeypatch.setattr(numerics, "_pivot_sweep", spy)
     w = solve(*coeffs, n_max=2).w
     n = 6000
-    discretize_and_solve(lambda x: partner_potentials(w, x).v_minus, Grid(*domain, n), 3)
-    assert rows_read[:2] == [n, n]
+    grid = Grid(*domain, n)
+    potential = lambda x: partner_potentials(w, x).v_minus
+    discretize_and_solve(potential, grid, 3)
+    h = grid.step
+    a = 2.0 / (h * h) + potential(grid.points)
     per_solve = [a + b for a, b in zip(rows_read[::2], rows_read[1::2])]
-    assert per_solve == [2 * n, n - 1, n - 1] * 3
-    assert sum(rows_read) == 71_994
+    assert per_solve[1::3] == per_solve[2::3] == [n - 1] * 3
+    for j in range(0, 18, 6):
+        allowed = np.flatnonzero(a - shifts[j] <= 2.0 / (h * h))
+        assert 0 < allowed.size < n // 10
+        assert rows_read[j:j + 2] == [allowed[-1] + 1, n - allowed[0]]
+    assert sum(rows_read) == {rm2_solve: 55_149, gpt_solve: 55_024}[solve]
+
+
+def _check_span_twists(monkeypatch, solves):
+    # every first twisted solve the given solves make picks the twist of the
+    # two full sweeps, argmin |gamma| over all rows, and builds the vector
+    # those sweeps give; returns the allowed spans it saw as (first, last, n)
+    from pdmdirac import numerics
+
+    twisted = numerics._twisted_vector
+    sweep = numerics._pivot_sweep
+    spans = []
+
+    def spy(t, shift, r=None):
+        z, got = twisted(t, shift, r)
+        if r is None:
+            d_plus = sweep(t.rows, shift, t.esq, t.pivmin)
+            d_minus = sweep(t.rows[::-1], shift, t.esq, t.pivmin)[::-1]
+            full = int(np.argmin(np.abs(d_plus + d_minus - (t.diag - shift))))
+            assert got == full
+            ref = np.ones(t.diag.size)
+            ref[:full] = np.cumprod(-t.e / d_plus[:full][::-1])[::-1]
+            ref[full + 1:] = np.cumprod(-t.e / d_minus[full + 1:])
+            assert np.array_equal(z, ref)
+            allowed = np.flatnonzero(t.diag - shift <= 2.0 * abs(t.e))
+            spans.append((int(allowed[0]), int(allowed[-1]), t.diag.size)
+                         if allowed.size else None)
+        return z, got
+
+    monkeypatch.setattr(numerics, "_twisted_vector", spy)
+    for potential, grid, k in solves:
+        discretize_and_solve(potential, grid, k)
+    return spans
+
+
+def test_span_twist_is_the_full_sweeps_twist_on_both_families(monkeypatch):
+    # ROADMAP item 2's domain: Rosen-Morse V1 in [0.5, 40], V2 in [-30, 30]
+    # on Grid(-25, 25, 4000); Poschl-Teller b/c in [0.6, 4], (a - b)/c in
+    # [0.2, 12] on Grid(1e-6/c, 25/c, 4000)
+    rng = np.random.default_rng(17)
+    solves = []
+    line = Grid(-25.0, 25.0, 4000)
+    for _ in range(12):
+        w = rm2_solve(0.0, rng.uniform(0.5, 40.0), rng.uniform(-30.0, 30.0), n_max=2).w
+        solves.append((lambda x, w=w: partner_potentials(w, x).v_minus, line, 3))
+    for _ in range(12):
+        c = rng.uniform(0.5, 2.0)
+        b = c * rng.uniform(0.6, 4.0)
+        w = gpt_solve(b + c * rng.uniform(0.2, 12.0), b, c, n_max=2).w
+        solves.append((lambda x, w=w: partner_potentials(w, x).v_minus,
+                       Grid(1e-6 / c, 25.0 / c, 4000), 3))
+    # level 2 of these wells lies above the left (right) asymptote, so its
+    # span reaches row 0 (row n - 1)
+    for v2 in (2.0, -2.0):
+        w = rm2_solve(0.0, 12.0, v2, n_max=2).w
+        solves.append((lambda x, w=w: partner_potentials(w, x).v_minus, line, 3))
+    spans = _check_span_twists(monkeypatch, solves)
+    assert len(spans) == 3 * len(solves)
+    assert sum(0 < first and last < n - 1 for first, last, n in spans) > len(spans) // 2
+    assert any(first == 0 for first, _, _ in spans)
+    assert any(last == n - 1 for _, last, n in spans)
+
+
+def test_empty_span_twist_sweeps_every_row(monkeypatch):
+    # a shift below every V leaves no allowed row: the twist is then taken
+    # over all rows, as the full sweeps take it
+    from pdmdirac import numerics
+
+    g = Grid(-5.0, 5.0, 400)
+    t = numerics._tridiagonal(2.0 / g.step ** 2 + g.points ** 2, -1.0 / g.step ** 2)
+    calls = []
+    sweep = numerics._pivot_sweep
+
+    def spy(rows, *args):
+        calls.append(len(rows))
+        return sweep(rows, *args)
+
+    monkeypatch.setattr(numerics, "_pivot_sweep", spy)
+    for shift in (-1.0, -0.5):
+        assert np.flatnonzero(t.diag - shift <= 2.0 * abs(t.e)).size == 0
+        z, r = numerics._twisted_vector(t, shift)
+        assert calls[-2:] == [400, 400]
+        d_plus = sweep(t.rows, shift, t.esq, t.pivmin)
+        d_minus = sweep(t.rows[::-1], shift, t.esq, t.pivmin)[::-1]
+        assert r == int(np.argmin(np.abs(d_plus + d_minus - (t.diag - shift))))
+        assert np.all(np.isfinite(z))
 
 
 def test_early_stop_never_hands_back_the_wrong_level():
