@@ -643,20 +643,22 @@ def test_later_twisted_solves_keep_the_twist(monkeypatch, solve, coeffs, domain)
     potential = lambda x: partner_potentials(w, x).v_minus
     discretize_and_solve(potential, grid, 3)
     h = grid.step
-    a = 2.0 / (h * h) + potential(grid.points)
+    diag = 2.0 / (h * h) + potential(grid.points)
     per_solve = [a + b for a, b in zip(rows_read[::2], rows_read[1::2])]
     assert per_solve[1::3] == per_solve[2::3] == [n - 1] * 3
     for j in range(0, 18, 6):
-        allowed = np.flatnonzero(a - shifts[j] <= 2.0 / (h * h))
+        allowed = np.flatnonzero(diag - shifts[j] <= 2.0 / (h * h))
         assert 0 < allowed.size < n // 10
         assert rows_read[j:j + 2] == [allowed[-1] + 1, n - allowed[0]]
     assert sum(rows_read) == {rm2_solve: 55_149, gpt_solve: 55_024}[solve]
 
 
-def _check_span_twists(monkeypatch, solves):
-    # every first twisted solve the given solves make picks the twist of the
-    # two full sweeps, argmin |gamma| over all rows, and builds the vector
-    # those sweeps give; returns the allowed spans it saw as (first, last, n)
+def test_span_twist_is_the_full_sweeps_twist_on_both_families(monkeypatch):
+    # every first twisted solve picks the twist of two full sweeps, argmin
+    # |gamma| over all rows, and builds the vector those sweeps give.  Draws
+    # over ROADMAP item 2's domain: Rosen-Morse V1 in [0.5, 40], V2 in
+    # [-30, 30] on Grid(-25, 25, 4000); Poschl-Teller b/c in [0.6, 4],
+    # (a - b)/c in [0.2, 12] on Grid(1e-6/c, 25/c, 4000)
     from pdmdirac import numerics
 
     twisted = numerics._twisted_vector
@@ -675,39 +677,28 @@ def _check_span_twists(monkeypatch, solves):
             ref[full + 1:] = np.cumprod(-t.e / d_minus[full + 1:])
             assert np.array_equal(z, ref)
             allowed = np.flatnonzero(t.diag - shift <= 2.0 * abs(t.e))
-            spans.append((int(allowed[0]), int(allowed[-1]), t.diag.size)
-                         if allowed.size else None)
+            spans.append((int(allowed[0]), int(allowed[-1]), t.diag.size))
         return z, got
 
     monkeypatch.setattr(numerics, "_twisted_vector", spy)
-    for potential, grid, k in solves:
-        discretize_and_solve(potential, grid, k)
-    return spans
-
-
-def test_span_twist_is_the_full_sweeps_twist_on_both_families(monkeypatch):
-    # ROADMAP item 2's domain: Rosen-Morse V1 in [0.5, 40], V2 in [-30, 30]
-    # on Grid(-25, 25, 4000); Poschl-Teller b/c in [0.6, 4], (a - b)/c in
-    # [0.2, 12] on Grid(1e-6/c, 25/c, 4000)
     rng = np.random.default_rng(17)
-    solves = []
+    wells = []
     line = Grid(-25.0, 25.0, 4000)
     for _ in range(12):
-        w = rm2_solve(0.0, rng.uniform(0.5, 40.0), rng.uniform(-30.0, 30.0), n_max=2).w
-        solves.append((lambda x, w=w: partner_potentials(w, x).v_minus, line, 3))
+        wells.append((rm2_solve(0.0, rng.uniform(0.5, 40.0), rng.uniform(-30.0, 30.0),
+                                n_max=2).w, line))
     for _ in range(12):
         c = rng.uniform(0.5, 2.0)
         b = c * rng.uniform(0.6, 4.0)
-        w = gpt_solve(b + c * rng.uniform(0.2, 12.0), b, c, n_max=2).w
-        solves.append((lambda x, w=w: partner_potentials(w, x).v_minus,
-                       Grid(1e-6 / c, 25.0 / c, 4000), 3))
+        wells.append((gpt_solve(b + c * rng.uniform(0.2, 12.0), b, c, n_max=2).w,
+                      Grid(1e-6 / c, 25.0 / c, 4000)))
     # level 2 of these wells lies above the left (right) asymptote, so its
     # span reaches row 0 (row n - 1)
     for v2 in (2.0, -2.0):
-        w = rm2_solve(0.0, 12.0, v2, n_max=2).w
-        solves.append((lambda x, w=w: partner_potentials(w, x).v_minus, line, 3))
-    spans = _check_span_twists(monkeypatch, solves)
-    assert len(spans) == 3 * len(solves)
+        wells.append((rm2_solve(0.0, 12.0, v2, n_max=2).w, line))
+    for w, grid in wells:
+        discretize_and_solve(lambda x: partner_potentials(w, x).v_minus, grid, 3)
+    assert len(spans) == 3 * len(wells)
     assert sum(0 < first and last < n - 1 for first, last, n in spans) > len(spans) // 2
     assert any(first == 0 for first, _, _ in spans)
     assert any(last == n - 1 for _, last, n in spans)
