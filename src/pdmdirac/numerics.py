@@ -7,7 +7,12 @@ Sturm sequence counts (Barth, Martin and Wilkinson, Numer. Math. 9, 1967).
 Each count stops once it reaches the largest level that asks for it, or
 once it enters the right tail where every later row has d - s >= 2|e|
 (V above the shift) with a pivot of at least |e|: no later pivot can turn
-negative there.  Eigenvectors come from three twisted LDL^T factorizations
+negative there.  It also starts past most of the forbidden head, the
+leading rows where d - s >= 2|e|, at a row j with q = inf as at row 0.
+Every pivot in the head is at least |e|, so no count is lost, and the head
+rows from j on shrink the start error e^2/q <= |e| by e^40: each row by a
+factor of at least exp(2 acosh((m - s) / 2|e|)), with m the running
+minimum of d.  Eigenvectors come from three twisted LDL^T factorizations
 per level, the first at the bisection midpoint and each further one at the
 Rayleigh quotient of the vector before (Parlett and Dhillon, Linear Algebra
 Appl. 267, 1997).  The first finds the level's twist index on the allowed
@@ -31,16 +36,20 @@ depends on the one before, and a numpy call per row costs far more than the
 row's few flops.  A pivot sweep runs as one list comprehension, and falls
 back to the guarded loop only when a pivot lands inside the guard band.
 Each solve lays T out once (``_tridiagonal``): the diagonal as floats, the
-squared coupling, the pivot floor, the suffix minimum and the Gershgorin
-ends, which also give the one matrix scale.
+squared coupling, the pivot floor, the suffix minimum, the prefix minimum
+at the end of each 32-row block and the Gershgorin ends, which also give
+the one matrix scale.  The bisection keeps its intervals as Python floats
+too, and counts each distinct midpoint once.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
+from operator import neg
 
 import numpy as np
 
@@ -96,12 +105,19 @@ def _sample(potential, pts: np.ndarray) -> np.ndarray:
     return v
 
 
+# rows per block of the Sturm count's walk back through the forbidden head:
+# fewer rows per block cost more steps of the walk, more rows a later start
+_BLOCK = 32
+
+
 @dataclass(frozen=True)
 class _Tridiagonal:
     """Symmetric tridiagonal T laid out for the row sweeps: the diagonal as
     an array and as Python floats (``rows``), the constant coupling ``e`` and
     its square, the pivot floor, the smallest diagonal entry from each row
-    to the last, and the Gershgorin ends ``lo`` and ``hi`` of the spectrum.
+    to the last (``suffix_min``) and from row 0 to the last row of each
+    block of ``_BLOCK`` rows (``block_min``), both as Python floats, and the
+    Gershgorin ends ``lo`` and ``hi`` of the spectrum.
     """
 
     diag: np.ndarray
@@ -109,7 +125,8 @@ class _Tridiagonal:
     e: float
     esq: float
     pivmin: float
-    suffix_min: np.ndarray
+    suffix_min: list[float]
+    block_min: list[float]
     lo: float
     hi: float
 
@@ -121,7 +138,8 @@ def _tridiagonal(diag: np.ndarray, e: float) -> _Tridiagonal:
     # below any physically meaningful pivot so counts are never perturbed
     return _Tridiagonal(diag=diag, rows=diag.tolist(), e=e, esq=esq,
                         pivmin=max(esq * 1e-292, 1e-300),
-                        suffix_min=np.minimum.accumulate(diag[::-1])[::-1],
+                        suffix_min=np.minimum.accumulate(diag[::-1])[::-1].tolist(),
+                        block_min=np.minimum.accumulate(diag)[_BLOCK - 1::_BLOCK].tolist(),
                         lo=float(np.min(diag)) - radius, hi=float(np.max(diag)) + radius)
 
 
@@ -130,23 +148,46 @@ def _sturm_counts(t: _Tridiagonal, shifts: np.ndarray, caps: np.ndarray) -> np.n
     count), each capped.
 
     A shift's row loop stops once its count reaches its cap (each at least
-    1), and the count returned is min(full count, cap).  It also stops in
-    the right tail where every row has d - s >= 2b, with
-    b = max(|e|, pivmin), once a pivot reaches b, since each later pivot is
-    then d - s - e^2/q >= 2b - b and no later row can add to the count.
+    1), and the count returned is min(full count, cap).  The rows where
+    d - s >= 2b, with b = max(|e|, pivmin), are forbidden: after a pivot of
+    at least b, each pivot there is d - s - e^2/q >= 2b - b, and none adds
+    to the count.  So the loop stops in the right tail, where every later
+    row is forbidden, once a pivot reaches b.
+
+    It also starts past most of the forbidden head, the P leading rows.
+    There every pivot is at least b, so starting at row j < P with
+    q = inf, as at row 0, skips no count and leaves q_j off by
+    e^2/q_{j-1} <= |e|.  Each head row i shrinks that error by a factor of
+    at least exp(2 acosh((m_i - s) / 2b)), with m_i = min(d_0..d_i), since
+    the pivots up to row i stay above the fixed point
+    b exp(acosh((m_i - s) / 2b)).  The start j is the boundary of 32-row
+    blocks (``_BLOCK``) nearest P from which the whole blocks of the head
+    shrink the error by e^40, each block costed at its last row, where
+    m is smallest.  The error is then below 2^-57 of the pivot, under the
+    round-off of one row.  When the whole head shrinks it less, j is 0.
     """
-    esq, pivmin = t.esq, t.pivmin
+    esq, pivmin, block_min, block = t.esq, t.pivmin, t.block_min, _BLOCK
     bound = max(math.sqrt(esq), pivmin)
-    # the 1e-9 margin dwarfs the round-off of d - s, of e^2 / q and of the
-    # threshold itself; a NaN shift sorts past the last row
-    margin = 2.0 * bound + 1e-9 * (bound + np.abs(shifts))
-    tails = np.searchsorted(t.suffix_min, shifts + margin).tolist()
+    width = 2.0 * bound
     counts = []
-    for s, cap, tail in zip(shifts.tolist(), caps.tolist(), tails):
+    for s, cap in zip(shifts.tolist(), caps.tolist()):
+        # the forbidden rows have d >= edge: the 1e-9 margin dwarfs the
+        # round-off of d - s, of e^2 / q and of the threshold itself
+        edge = s + (width + 1e-9 * (bound + abs(s)))
+        # a NaN shift's tail is every row: its count stops at once, at 0
+        tail = bisect_left(t.suffix_min, edge)
+        # the head's whole blocks (block_min never rises); when every row is
+        # in the head, the tail is every row and j is 0
+        j = min(block * bisect_right(block_min, -edge, key=neg), tail)
+        damped = 0.0
+        while j > 0 and damped < 40.0:
+            j -= block
+            damped += 2.0 * block * math.acosh((block_min[j // block] - s) / width)
         q = math.inf  # first row: esq / inf is 0.0, so q = d - s exactly
         count = 0
         rest = iter(t.rows)
-        for d in islice(rest, tail):
+        rest.__setstate__(j)  # the list iterator's position: rows before j are never read
+        for d in islice(rest, tail - j):
             q = d - s - esq / q
             # below pivmin counts as negative; inside (-pivmin, pivmin) the
             # pivot becomes -pivmin.  A positive row costs one comparison.
@@ -157,16 +198,17 @@ def _sturm_counts(t: _Tridiagonal, shifts: np.ndarray, caps: np.ndarray) -> np.n
                 if q > -pivmin:
                     q = -pivmin
         else:
-            for d in rest:
-                if q >= bound:
-                    break
-                q = d - s - esq / q
-                if q < pivmin:
-                    count += 1
-                    if count == cap:
+            if q < bound:
+                for d in rest:
+                    q = d - s - esq / q
+                    if q < pivmin:
+                        count += 1
+                        if count == cap:
+                            break
+                        if q > -pivmin:
+                            q = -pivmin
+                    elif q >= bound:
                         break
-                    if q > -pivmin:
-                        q = -pivmin
         counts.append(count)
     return np.array(counts, dtype=np.int64)
 
@@ -228,7 +270,8 @@ def _twisted_vector(t: _Tridiagonal, shift: float,
         allowed = np.flatnonzero(a <= 2.0 * abs(t.e))
         first, last = (int(allowed[0]), int(allowed[-1])) if allowed.size else (0, a.size - 1)
         d_plus = _pivot_sweep(rows[:last + 1], shift, esq, pivmin)
-        d_minus = _pivot_sweep(rows[first:][::-1], shift, esq, pivmin)[::-1]
+        # rows n - 1 down to first; a stop of first - 1 would read -1 at first = 0
+        d_minus = _pivot_sweep(rows[:first - 1 if first else None:-1], shift, esq, pivmin)[::-1]
         r = first + int(np.argmin(np.abs(d_plus[first:] + d_minus[:last + 1 - first]
                                          - a[first:last + 1])))
         d_plus, d_minus = d_plus[:r], d_minus[r + 1 - first:]
@@ -261,27 +304,29 @@ def _bisect(t: _Tridiagonal, lo: np.ndarray, hi: np.ndarray, width: float,
     level one more count does.  Returns the interval ends and whether that
     early stop was taken.
     """
-    k = lo.size
-    targets = np.arange(1, k + 1)
+    lo, hi = lo.tolist(), hi.tolist()
+    k = len(lo)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
+        mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
         # targets that still share an interval share its midpoint: count each
         # distinct shift once, and only as far as its largest target
-        shifts, slot = np.unique(mid, return_inverse=True)
-        caps = np.zeros(shifts.size, dtype=np.int64)
-        np.maximum.at(caps, slot, targets)
-        counts = _sturm_counts(t, shifts, caps)[slot]
-        above = counts >= targets
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-        widest = np.max(hi - lo)
+        caps = {m: target for target, m in enumerate(mid, 1)}
+        found = _sturm_counts(t, np.array(list(caps)), np.array(list(caps.values())))
+        counts = dict(zip(caps, found.tolist()))
+        for j, m in enumerate(mid):
+            # target j + 1 is reached below m: its level lies below m
+            if counts[m] > j:
+                hi[j] = m
+            else:
+                lo[j] = m
+        widest = max(b - a for a, b in zip(lo, hi))
         if widest <= width:
-            return lo, hi, False
-        if (widest <= isolated_width and np.all(lo[1:] - hi[:-1] >= widest)
-                and _sturm_counts(t, hi[-1:] + widest, np.array([k + 1]))[0] == k):
-            return lo, hi, True
+            return np.array(lo), np.array(hi), False
+        if (widest <= isolated_width and all(a - b >= widest for a, b in zip(lo[1:], hi))
+                and _sturm_counts(t, np.array([hi[-1] + widest]), np.array([k + 1]))[0] == k):
+            return np.array(lo), np.array(hi), True
     raise ConvergenceError(
-        f"bisection failed to localize eigenvalues: widths {hi - lo}")
+        f"bisection failed to localize eigenvalues: widths {np.subtract(hi, lo)}")
 
 
 def _eigenpairs(t: _Tridiagonal, shifts: np.ndarray):

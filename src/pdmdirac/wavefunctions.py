@@ -10,6 +10,7 @@ is always defined for integer n >= 0) takes over.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,9 @@ from .susy import (PoschlTellerSuperpotential, Superpotential, gpt_admissible,
 # sum; at the boundary the cancellation error is ~eps/_GUARD ~ 1e-10, safely
 # under the dual-route agreement tolerance
 _GUARD = 1e-6
+
+# the largest argument whose exponential is finite
+_EXP_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -134,6 +138,15 @@ def rm2_exponents(n: int, v1: float, v2: float) -> tuple[float, float]:
     return r, s
 
 
+def _inv_one_plus_exp(m: np.ndarray) -> np.ndarray:
+    """1/(1 + e^m), and e^{-m}/(1 + e^{-m}) on the rows where e^m overflows."""
+    over = m > _EXP_MAX
+    if not over.any():
+        return 1.0 / (1.0 + np.exp(m))
+    em = np.exp(np.where(over, -m, m))
+    return np.where(over, em / (1.0 + em), 1.0 / (1.0 + em))
+
+
 def rm2_state_evaluator(n: int, v1: float, v2: float):
     """Closed-form level-n state of -phi'' + (-V1 sech^2 x + V2 tanh x + const) phi.
 
@@ -142,16 +155,18 @@ def rm2_state_evaluator(n: int, v1: float, v2: float):
         phi(x) = u^{-r} v^{-s} P_n^{(-2r,-2s)}(-tanh x),
         u = (1+tanh x)/2,  v = (1-tanh x)/2,
 
-    computed through the overflow-free forms u = 1/(1+e^{-2x}),
-    v = 1/(1+e^{2x}); dphi is the exact derivative.
+    computed as u = 1/(1+e^{-2x}), v = 1/(1+e^{2x}), and as
+    u = e^{2x}/(1+e^{2x}), v = e^{-2x}/(1+e^{-2x}) on the rows where the
+    first forms' exponential would overflow (|x| > 354.89); dphi is the
+    exact derivative.
     """
     r, s = rm2_exponents(n, v1, v2)
     aj, bj = -2.0 * r, -2.0 * s
 
     def _parts(x):
         x = np.asarray(x, dtype=float)
-        u = 1.0 / (1.0 + np.exp(-2.0 * x))
-        v = 1.0 / (1.0 + np.exp(2.0 * x))
+        u = _inv_one_plus_exp(-2.0 * x)
+        v = _inv_one_plus_exp(2.0 * x)
         return u ** (-r) * v ** (-s), np.tanh(x)
 
     def phi(x):

@@ -493,14 +493,32 @@ def test_sturm_counts_match_reference_loop_on_every_pivot_class():
 
 
 class _RowsRead(list):
-    """A diagonal that counts the rows a Sturm count reads."""
+    """A diagonal that counts the rows a Sturm count reads: its iterator,
+    like a list's, starts where ``__setstate__`` puts it, and counts only
+    the rows it yields."""
 
     read = 0
 
     def __iter__(self):
-        for d in super().__iter__():
-            self.read += 1
-            yield d
+        return _RowIterator(self)
+
+
+class _RowIterator:
+    def __init__(self, rows):
+        self.rows, self.at = rows, 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self.at == len(self.rows):
+            raise StopIteration
+        self.rows.read += 1
+        self.at += 1
+        return self.rows[self.at - 1]
+
+    def __setstate__(self, at):
+        self.at = at
 
 
 @pytest.mark.parametrize("solve, coeffs, domain, share", [
@@ -527,6 +545,53 @@ def test_sturm_counts_stop_in_the_forbidden_tail(solve, coeffs, domain, share):
     assert (_sturm_counts(replace(t, rows=tail), shifts, caps).tolist()
             == _sturm_counts_reference(t.rows, t.esq, shifts.tolist()))
     assert tail.read < share * 50 * 6000
+
+
+def test_sturm_counts_start_past_the_forbidden_head(monkeypatch):
+    # every count the bisection makes starts past most of the head where V
+    # is above the shift, and equals the reference loop's count from row 0,
+    # capped.  On the 6000-point k = 3 oracle problems, Rosen-Morse reads
+    # 72,885 and 223,980 rows with and without eigenvectors (106,389 and
+    # 323,756 from row 0); Poschl-Teller reads as many as from row 0, since
+    # its wall damps less than a start past it needs
+    from dataclasses import replace
+
+    from pdmdirac import numerics
+
+    counts = numerics._sturm_counts
+    rows = _RowsRead()
+
+    def spy(t, shifts, caps):
+        rows.extend(t.rows)
+        got = counts(replace(t, rows=rows), shifts, caps)
+        rows.clear()
+        ref = _sturm_counts_reference(t.rows, t.esq, shifts.tolist())
+        assert got.tolist() == np.minimum(ref, caps).tolist()
+        return got
+
+    monkeypatch.setattr(numerics, "_sturm_counts", spy)
+    read = {}
+    for solve, coeffs, domain in [(rm2_solve, (5.0, 20.0, 1.0), (-15.0, 15.0)),
+                                  (gpt_solve, (9.0, 2.5, 1.0), (1e-3, 20.0))]:
+        w = solve(*coeffs, n_max=2).w
+        for eigenvectors in (True, False):
+            rows.read = 0
+            discretize_and_solve(lambda x: partner_potentials(w, x).v_minus,
+                                 Grid(*domain, 6000), 3, eigenvectors=eigenvectors)
+            read[solve, eigenvectors] = rows.read
+    assert read[rm2_solve, True] <= 73_000
+    assert read[rm2_solve, False] <= 225_000
+    assert read[gpt_solve, True] == 18_585
+    assert read[gpt_solve, False] == 77_650
+    for w, grid in _drawn_wells():
+        discretize_and_solve(lambda x: partner_potentials(w, x).v_minus, grid, 3)
+    discretize_and_solve(lambda x: x * x, Grid(-8.0, 8.0, 900), 4, eigenvectors=False)
+    # below every V, every row is in the head and in the tail: no row is read
+    g = Grid(-5.0, 5.0, 400)
+    t = numerics._tridiagonal(2.0 / g.step ** 2 + g.points ** 2, -1.0 / g.step ** 2)
+    rows.read = 0
+    assert numerics._sturm_counts(t, np.array([-1.0, -0.5]), np.array([3, 3])).tolist() == [0, 0]
+    assert rows.read == 0
 
 
 @given(diag=st.lists(st.one_of(st.floats(-1.0, 1.0), st.floats(-1e6, 1e6)),
@@ -653,12 +718,33 @@ def test_later_twisted_solves_keep_the_twist(monkeypatch, solve, coeffs, domain)
     assert sum(rows_read) == {rm2_solve: 55_149, gpt_solve: 55_024}[solve]
 
 
+def _drawn_wells():
+    # 26 superpotentials with their grids, drawn over ROADMAP item 2's
+    # domain: Rosen-Morse V1 in [0.5, 40], V2 in [-30, 30] on
+    # Grid(-25, 25, 4000); Poschl-Teller b/c in [0.6, 4], (a - b)/c in
+    # [0.2, 12] on Grid(1e-6/c, 25/c, 4000)
+    rng = np.random.default_rng(17)
+    wells = []
+    line = Grid(-25.0, 25.0, 4000)
+    for _ in range(12):
+        wells.append((rm2_solve(0.0, rng.uniform(0.5, 40.0), rng.uniform(-30.0, 30.0),
+                                n_max=2).w, line))
+    for _ in range(12):
+        c = rng.uniform(0.5, 2.0)
+        b = c * rng.uniform(0.6, 4.0)
+        wells.append((gpt_solve(b + c * rng.uniform(0.2, 12.0), b, c, n_max=2).w,
+                      Grid(1e-6 / c, 25.0 / c, 4000)))
+    # level 2 of these wells lies above the left (right) asymptote, so its
+    # span reaches row 0 (row n - 1)
+    for v2 in (2.0, -2.0):
+        wells.append((rm2_solve(0.0, 12.0, v2, n_max=2).w, line))
+    return wells
+
+
 def test_span_twist_is_the_full_sweeps_twist_on_both_families(monkeypatch):
-    # every first twisted solve picks the twist of two full sweeps, argmin
-    # |gamma| over all rows, and builds the vector those sweeps give.  Draws
-    # over ROADMAP item 2's domain: Rosen-Morse V1 in [0.5, 40], V2 in
-    # [-30, 30] on Grid(-25, 25, 4000); Poschl-Teller b/c in [0.6, 4],
-    # (a - b)/c in [0.2, 12] on Grid(1e-6/c, 25/c, 4000)
+    # every first twisted solve of the k = 3 solves of _drawn_wells picks the
+    # twist of two full sweeps, argmin |gamma| over all rows, and builds the
+    # vector those sweeps give
     from pdmdirac import numerics
 
     twisted = numerics._twisted_vector
@@ -681,21 +767,7 @@ def test_span_twist_is_the_full_sweeps_twist_on_both_families(monkeypatch):
         return z, got
 
     monkeypatch.setattr(numerics, "_twisted_vector", spy)
-    rng = np.random.default_rng(17)
-    wells = []
-    line = Grid(-25.0, 25.0, 4000)
-    for _ in range(12):
-        wells.append((rm2_solve(0.0, rng.uniform(0.5, 40.0), rng.uniform(-30.0, 30.0),
-                                n_max=2).w, line))
-    for _ in range(12):
-        c = rng.uniform(0.5, 2.0)
-        b = c * rng.uniform(0.6, 4.0)
-        wells.append((gpt_solve(b + c * rng.uniform(0.2, 12.0), b, c, n_max=2).w,
-                      Grid(1e-6 / c, 25.0 / c, 4000)))
-    # level 2 of these wells lies above the left (right) asymptote, so its
-    # span reaches row 0 (row n - 1)
-    for v2 in (2.0, -2.0):
-        wells.append((rm2_solve(0.0, 12.0, v2, n_max=2).w, line))
+    wells = _drawn_wells()
     for w, grid in wells:
         discretize_and_solve(lambda x: partner_potentials(w, x).v_minus, grid, 3)
     assert len(spans) == 3 * len(wells)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,20 @@ def test_rm2_tails_decay():
         st = rm2_wavefunction(n, 12.0, 1.0, grid)
         assert abs(st.samples[0]) < 1e-10
         assert abs(st.samples[-1]) < 1e-10
+
+
+def test_rm2_state_past_the_range_of_the_exponential():
+    # past |x| = 354.9 the direct forms' e^{2|x|} overflows; those rows take
+    # the mirrored forms, so the state and its derivative stay finite with
+    # no RuntimeWarning
+    grid = Grid(-800.0, 800.0, 4000)
+    _, dphi = rm2_state_evaluator(1, 12.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        st = rm2_wavefunction(1, 12.0, 1.0, grid)
+        slope = dphi(grid.points)
+    assert np.all(np.isfinite(st.samples)) and st.nodes == 1
+    assert np.all(np.isfinite(slope))
 
 
 def test_rm2_node_counts():
