@@ -17,18 +17,23 @@ per level, the first at the bisection midpoint and each further one at the
 Rayleigh quotient of the vector before (Parlett and Dhillon, Linear Algebra
 Appl. 267, 1997).  The first finds the level's twist index on the allowed
 span, the rows where V is at or below the shift, so its sweeps stop at the
-span's far ends: n plus the span's rows instead of 2n.  The other two keep
-that twist, so their sweeps stop at it: n - 1 rows.  Since these converge
-cubically, the eigenvector path stops bisecting at 1e-7 of the matrix
-scale once every interval provably holds its one eigenvalue with no other
-within one interval width; otherwise, and always without eigenvectors, it
-bisects to 1e-13.  A
-Rayleigh quotient that leaves its interval makes the solve bisect on from
-the intervals it stopped at, down to 1e-13; bisection keeps no other
-state, so those intervals are the ones a full bisection ends with.  The
-vectors of levels closer than 1e-6 of the scale are orthogonalized within
-their cluster.  Everything here is deterministic and independent of the
-closed-form machinery it is used to check.
+span's far ends.  The other two keep that twist, so their sweeps stop at
+it.  Every solve computes the vector on its numerical support only, as
+LAPACK's dlar1v does: D+ starts past most of the forbidden head and D-
+before most of the forbidden tail, each with q = inf, and the entries
+outside are exactly 0.0.  Each start is the block boundary past which the
+walk the Sturm count runs, taken to e^46 of amplitude, puts every entry it
+leaves out below 2^-60 of the vector's largest; where a walk runs out, the
+start is row 0 or n - 1.  Since these solves converge cubically, the
+eigenvector path stops bisecting at 1e-7 of the matrix scale once every
+interval provably holds its one eigenvalue with no other within one
+interval width; otherwise, and always without eigenvectors, it bisects to
+1e-13.  A Rayleigh quotient that leaves its interval makes the solve
+bisect on from the intervals it stopped at, down to 1e-13; bisection keeps
+no other state, so those intervals are the ones a full bisection ends
+with.  The vectors of levels closer than 1e-6 of the scale are
+orthogonalized within their cluster.  Everything here is deterministic and
+independent of the closed-form machinery it is used to check.
 
 The sequential recurrences (the Sturm count and the two pivot sweeps of the
 twisted factorization) loop over Python floats, not numpy arrays: each row
@@ -105,9 +110,12 @@ def _sample(potential, pts: np.ndarray) -> np.ndarray:
     return v
 
 
-# rows per block of the Sturm count's walk back through the forbidden head:
-# fewer rows per block cost more steps of the walk, more rows a later start
+# rows per block of the walks through the forbidden head and tail: fewer
+# rows per block cost more steps of a walk, more rows a later start
 _BLOCK = 32
+# how far a twisted vector's support reaches into its forbidden ends:
+# e^-46 is below 2^-60 = e^-41.6 of the peak, with a margin
+_SUPPORT_NATS = 46.0
 
 
 @dataclass(frozen=True)
@@ -143,46 +151,77 @@ def _tridiagonal(diag: np.ndarray, e: float) -> _Tridiagonal:
                         lo=float(np.min(diag)) - radius, hi=float(np.max(diag)) + radius)
 
 
+def _forbidden_ends(t: _Tridiagonal, shift: float) -> tuple[float, int, int]:
+    """b = max(|e|, pivmin), the end of the forbidden head's whole blocks
+    and the first row of the forbidden tail of T - shift I.
+
+    The rows where d - shift >= 2b are forbidden: after a pivot of at least
+    b, each pivot there is d - shift - e^2/q >= 2b - b.  The head is the
+    leading forbidden rows, counted in whole blocks of ``_BLOCK`` rows, and
+    the tail the rows from which every later row is forbidden.  When every
+    row is, the tail is every row and the head none.
+    """
+    bound = max(math.sqrt(t.esq), t.pivmin)
+    # the forbidden rows have d >= edge: the 1e-9 margin dwarfs the
+    # round-off of d - s, of e^2 / q and of the threshold itself
+    edge = shift + (2.0 * bound + 1e-9 * (bound + abs(shift)))
+    # a NaN shift's tail is every row, so its count stops at once, at 0
+    tail = bisect_left(t.suffix_min, edge)
+    # block_min never rises
+    return bound, min(_BLOCK * bisect_right(t.block_min, -edge, key=neg), tail), tail
+
+
+def _damped_rows(mins, shift: float, bound: float, nats: float) -> int:
+    """Rows of the forbidden blocks whose smallest diagonal entries ``mins``
+    lists, in the order a walk takes them, that the walk needs to shrink an
+    amplitude by e^nats; every row if they shrink it less.
+
+    A sweep that enters a forbidden row with diagonal at least m from
+    forbidden rows leaves it with a pivot of at least the fixed point
+    b exp(acosh((m - shift) / 2b)) of q = m - shift - b^2/q.  So the row
+    shrinks |e|/q, the ratio of neighbouring twisted-vector entries, by
+    exp(acosh((m - shift) / 2b)), and an error e^2/q of the pivot by its
+    square.  Each block is costed at its smallest entry.  The walk adds one
+    exponent per block and stops at nats / ``_BLOCK``; a power of 2 scales
+    both sides exactly, so it stops where a sum over the rows would.
+    """
+    width = 2.0 * bound
+    stop = nats / _BLOCK
+    acosh = math.acosh
+    damped = 0.0
+    blocks = 0
+    for m in mins:
+        if damped >= stop:
+            break
+        damped += acosh((m - shift) / width)
+        blocks += 1
+    return _BLOCK * blocks
+
+
 def _sturm_counts(t: _Tridiagonal, shifts: np.ndarray, caps: np.ndarray) -> np.ndarray:
     """Number of eigenvalues of T strictly below each shift (LDL^T sign
     count), each capped.
 
     A shift's row loop stops once its count reaches its cap (each at least
-    1), and the count returned is min(full count, cap).  The rows where
-    d - s >= 2b, with b = max(|e|, pivmin), are forbidden: after a pivot of
-    at least b, each pivot there is d - s - e^2/q >= 2b - b, and none adds
-    to the count.  So the loop stops in the right tail, where every later
-    row is forbidden, once a pivot reaches b.
+    1), and the count returned is min(full count, cap).  No forbidden row
+    (``_forbidden_ends``) adds to the count, so the loop stops in the tail
+    once a pivot reaches b.
 
     It also starts past most of the forbidden head, the P leading rows.
     There every pivot is at least b, so starting at row j < P with
     q = inf, as at row 0, skips no count and leaves q_j off by
-    e^2/q_{j-1} <= |e|.  Each head row i shrinks that error by a factor of
-    at least exp(2 acosh((m_i - s) / 2b)), with m_i = min(d_0..d_i), since
-    the pivots up to row i stay above the fixed point
-    b exp(acosh((m_i - s) / 2b)).  The start j is the boundary of 32-row
-    blocks (``_BLOCK``) nearest P from which the whole blocks of the head
-    shrink the error by e^40, each block costed at its last row, where
-    m is smallest.  The error is then below 2^-57 of the pivot, under the
+    e^2/q_{j-1} <= |e|.  The head rows from j on shrink that error by
+    ``_damped_rows``' factor squared.  The start j is the block boundary
+    nearest P from which the head's whole blocks shrink it by e^40 (e^20
+    of amplitude), each block costed at its last row, where min(d_0..d_i)
+    is smallest.  The error is then below 2^-57 of the pivot, under the
     round-off of one row.  When the whole head shrinks it less, j is 0.
     """
-    esq, pivmin, block_min, block = t.esq, t.pivmin, t.block_min, _BLOCK
-    bound = max(math.sqrt(esq), pivmin)
-    width = 2.0 * bound
+    esq, pivmin, block_min = t.esq, t.pivmin, t.block_min
     counts = []
     for s, cap in zip(shifts.tolist(), caps.tolist()):
-        # the forbidden rows have d >= edge: the 1e-9 margin dwarfs the
-        # round-off of d - s, of e^2 / q and of the threshold itself
-        edge = s + (width + 1e-9 * (bound + abs(s)))
-        # a NaN shift's tail is every row: its count stops at once, at 0
-        tail = bisect_left(t.suffix_min, edge)
-        # the head's whole blocks (block_min never rises); when every row is
-        # in the head, the tail is every row and j is 0
-        j = min(block * bisect_right(block_min, -edge, key=neg), tail)
-        damped = 0.0
-        while j > 0 and damped < 40.0:
-            j -= block
-            damped += 2.0 * block * math.acosh((block_min[j // block] - s) / width)
+        bound, head, tail = _forbidden_ends(t, s)
+        j = head - _damped_rows(reversed(block_min[:head // _BLOCK]), s, bound, 20.0)
         q = math.inf  # first row: esq / inf is 0.0, so q = d - s exactly
         count = 0
         rest = iter(t.rows)
@@ -242,6 +281,29 @@ def _pivot_sweep(rows: list[float], shift: float, esq: float,
     return np.array(out)
 
 
+def _support(t: _Tridiagonal, shift: float, first: int, last: int) -> tuple[int, int]:
+    """Rows [lo, hi) of the numerical support of a twisted vector of
+    T - shift I whose twist lies in [first, last].
+
+    Before the twist each entry is |e| / D+ times the next, and after it
+    |e| / D- times the one before.  So from the end of the forbidden head
+    (``_forbidden_ends``), or the twist's block if that comes first, the
+    head rows walked back shrink every entry before lo below e^-46 of the
+    entry at the walk's start (``_SUPPORT_NATS``, ``_damped_rows``), and
+    so below 2^-60 of the vector's largest entry.  The tail rows walked on
+    from the tail's first row, or the row after ``last`` if that comes
+    later, do the same for every entry from hi on.  A walk that runs out
+    first gives lo = 0 or hi = n.
+    """
+    bound, head, tail = _forbidden_ends(t, shift)
+    head = min(head, first - first % _BLOCK)
+    tail = max(tail, last + 1)
+    return (head - _damped_rows(reversed(t.block_min[:head // _BLOCK]), shift, bound,
+                                _SUPPORT_NATS),
+            min(tail + _damped_rows(t.suffix_min[tail::_BLOCK], shift, bound, _SUPPORT_NATS),
+                len(t.rows)))
+
+
 def _twisted_vector(t: _Tridiagonal, shift: float,
                     r: int | None = None) -> tuple[np.ndarray, int]:
     """Eigenvector of T for the eigenvalue nearest shift, unnormalized, and
@@ -255,32 +317,43 @@ def _twisted_vector(t: _Tridiagonal, shift: float,
     d - shift <= 2|e| (V at or below the shift), or over all rows when
     there are none.  That twist sits at the vector's peak, and the peak
     lies in the span: at a peak z_r of an eigenvector,
-    (d_r - lambda) z_r = |e| (z_{r-1} + z_{r+1}) <= 2|e| z_r.  So D+ runs
-    forward to ``last`` and D- backward to ``first``, n plus the span's
-    rows.  The pivots the vector uses are the prefix and suffix that sweeps
-    over all rows give, so wherever those sweeps' argmin lies in the span,
-    r and the vector keep every bit.  Any twist near the vector's peak
-    gives a small residual, so a given ``r`` is kept: D+ then runs over the
-    rows before it and D- over the rows after it, n - 1 rows in all.
-    Pivots get the Sturm count's guard, so no division is by zero.
+    (d_r - lambda) z_r = |e| (z_{r-1} + z_{r+1}) <= 2|e| z_r.  Any twist
+    near the vector's peak gives a small residual, so a given ``r`` is
+    kept, as the span [r, r].
+
+    The vector is computed on its numerical support [lo, hi) only
+    (``_support``), as LAPACK's dlar1v does (ISUPPZ; Dhillon, Parlett and
+    Voemel, ACM TOMS 32, 2006), and is exactly 0.0 outside it: every
+    entry the cut leaves out is below 2^-60 of the peak of the vector that
+    sweeps over all rows give.  D+ starts at lo and D- at hi - 1, each with
+    q = inf as at the ends.  The walked rows shrink that start's error by
+    e^92, so from the walk's start on the pivots match a full sweep's to
+    far below one rounding.  D+ runs forward to ``last`` and D- backward
+    to ``first``: without ``r``, the support's rows plus the span's, and
+    with it hi - lo - 1 rows.  Pivots get the Sturm count's guard, so no
+    division is by zero.
     """
     rows, esq, pivmin = t.rows, t.esq, t.pivmin
     if r is None:
         a = t.diag - shift
         allowed = np.flatnonzero(a <= 2.0 * abs(t.e))
         first, last = (int(allowed[0]), int(allowed[-1])) if allowed.size else (0, a.size - 1)
-        d_plus = _pivot_sweep(rows[:last + 1], shift, esq, pivmin)
-        # rows n - 1 down to first; a stop of first - 1 would read -1 at first = 0
-        d_minus = _pivot_sweep(rows[:first - 1 if first else None:-1], shift, esq, pivmin)[::-1]
-        r = first + int(np.argmin(np.abs(d_plus[first:] + d_minus[:last + 1 - first]
+        lo, hi = _support(t, shift, first, last)
+        d_plus = _pivot_sweep(rows[lo:last + 1], shift, esq, pivmin)
+        # rows hi - 1 down to first; a stop of first - 1 would read -1 at first = 0
+        d_minus = _pivot_sweep(rows[hi - 1:first - 1 if first else None:-1],
+                               shift, esq, pivmin)[::-1]
+        r = first + int(np.argmin(np.abs(d_plus[first - lo:] + d_minus[:last + 1 - first]
                                          - a[first:last + 1])))
-        d_plus, d_minus = d_plus[:r], d_minus[r + 1 - first:]
+        d_plus, d_minus = d_plus[:r - lo], d_minus[r + 1 - first:]
     else:
-        d_plus = _pivot_sweep(rows[:r], shift, esq, pivmin)
-        d_minus = _pivot_sweep(rows[:r:-1], shift, esq, pivmin)[::-1]
-    z = np.ones(t.diag.size)
-    z[:r] = np.cumprod(-t.e / d_plus[::-1])[::-1]
-    z[r + 1:] = np.cumprod(-t.e / d_minus)
+        lo, hi = _support(t, shift, r, r)
+        d_plus = _pivot_sweep(rows[lo:r], shift, esq, pivmin)
+        d_minus = _pivot_sweep(rows[hi - 1:r:-1], shift, esq, pivmin)[::-1]
+    z = np.zeros(t.diag.size)
+    z[r] = 1.0
+    z[lo:r] = np.cumprod(-t.e / d_plus[::-1])[::-1]
+    z[r + 1:hi] = np.cumprod(-t.e / d_minus)
     return z, r
 
 

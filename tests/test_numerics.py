@@ -686,18 +686,21 @@ def test_eigenvector_path_stops_bisecting_early(monkeypatch, solve, coeffs, doma
 def test_later_twisted_solves_keep_the_twist(monkeypatch, solve, coeffs, domain):
     # each level's first solve finds its twist on the allowed span (V at or
     # below the shift): D+ sweeps forward to the span's last row and D-
-    # backward to its first.  Its two later solves sweep up to the twist and
-    # back down to it, n - 1 rows: for k = 3, 55,149 rows (Rosen-Morse) and
-    # 55,024 (Poschl-Teller) instead of the 71,994 that full first sweeps
-    # read, and 108,000 with no twist kept
+    # backward to its first, each from the far end of the vector's support.
+    # Its two later solves sweep up to the twist and back down to it, over
+    # the support only: for k = 3, 52,275 rows (Rosen-Morse) and 37,423
+    # (Poschl-Teller) instead of the 55,149 and 55,024 that sweeps from rows
+    # 0 and n - 1 read, and 108,000 with no twist kept
     from pdmdirac import numerics
 
     rows_read = []
+    swept = []
     shifts = []
     sweep = numerics._pivot_sweep
 
     def spy(rows, shift, *args):
         rows_read.append(len(rows))
+        swept.append(rows)
         shifts.append(shift)
         return sweep(rows, shift, *args)
 
@@ -710,12 +713,17 @@ def test_later_twisted_solves_keep_the_twist(monkeypatch, solve, coeffs, domain)
     h = grid.step
     diag = 2.0 / (h * h) + potential(grid.points)
     per_solve = [a + b for a, b in zip(rows_read[::2], rows_read[1::2])]
-    assert per_solve[1::3] == per_solve[2::3] == [n - 1] * 3
+    assert per_solve[1::3] == per_solve[2::3]
+    assert all(count < n for count in per_solve[1::3])
+    rows = diag.tolist()
     for j in range(0, 18, 6):
         allowed = np.flatnonzero(diag - shifts[j] <= 2.0 / (h * h))
         assert 0 < allowed.size < n // 10
-        assert rows_read[j:j + 2] == [allowed[-1] + 1, n - allowed[0]]
-    assert sum(rows_read) == {rm2_solve: 55_149, gpt_solve: 55_024}[solve]
+        first, last = int(allowed[0]), int(allowed[-1])
+        assert rows_read[j] <= last + 1 and rows_read[j + 1] <= n - first
+        assert swept[j] == rows[last + 1 - rows_read[j]:last + 1]
+        assert swept[j + 1] == rows[first:first + rows_read[j + 1]][::-1]
+    assert sum(rows_read) == {rm2_solve: 52_275, gpt_solve: 37_423}[solve]
 
 
 def _drawn_wells():
@@ -744,7 +752,8 @@ def _drawn_wells():
 def test_span_twist_is_the_full_sweeps_twist_on_both_families(monkeypatch):
     # every first twisted solve of the k = 3 solves of _drawn_wells picks the
     # twist of two full sweeps, argmin |gamma| over all rows, and builds the
-    # vector those sweeps give
+    # vector those sweeps give to within 2^-60 of its peak, with exact zeros
+    # outside its support
     from pdmdirac import numerics
 
     twisted = numerics._twisted_vector
@@ -761,9 +770,12 @@ def test_span_twist_is_the_full_sweeps_twist_on_both_families(monkeypatch):
             ref = np.ones(t.diag.size)
             ref[:full] = np.cumprod(-t.e / d_plus[:full][::-1])[::-1]
             ref[full + 1:] = np.cumprod(-t.e / d_minus[full + 1:])
-            assert np.array_equal(z, ref)
+            assert np.all(np.abs(z - ref) <= 2.0 ** -60 * np.max(np.abs(ref)))
             allowed = np.flatnonzero(t.diag - shift <= 2.0 * abs(t.e))
-            spans.append((int(allowed[0]), int(allowed[-1]), t.diag.size))
+            first, last = int(allowed[0]), int(allowed[-1])
+            lo, hi = numerics._support(t, shift, first, last)
+            assert np.all(z[:lo] == 0.0) and np.all(z[hi:] == 0.0)
+            spans.append((first, last, t.diag.size))
         return z, got
 
     monkeypatch.setattr(numerics, "_twisted_vector", spy)
@@ -774,6 +786,58 @@ def test_span_twist_is_the_full_sweeps_twist_on_both_families(monkeypatch):
     assert sum(0 < first and last < n - 1 for first, last, n in spans) > len(spans) // 2
     assert any(first == 0 for first, _, _ in spans)
     assert any(last == n - 1 for _, last, n in spans)
+
+
+@pytest.mark.parametrize("solve, coeffs, domain", [
+    (rm2_solve, (5.0, 20.0, 1.0), (-15.0, 15.0)),
+    (gpt_solve, (9.0, 2.5, 1.0), (1e-3, 20.0)),
+])
+def test_support_cuts_only_entries_below_two_to_the_minus_60(monkeypatch, solve, coeffs,
+                                                              domain):
+    # against a reference whose walk never stops, so that every twisted
+    # solve sweeps from rows 0 and n - 1: the eigenvalues keep every bit,
+    # and each entry a solve's support leaves out (an exact 0.0) is below
+    # 2^-60 of the peak of that solve's reference vector.  Besides the
+    # oracle problem, _drawn_wells and the close double-well pairs
+    from pdmdirac import numerics
+
+    walk = numerics._damped_rows
+    twisted = numerics._twisted_vector
+
+    def every_row(mins, shift, bound, nats):
+        return walk(mins, shift, bound, math.inf)
+
+    cut = []
+
+    def spy(t, shift, r=None):
+        z, got = twisted(t, shift, r)
+        monkeypatch.setattr(numerics, "_damped_rows", every_row)
+        ref, ref_r = twisted(t, shift, r)
+        monkeypatch.setattr(numerics, "_damped_rows", walk)
+        assert ref_r == got and np.all(ref != 0.0)
+        out = z == 0.0
+        assert np.all(np.abs(ref[out]) < 2.0 ** -60 * np.max(np.abs(ref)))
+        cut.append(int(np.sum(out)))
+        return z, got
+
+    w = solve(*coeffs, n_max=2).w
+    problems = [(lambda x: partner_potentials(w, x).v_minus, Grid(*domain, 6000), 3)]
+    if solve is gpt_solve:
+        problems += [(lambda x, w=w: partner_potentials(w, x).v_minus, grid, 3)
+                     for w, grid in _drawn_wells()]
+        problems += [(_double_well(depth), Grid(-7.0, 7.0, 1400), 2)
+                     for depth in (2.93, 2.9, 2.85, 2.75)]
+    for potential, grid, k in problems:
+        monkeypatch.setattr(numerics, "_twisted_vector", spy)
+        got = discretize_and_solve(potential, grid, k)
+        monkeypatch.setattr(numerics, "_twisted_vector", twisted)
+        monkeypatch.setattr(numerics, "_damped_rows", every_row)
+        ref = discretize_and_solve(potential, grid, k)
+        monkeypatch.setattr(numerics, "_damped_rows", walk)
+        assert np.array_equal(got.eigenvalues, ref.eigenvalues)
+    # entries cut in all: 2,874 on the Rosen-Morse problem, 316,786 with
+    # the Poschl-Teller problem, the drawn wells and the double wells
+    assert sum(cut) > {rm2_solve: 2_500, gpt_solve: 300_000}[solve]
 
 
 def test_empty_span_twist_sweeps_every_row(monkeypatch):
