@@ -22,9 +22,15 @@ it.  Every solve computes the vector on its numerical support only, as
 LAPACK's dlar1v does: D+ starts past most of the forbidden head and D-
 before most of the forbidden tail, each with q = inf, and the entries
 outside are exactly 0.0.  Each start is the block boundary past which the
-walk the Sturm count runs, taken to e^46 of amplitude, puts every entry it
-leaves out below 2^-60 of the vector's largest; where a walk runs out, the
-start is row 0 or n - 1.  Since these solves converge cubically, the
+walk the Sturm count runs puts every entry it leaves out below e^-A of the
+entry where the walk starts; where a walk runs out, the start is row 0 or
+n - 1.  The third solve's vector is the one returned, so its walk runs to
+A = 46, below 2^-60 of the vector's largest.  The first two solves only
+find the next shift (the first also the twist), so their walks stop at
+A = 20, as the count's own walk does: over the walk their pivots converge
+to a full sweep's within e^-40, so the twist on the span is the same, and
+the entries left out move the Rayleigh quotient by far less than the next
+solve's own shift error.  Since these solves converge cubically, the
 eigenvector path stops bisecting at 1e-7 of the matrix scale once every
 interval provably holds its one eigenvalue with no other within one
 interval width; otherwise, and always without eigenvectors, it bisects to
@@ -113,9 +119,12 @@ def _sample(potential, pts: np.ndarray) -> np.ndarray:
 # rows per block of the walks through the forbidden head and tail: fewer
 # rows per block cost more steps of a walk, more rows a later start
 _BLOCK = 32
-# how far a twisted vector's support reaches into its forbidden ends:
-# e^-46 is below 2^-60 = e^-41.6 of the peak, with a margin
+# how far a returned twisted vector's support reaches into its forbidden
+# ends: e^-46 is below 2^-60 = e^-41.6 of the peak, with a margin
 _SUPPORT_NATS = 46.0
+# the amplitude the Sturm count's head walk damps (its e^40 rule for the
+# start error), and the support of the two shift-finding solves of a level
+_COUNT_NATS = 20.0
 
 
 @dataclass(frozen=True)
@@ -213,15 +222,16 @@ def _sturm_counts(t: _Tridiagonal, shifts: np.ndarray, caps: np.ndarray) -> np.n
     e^2/q_{j-1} <= |e|.  The head rows from j on shrink that error by
     ``_damped_rows``' factor squared.  The start j is the block boundary
     nearest P from which the head's whole blocks shrink it by e^40 (e^20
-    of amplitude), each block costed at its last row, where min(d_0..d_i)
-    is smallest.  The error is then below 2^-57 of the pivot, under the
-    round-off of one row.  When the whole head shrinks it less, j is 0.
+    of amplitude, ``_COUNT_NATS``), each block costed at its last row,
+    where min(d_0..d_i) is smallest.  The error is then below 2^-57 of the
+    pivot, under the round-off of one row.  When the whole head shrinks it
+    less, j is 0.
     """
     esq, pivmin, block_min = t.esq, t.pivmin, t.block_min
     counts = []
     for s, cap in zip(shifts.tolist(), caps.tolist()):
         bound, head, tail = _forbidden_ends(t, s)
-        j = head - _damped_rows(reversed(block_min[:head // _BLOCK]), s, bound, 20.0)
+        j = head - _damped_rows(reversed(block_min[:head // _BLOCK]), s, bound, _COUNT_NATS)
         q = math.inf  # first row: esq / inf is 0.0, so q = d - s exactly
         count = 0
         rest = iter(t.rows)
@@ -281,31 +291,33 @@ def _pivot_sweep(rows: list[float], shift: float, esq: float,
     return np.array(out)
 
 
-def _support(t: _Tridiagonal, shift: float, first: int, last: int) -> tuple[int, int]:
+def _support(t: _Tridiagonal, shift: float, first: int, last: int,
+             nats: float) -> tuple[int, int]:
     """Rows [lo, hi) of the numerical support of a twisted vector of
-    T - shift I whose twist lies in [first, last].
+    T - shift I whose twist lies in [first, last], to an amplitude of
+    e^-nats.
 
     Before the twist each entry is |e| / D+ times the next, and after it
     |e| / D- times the one before.  So from the end of the forbidden head
     (``_forbidden_ends``), or the twist's block if that comes first, the
-    head rows walked back shrink every entry before lo below e^-46 of the
-    entry at the walk's start (``_SUPPORT_NATS``, ``_damped_rows``), and
-    so below 2^-60 of the vector's largest entry.  The tail rows walked on
-    from the tail's first row, or the row after ``last`` if that comes
-    later, do the same for every entry from hi on.  A walk that runs out
-    first gives lo = 0 or hi = n.
+    head rows walked back shrink every entry before lo below e^-nats of
+    the entry at the walk's start (``_damped_rows``).  With
+    ``_SUPPORT_NATS`` that is below 2^-60 of the vector's largest entry;
+    with ``_COUNT_NATS``, the count's walk, below e^-20 of it.  The tail
+    rows walked on from the tail's first row, or the row after ``last`` if
+    that comes later, do the same for every entry from hi on.  A walk that
+    runs out first gives lo = 0 or hi = n.
     """
     bound, head, tail = _forbidden_ends(t, shift)
     head = min(head, first - first % _BLOCK)
     tail = max(tail, last + 1)
-    return (head - _damped_rows(reversed(t.block_min[:head // _BLOCK]), shift, bound,
-                                _SUPPORT_NATS),
-            min(tail + _damped_rows(t.suffix_min[tail::_BLOCK], shift, bound, _SUPPORT_NATS),
+    return (head - _damped_rows(reversed(t.block_min[:head // _BLOCK]), shift, bound, nats),
+            min(tail + _damped_rows(t.suffix_min[tail::_BLOCK], shift, bound, nats),
                 len(t.rows)))
 
 
-def _twisted_vector(t: _Tridiagonal, shift: float,
-                    r: int | None = None) -> tuple[np.ndarray, int]:
+def _twisted_vector(t: _Tridiagonal, shift: float, r: int | None = None,
+                    nats: float = _SUPPORT_NATS) -> tuple[np.ndarray, int]:
     """Eigenvector of T for the eigenvalue nearest shift, unnormalized, and
     its twist index.
 
@@ -321,24 +333,27 @@ def _twisted_vector(t: _Tridiagonal, shift: float,
     near the vector's peak gives a small residual, so a given ``r`` is
     kept, as the span [r, r].
 
-    The vector is computed on its numerical support [lo, hi) only
-    (``_support``), as LAPACK's dlar1v does (ISUPPZ; Dhillon, Parlett and
-    Voemel, ACM TOMS 32, 2006), and is exactly 0.0 outside it: every
-    entry the cut leaves out is below 2^-60 of the peak of the vector that
-    sweeps over all rows give.  D+ starts at lo and D- at hi - 1, each with
-    q = inf as at the ends.  The walked rows shrink that start's error by
-    e^92, so from the walk's start on the pivots match a full sweep's to
-    far below one rounding.  D+ runs forward to ``last`` and D- backward
-    to ``first``: without ``r``, the support's rows plus the span's, and
-    with it hi - lo - 1 rows.  Pivots get the Sturm count's guard, so no
-    division is by zero.
+    The vector is computed on its numerical support [lo, hi) to an
+    amplitude of e^-nats only (``_support``), as LAPACK's dlar1v does
+    (ISUPPZ; Dhillon, Parlett and Voemel, ACM TOMS 32, 2006), and is
+    exactly 0.0 outside it.  With the default ``_SUPPORT_NATS`` every entry
+    the cut leaves out is below 2^-60 of the peak of the vector that sweeps
+    over all rows give; with ``_COUNT_NATS``, which ``_eigenpairs`` passes
+    for the solves that only find the next shift, below e^-20 of it.  D+
+    starts at lo and D- at hi - 1, each with q = inf as at the ends.  The
+    walked rows shrink that start's error by e^(2 nats), e^92 or e^40, so
+    from the walk's start on the pivots match a full sweep's to below one
+    rounding, and the twist on the span is a full sweep's.  D+ runs
+    forward to ``last`` and D- backward to ``first``: without ``r``, the
+    support's rows plus the span's, and with it hi - lo - 1 rows.  Pivots
+    get the Sturm count's guard, so no division is by zero.
     """
     rows, esq, pivmin = t.rows, t.esq, t.pivmin
     if r is None:
         a = t.diag - shift
         allowed = np.flatnonzero(a <= 2.0 * abs(t.e))
         first, last = (int(allowed[0]), int(allowed[-1])) if allowed.size else (0, a.size - 1)
-        lo, hi = _support(t, shift, first, last)
+        lo, hi = _support(t, shift, first, last, nats)
         d_plus = _pivot_sweep(rows[lo:last + 1], shift, esq, pivmin)
         # rows hi - 1 down to first; a stop of first - 1 would read -1 at first = 0
         d_minus = _pivot_sweep(rows[hi - 1:first - 1 if first else None:-1],
@@ -347,7 +362,7 @@ def _twisted_vector(t: _Tridiagonal, shift: float,
                                          - a[first:last + 1])))
         d_plus, d_minus = d_plus[:r - lo], d_minus[r + 1 - first:]
     else:
-        lo, hi = _support(t, shift, r, r)
+        lo, hi = _support(t, shift, r, r, nats)
         d_plus = _pivot_sweep(rows[lo:r], shift, esq, pivmin)
         d_minus = _pivot_sweep(rows[hi - 1:r:-1], shift, esq, pivmin)[::-1]
     z = np.zeros(t.diag.size)
@@ -405,13 +420,25 @@ def _bisect(t: _Tridiagonal, lo: np.ndarray, hi: np.ndarray, width: float,
 def _eigenpairs(t: _Tridiagonal, shifts: np.ndarray):
     """Unit eigenvectors (rows of the result) and their Rayleigh quotients:
     one twisted solve at each shift, then two more at the twist it found,
-    each at the Rayleigh quotient of the vector before."""
+    each at the Rayleigh quotient of the vector before.
+
+    The first two solves only find the next shift (the first also the
+    twist), so they sweep the e^20 support of the count's walk
+    (``_COUNT_NATS``); the third, whose vector is returned, sweeps the
+    2^-60 one (``_SUPPORT_NATS``).  A shift-finding vector leaves out only
+    entries below e^-20 of the entry where its walk starts, and its pivots
+    match a full sweep's within e^-40 over the walk, so its twist is the
+    same.  Its Rayleigh quotient moves by far less than the next solve's
+    own shift error: on the oracle problems by at most 2.2e-17, where that
+    error is 2e-7 to 2e-5 after the first solve and down to 4e-14 after
+    the second.
+    """
     vecs = np.empty((shifts.size, t.diag.size))
     rqs = np.empty(shifts.size)
     for j, rq in enumerate(shifts.tolist()):
         r = None
-        for _ in range(3):
-            y, r = _twisted_vector(t, rq, r)
+        for nats in (_COUNT_NATS, _COUNT_NATS, _SUPPORT_NATS):
+            y, r = _twisted_vector(t, rq, r, nats)
             y = y / np.linalg.norm(y)
             rq = float(y @ _tridiagonal_times(t, y))
         vecs[j] = y

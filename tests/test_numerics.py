@@ -688,15 +688,20 @@ def test_later_twisted_solves_keep_the_twist(monkeypatch, solve, coeffs, domain)
     # below the shift): D+ sweeps forward to the span's last row and D-
     # backward to its first, each from the far end of the vector's support.
     # Its two later solves sweep up to the twist and back down to it, over
-    # the support only: for k = 3, 52,275 rows (Rosen-Morse) and 37,423
-    # (Poschl-Teller) instead of the 55,149 and 55,024 that sweeps from rows
-    # 0 and n - 1 read, and 108,000 with no twist kept
+    # the support only.  The first two solves only find the next shift, so
+    # their support is the Sturm count's e^20 walk; the third, whose vector
+    # is returned, keeps the e^46 walk.  For k = 3: 39,309 rows (Rosen-Morse)
+    # and 25,780 (Poschl-Teller), instead of the 52,275 and 37,423 that
+    # e^46 supports for all three read, the 55,149 and 55,024 of sweeps from
+    # rows 0 and n - 1, and 108,000 with no twist kept
     from pdmdirac import numerics
 
     rows_read = []
     swept = []
     shifts = []
+    supports = []
     sweep = numerics._pivot_sweep
+    support = numerics._support
 
     def spy(rows, shift, *args):
         rows_read.append(len(rows))
@@ -704,7 +709,13 @@ def test_later_twisted_solves_keep_the_twist(monkeypatch, solve, coeffs, domain)
         shifts.append(shift)
         return sweep(rows, shift, *args)
 
+    def support_spy(t, shift, first, last, nats):
+        lo, hi = support(t, shift, first, last, nats)
+        supports.append((first, last, lo, hi, nats))
+        return lo, hi
+
     monkeypatch.setattr(numerics, "_pivot_sweep", spy)
+    monkeypatch.setattr(numerics, "_support", support_spy)
     w = solve(*coeffs, n_max=2).w
     n = 6000
     grid = Grid(*domain, n)
@@ -713,9 +724,21 @@ def test_later_twisted_solves_keep_the_twist(monkeypatch, solve, coeffs, domain)
     h = grid.step
     diag = 2.0 / (h * h) + potential(grid.points)
     per_solve = [a + b for a, b in zip(rows_read[::2], rows_read[1::2])]
-    assert per_solve[1::3] == per_solve[2::3]
-    assert all(count < n for count in per_solve[1::3])
+    assert [nats for *_, nats in supports] == [numerics._COUNT_NATS, numerics._COUNT_NATS,
+                                                numerics._SUPPORT_NATS] * 3
+    # each returned solve sweeps what every later solve swept when all three
+    # supports reached e^46
+    assert per_solve[2::3] == {rm2_solve: [5041, 5999, 5999],
+                               gpt_solve: [2529, 3602, 5999]}[solve]
     rows = diag.tolist()
+    for j in range(1, 9, 3):
+        # the second solve keeps the third's twist r and sweeps fewer rows,
+        # rows[lo:r] forward and rows[hi - 1:r:-1] backward
+        assert supports[j][:2] == supports[j + 1][:2]
+        assert per_solve[j] < per_solve[j + 1]
+        for i in (j, j + 1):
+            r, _, lo, hi, _ = supports[i]
+            assert swept[2 * i] == rows[lo:r] and swept[2 * i + 1] == rows[hi - 1:r:-1]
     for j in range(0, 18, 6):
         allowed = np.flatnonzero(diag - shifts[j] <= 2.0 / (h * h))
         assert 0 < allowed.size < n // 10
@@ -723,7 +746,7 @@ def test_later_twisted_solves_keep_the_twist(monkeypatch, solve, coeffs, domain)
         assert rows_read[j] <= last + 1 and rows_read[j + 1] <= n - first
         assert swept[j] == rows[last + 1 - rows_read[j]:last + 1]
         assert swept[j + 1] == rows[first:first + rows_read[j + 1]][::-1]
-    assert sum(rows_read) == {rm2_solve: 52_275, gpt_solve: 37_423}[solve]
+    assert sum(rows_read) == {rm2_solve: 39_309, gpt_solve: 25_780}[solve]
 
 
 def _drawn_wells():
@@ -751,8 +774,9 @@ def _drawn_wells():
 
 def test_span_twist_is_the_full_sweeps_twist_on_both_families(monkeypatch):
     # every first twisted solve of the k = 3 solves of _drawn_wells picks the
-    # twist of two full sweeps, argmin |gamma| over all rows, and builds the
-    # vector those sweeps give to within 2^-60 of its peak, with exact zeros
+    # twist of two full sweeps, argmin |gamma| over all rows.  It only finds
+    # the next shift, so its support is the e^20 walk's: it builds the vector
+    # those sweeps give to within e^-20 of its peak, with exact zeros
     # outside its support
     from pdmdirac import numerics
 
@@ -760,9 +784,10 @@ def test_span_twist_is_the_full_sweeps_twist_on_both_families(monkeypatch):
     sweep = numerics._pivot_sweep
     spans = []
 
-    def spy(t, shift, r=None):
-        z, got = twisted(t, shift, r)
+    def spy(t, shift, r=None, nats=numerics._SUPPORT_NATS):
+        z, got = twisted(t, shift, r, nats)
         if r is None:
+            assert nats == numerics._COUNT_NATS
             d_plus = sweep(t.rows, shift, t.esq, t.pivmin)
             d_minus = sweep(t.rows[::-1], shift, t.esq, t.pivmin)[::-1]
             full = int(np.argmin(np.abs(d_plus + d_minus - (t.diag - shift))))
@@ -770,10 +795,10 @@ def test_span_twist_is_the_full_sweeps_twist_on_both_families(monkeypatch):
             ref = np.ones(t.diag.size)
             ref[:full] = np.cumprod(-t.e / d_plus[:full][::-1])[::-1]
             ref[full + 1:] = np.cumprod(-t.e / d_minus[full + 1:])
-            assert np.all(np.abs(z - ref) <= 2.0 ** -60 * np.max(np.abs(ref)))
+            assert np.all(np.abs(z - ref) <= math.exp(-nats) * np.max(np.abs(ref)))
             allowed = np.flatnonzero(t.diag - shift <= 2.0 * abs(t.e))
             first, last = int(allowed[0]), int(allowed[-1])
-            lo, hi = numerics._support(t, shift, first, last)
+            lo, hi = numerics._support(t, shift, first, last, nats)
             assert np.all(z[:lo] == 0.0) and np.all(z[hi:] == 0.0)
             spans.append((first, last, t.diag.size))
         return z, got
@@ -796,9 +821,11 @@ def test_support_cuts_only_entries_below_two_to_the_minus_60(monkeypatch, solve,
                                                               domain):
     # against a reference whose walk never stops, so that every twisted
     # solve sweeps from rows 0 and n - 1: the eigenvalues keep every bit,
-    # and each entry a solve's support leaves out (an exact 0.0) is below
-    # 2^-60 of the peak of that solve's reference vector.  Besides the
-    # oracle problem, _drawn_wells and the close double-well pairs
+    # and each entry a returned solve's support leaves out (an exact 0.0)
+    # is below 2^-60 of the peak of that solve's reference vector.  A
+    # shift-finding solve's support leaves out only entries below e^-20 of
+    # it.  Besides the oracle problem, _drawn_wells and the close
+    # double-well pairs
     from pdmdirac import numerics
 
     walk = numerics._damped_rows
@@ -809,14 +836,16 @@ def test_support_cuts_only_entries_below_two_to_the_minus_60(monkeypatch, solve,
 
     cut = []
 
-    def spy(t, shift, r=None):
-        z, got = twisted(t, shift, r)
+    def spy(t, shift, r=None, nats=numerics._SUPPORT_NATS):
+        z, got = twisted(t, shift, r, nats)
         monkeypatch.setattr(numerics, "_damped_rows", every_row)
-        ref, ref_r = twisted(t, shift, r)
+        ref, ref_r = twisted(t, shift, r, nats)
         monkeypatch.setattr(numerics, "_damped_rows", walk)
         assert ref_r == got and np.all(ref != 0.0)
         out = z == 0.0
-        assert np.all(np.abs(ref[out]) < 2.0 ** -60 * np.max(np.abs(ref)))
+        bound = 2.0 ** -60 if nats == numerics._SUPPORT_NATS else math.exp(-20.0)
+        assert nats in (numerics._SUPPORT_NATS, numerics._COUNT_NATS)
+        assert np.all(np.abs(ref[out]) < bound * np.max(np.abs(ref)))
         cut.append(int(np.sum(out)))
         return z, got
 
@@ -835,9 +864,58 @@ def test_support_cuts_only_entries_below_two_to_the_minus_60(monkeypatch, solve,
         ref = discretize_and_solve(potential, grid, k)
         monkeypatch.setattr(numerics, "_damped_rows", walk)
         assert np.array_equal(got.eigenvalues, ref.eigenvalues)
-    # entries cut in all: 2,874 on the Rosen-Morse problem, 316,786 with
-    # the Poschl-Teller problem, the drawn wells and the double wells
+    # entries cut in all: 15,840 on the Rosen-Morse problem (958 by the
+    # returned solves), 455,065 with the Poschl-Teller problem, the drawn
+    # wells and the double wells (105,595)
     assert sum(cut) > {rm2_solve: 2_500, gpt_solve: 300_000}[solve]
+
+
+def test_shift_finding_supports_keep_every_output_bit(monkeypatch):
+    # each level's first two twisted solves only find the next shift, so
+    # they sweep the e^20 support of the Sturm count's walk: against a
+    # reference whose three solves all sweep the e^46 (2^-60) support, every
+    # eigenvalue and eigenvector keeps its bits, on both oracle problems,
+    # _drawn_wells and the four double wells.  Each shift-finding support
+    # lies inside the e^46 support at the same shift and twist
+    from pdmdirac import numerics
+
+    support = numerics._support
+    twisted = numerics._twisted_vector
+    shift_finding = []
+
+    def support_spy(t, shift, first, last, nats):
+        lo, hi = support(t, shift, first, last, nats)
+        if nats == numerics._COUNT_NATS:
+            wide_lo, wide_hi = support(t, shift, first, last, numerics._SUPPORT_NATS)
+            assert wide_lo <= lo and hi <= wide_hi
+            shift_finding.append(wide_hi - wide_lo - (hi - lo))
+        return lo, hi
+
+    def every_solve_returned(t, shift, r=None, nats=None):
+        return twisted(t, shift, r)
+
+    problems = []
+    for solve, coeffs, domain in [(rm2_solve, (5.0, 20.0, 1.0), (-15.0, 15.0)),
+                                  (gpt_solve, (9.0, 2.5, 1.0), (1e-3, 20.0))]:
+        w = solve(*coeffs, n_max=2).w
+        problems.append((lambda x, w=w: partner_potentials(w, x).v_minus,
+                         Grid(*domain, 6000), 3))
+    problems += [(lambda x, w=w: partner_potentials(w, x).v_minus, grid, 3)
+                 for w, grid in _drawn_wells()]
+    problems += [(_double_well(depth), Grid(-7.0, 7.0, 1400), 2)
+                 for depth in (2.93, 2.9, 2.85, 2.75)]
+    for potential, grid, k in problems:
+        monkeypatch.setattr(numerics, "_support", support_spy)
+        got = discretize_and_solve(potential, grid, k)
+        monkeypatch.setattr(numerics, "_support", support)
+        monkeypatch.setattr(numerics, "_twisted_vector", every_solve_returned)
+        ref = discretize_and_solve(potential, grid, k)
+        monkeypatch.setattr(numerics, "_twisted_vector", twisted)
+        assert np.array_equal(got.eigenvalues, ref.eigenvalues)
+        assert np.array_equal(got.eigenvectors, ref.eigenvectors)
+    # two shift-finding solves per level, and most of them cut rows
+    assert len(shift_finding) >= 2 * sum(k for *_, k in problems)
+    assert sum(rows > 0 for rows in shift_finding) > len(shift_finding) // 2
 
 
 def test_empty_span_twist_sweeps_every_row(monkeypatch):
