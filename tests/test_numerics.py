@@ -795,7 +795,7 @@ def test_span_twist_is_the_full_sweeps_twist_on_both_families(monkeypatch):
             ref = np.ones(t.diag.size)
             ref[:full] = np.cumprod(-t.e / d_plus[:full][::-1])[::-1]
             ref[full + 1:] = np.cumprod(-t.e / d_minus[full + 1:])
-            assert np.all(np.abs(z - ref) <= math.exp(-nats) * np.max(np.abs(ref)))
+            assert np.all(np.abs(z - ref) <= math.exp(-20.0) * np.max(np.abs(ref)))
             allowed = np.flatnonzero(t.diag - shift <= 2.0 * abs(t.e))
             first, last = int(allowed[0]), int(allowed[-1])
             lo, hi = numerics._support(t, shift, first, last, nats)
@@ -843,8 +843,8 @@ def test_support_cuts_only_entries_below_two_to_the_minus_60(monkeypatch, solve,
         monkeypatch.setattr(numerics, "_damped_rows", walk)
         assert ref_r == got and np.all(ref != 0.0)
         out = z == 0.0
-        bound = 2.0 ** -60 if nats == numerics._SUPPORT_NATS else math.exp(-20.0)
         assert nats in (numerics._SUPPORT_NATS, numerics._COUNT_NATS)
+        bound = 2.0 ** -60 if nats == numerics._SUPPORT_NATS else math.exp(-20.0)
         assert np.all(np.abs(ref[out]) < bound * np.max(np.abs(ref)))
         cut.append(int(np.sum(out)))
         return z, got
