@@ -78,7 +78,7 @@ def dirac_profiles(params: ModelParams, profile: Profile,
 
     def _ratios(x):
         p = evaluate_profile(profile, x)
-        if np.any(np.asarray(p.a) == 0.0):
+        if p.a_vanishes:
             raise SingularityError("A(x) = 0 inside the Dirac profiles")
         return p
 
@@ -165,7 +165,7 @@ def effective_potential_ansatz(params: ModelParams, profile: Profile,
         + ((m1 + b m2)^2 - 1/4) (A'/A)^2 + A''/(2A)
     """
     p = evaluate_profile(profile, x)
-    if np.any(np.asarray(p.a) == 0.0):
+    if p.a_vanishes:
         raise SingularityError("A(x) = 0 inside the effective potential")
     g = profile.gamma
     cross = params.m1 + profile.beta * params.m2

@@ -124,7 +124,7 @@ def schrodinger_potential(params: ModelParams, profile: Profile, epsilon: float,
     w, a = params.omega, params.alpha
     sigma = sigma_of(w, a)
     p = evaluate_profile(profile, x)
-    if np.any(np.asarray(p.a) == 0.0):
+    if p.a_vanishes:
         raise SingularityError("A(x) = 0 inside schrodinger_potential")
     if form == "generic":
         lead = 1.0 if matched else 1.0 / w

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -143,13 +144,23 @@ def profile_from_params(params: ModelParams, family: str) -> Profile:
 
 @dataclass(frozen=True)
 class ProfileValues:
-    """A, its first two derivatives, and B = gamma*A + beta*A' with B'."""
+    """A, its first two derivatives, and B = gamma*A + beta*A' with B'.
+
+    ``a_vanishes`` tells whether A is 0.0 anywhere, tested on first use
+    only: the memo of :func:`evaluate_profile` hands the same object to
+    every caller of one profile and grid.
+    """
 
     a: np.ndarray | float
     a1: np.ndarray | float
     a2: np.ndarray | float
     b: np.ndarray | float
     b1: np.ndarray | float
+
+    # a frozen dataclass still has a __dict__, which cached_property writes
+    @cached_property
+    def a_vanishes(self) -> bool:
+        return bool(np.any(np.asarray(self.a) == 0.0))
 
 
 def _csch(u):

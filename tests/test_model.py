@@ -10,7 +10,7 @@ from pdmdirac import (BetaMode, CoshProfile, CothProfile, Grid, ModelParams,
                       evaluate_profile, hermitian_coeffs, model,
                       nonhermitian_coeffs, profile_from_params, rho_weight,
                       schrodinger_potential, sigma_of)
-from pdmdirac.errors import DomainError
+from pdmdirac.errors import DomainError, SingularityError
 from pdmdirac.susy import square
 
 
@@ -271,3 +271,23 @@ def test_one_profile_computation_per_family_and_grid(monkeypatch, empty_memo):
     monkeypatch.setattr(model, "_profile_key", lambda profile, x: object())
     _chain(cosh, "cosh", line)
     assert len(computed) == 3 + 26
+
+
+def test_vanishing_profile_is_refused_on_a_memo_hit_too(empty_memo):
+    # delta = 0 makes A = 0 at every node; the second pass reads the memo's
+    # ProfileValues, whose A = 0 test ran on the first
+    params = ModelParams(omega=3.0, alpha=0.5, gamma=0.5, beta=-0.9, m1=0.35, m2=0.5)
+    prof = CoshProfile(delta=0.0, gamma=0.5, beta=-0.9)
+    x = Grid(-15.0, 15.0, 600).points
+    stored = evaluate_profile(prof, x)
+    for _ in range(2):
+        assert evaluate_profile(prof, x) is stored
+        with pytest.raises(SingularityError, match=r"^A\(x\) = 0 inside the Dirac profiles$"):
+            dirac_profiles(params, prof, 1.2)[0].m(x)
+        with pytest.raises(SingularityError,
+                           match=r"^A\(x\) = 0 inside the effective potential$"):
+            effective_potential_ansatz(params, prof, 1.2, x)
+        for form in ("generic", "ansatz"):
+            with pytest.raises(SingularityError,
+                               match=r"^A\(x\) = 0 inside schrodinger_potential$"):
+                schrodinger_potential(params, prof, 0.3, x, form=form)

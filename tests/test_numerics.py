@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdmdirac import (Grid, RosenMorseSuperpotential, count_nodes,
-                      discretize_and_solve, gpt_solve, ode_residual,
+                      discretize_and_solve, gpt_solve, numerics, ode_residual,
                       partner_potentials, quadrature_norm, quadrature_weights,
                       rm2_solve, rm2_wavefunction, si_remainder_ladder)
 from pdmdirac.errors import ConvergenceError
@@ -233,10 +233,83 @@ def test_grid_weights_are_the_interior_quadrature_weights():
         assert float(np.sum(g.weights)) == pytest.approx(math.pi - g.step, rel=1e-13)
 
 
+@pytest.fixture
+def empty_grid_memo(monkeypatch):
+    monkeypatch.setattr(numerics, "_grid_memo", ())
+
+
+@pytest.mark.parametrize("x_min, x_max, n_points", [
+    (-0.0, 1.0, 50), (np.float32(0.5), 2.0, 16), (0.0, 1.0, np.int64(100)),
+    (-15.0, 15.0, 6000), (1e-3, 20.0, 6000),
+], ids=["negative-zero-end", "float32-end", "int64-count", "oracle-line", "oracle-half"])
+def test_grid_arrays_keep_the_bits_of_their_expressions(x_min, x_max, n_points,
+                                                        empty_grid_memo):
+    g = Grid(x_min, x_max, n_points)
+    h = g.step
+    points = g.x_min + h * np.arange(1, g.n_points + 1)
+    weights = quadrature_weights(g.n_points + 2, h)[1:-1]
+    for _ in range(2):  # a build, then a memo hit
+        for got, want in ((g.points, points), (g.weights, weights)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_grid_arrays_are_read_only():
+    g = Grid(0.0, 1.0, 16)
+    for arr in (g.points, g.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    assert g.points[0] == g.step and g.weights[0] == g.step
+
+
+def test_grid_memo_builds_each_of_two_alternating_grids_once(monkeypatch, empty_grid_memo):
+    built = []
+    weights = numerics.quadrature_weights
+
+    def spy(n_samples, h):
+        built.append(n_samples)
+        return weights(n_samples, h)
+
+    monkeypatch.setattr(numerics, "quadrature_weights", spy)
+    line, half = Grid(-15.0, 15.0, 100), Grid(1e-3, 20.0, 102)
+    points = line.points
+    for _ in range(3):
+        for g in (line, half):
+            g.points, g.weights
+    assert built == [102, 104]
+    # an equal grid is the same entry, and now the most recently used
+    assert Grid(-15.0, 15.0, 100).points is points
+    # so a third grid evicts half, the least recently used, and keeps line
+    Grid(0.0, 1.0, 34).weights
+    assert line.points is points
+    half.weights
+    assert built == [102, 104, 36, 104]
+
+
+def test_grid_memo_never_hands_a_float32_end_the_float64_ends_arrays(empty_grid_memo):
+    # the two grids are equal and hash alike, but the float32 step rounds
+    # the nodes differently
+    wide, narrow = Grid(0.5, 2.0, 16), Grid(np.float32(0.5), 2.0, 16)
+    assert wide == narrow and hash(wide) == hash(narrow)
+    points = {id(g): (g.x_min + g.step * np.arange(1, 17)).tobytes() for g in (wide, narrow)}
+    weights = {id(g): quadrature_weights(18, g.step)[1:-1].tobytes() for g in (wide, narrow)}
+    assert points[id(wide)] != points[id(narrow)]
+    for g in (wide, narrow, wide, narrow):
+        assert g.points.tobytes() == points[id(g)]
+        assert g.weights.tobytes() == weights[id(g)]
+
+
 def test_normalize_refuses_a_vanished_state():
     g = Grid(-1.0, 1.0, 64)
     with pytest.raises(ValueError, match="state vanished on the grid"):
         normalize(np.zeros(g.n_points), g)
+
+
+def test_normalize_refuses_a_wrong_sample_count():
+    # quadrature_norm's refusal, which names both counts
+    g = Grid(-1.0, 1.0, 64)
+    with pytest.raises(ValueError, match="sample count 65 is not the 64 interior nodes"):
+        normalize(np.ones(65), g)
 
 
 def test_normalize_divides_out_a_peak_whose_square_leaves_the_float_range():
