@@ -291,12 +291,11 @@ def test_grid_memo_never_hands_a_float32_end_the_float64_ends_arrays(empty_grid_
     # the nodes differently
     wide, narrow = Grid(0.5, 2.0, 16), Grid(np.float32(0.5), 2.0, 16)
     assert wide == narrow and hash(wide) == hash(narrow)
-    points = {id(g): (g.x_min + g.step * np.arange(1, 17)).tobytes() for g in (wide, narrow)}
-    weights = {id(g): quadrature_weights(18, g.step)[1:-1].tobytes() for g in (wide, narrow)}
-    assert points[id(wide)] != points[id(narrow)]
-    for g in (wide, narrow, wide, narrow):
-        assert g.points.tobytes() == points[id(g)]
-        assert g.weights.tobytes() == weights[id(g)]
+    want = [((g.x_min + g.step * np.arange(1, 17)).tobytes(),
+             quadrature_weights(18, g.step)[1:-1].tobytes()) for g in (wide, narrow)]
+    assert want[0][0] != want[1][0]
+    for g, (points, weights) in zip((wide, narrow) * 2, want * 2):
+        assert g.points.tobytes() == points and g.weights.tobytes() == weights
 
 
 def test_normalize_refuses_a_vanished_state():
