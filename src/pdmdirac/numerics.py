@@ -2,8 +2,8 @@
 
 Uniform grid, Dirichlet boundaries at both truncation points.  The interior
 discretization is the standard symmetric tridiagonal matrix with diagonal
-2/h^2 + V_i and off-diagonal -1/h^2.  Eigenvalues come from bisection on
-Sturm sequence counts (Barth, Martin and Wilkinson, Numer. Math. 9, 1967).
+2/h^2 + V_i and off-diagonal -1/h^2.  Eigenvalues are located by bisection
+on Sturm sequence counts (Barth, Martin and Wilkinson, Numer. Math. 9, 1967).
 Each count stops once it reaches the largest level that asks for it, or
 once it enters the right tail where every later row has d - s >= 2|e|
 (V above the shift) with a pivot of at least |e|: no later pivot can turn
@@ -12,10 +12,11 @@ leading rows where d - s >= 2|e|, at a row j with q = inf as at row 0.
 Every pivot in the head is at least |e|, so no count is lost, and the head
 rows from j on shrink the start error e^2/q <= |e| by e^40: each row by a
 factor of at least exp(2 acosh((m - s) / 2|e|)), with m the running
-minimum of d.  Eigenvectors come from three twisted LDL^T factorizations
-per level, the first at the bisection midpoint and each further one at the
-Rayleigh quotient of the vector before (Parlett and Dhillon, Linear Algebra
-Appl. 267, 1997).  The first finds the level's twist index on the allowed
+minimum of d.  Eigenvectors, and the Rayleigh quotients returned as the
+eigenvalues, come from three twisted LDL^T factorizations per level, the
+first at the bisection midpoint and each further one at the Rayleigh
+quotient of the vector before (Parlett and Dhillon, Linear Algebra Appl.
+267, 1997).  The first finds the level's twist index on the allowed
 span, the rows where V is at or below the shift, so its sweeps stop at the
 span's far ends.  The other two keep that twist, so their sweeps stop at
 it.  Every solve computes the vector on its numerical support only, as
@@ -31,15 +32,19 @@ A = 20, as the count's own walk does: over the walk their pivots converge
 to a full sweep's within e^-40, so the twist on the span is the same, and
 the entries left out move the Rayleigh quotient by far less than the next
 solve's own shift error.  Since these solves converge cubically, the
-eigenvector path stops bisecting at 1e-7 of the matrix scale once every
-interval provably holds its one eigenvalue with no other within one
-interval width; otherwise, and always without eigenvectors, it bisects to
-1e-13.  A Rayleigh quotient that leaves its interval makes the solve
-bisect on from the intervals it stopped at, down to 1e-13; bisection keeps
-no other state, so those intervals are the ones a full bisection ends
-with.  The vectors of levels closer than 1e-6 of the scale are
-orthogonalized within their cluster.  Everything here is deterministic and
-independent of the closed-form machinery it is used to check.
+solve stops bisecting at 1e-7 of the matrix scale once every interval
+provably holds its one eigenvalue with no other within one interval width;
+otherwise it bisects to 1e-13.  Without eigenvectors the solve takes the
+same route and returns the same Rayleigh quotients, bit for bit; it only
+keeps no vectors.  The one difference: two levels within the final 1e-13
+width have no orthogonal twisted vectors, so the eigenvector path refuses
+them and the eigenvalues-only path returns the bisection midpoints.  A
+Rayleigh quotient that leaves its interval makes the solve bisect on from
+the intervals it stopped at, down to 1e-13; bisection keeps no other
+state, so those intervals are the ones a full bisection ends with.  The
+vectors of levels closer than 1e-6 of the scale are orthogonalized within
+their cluster.  Everything here is deterministic and independent of the
+closed-form machinery it is used to check.
 
 The sequential recurrences (the Sturm count and the two pivot sweeps of the
 twisted factorization) loop over Python floats, not numpy arrays: each row
@@ -488,13 +493,20 @@ def discretize_and_solve(potential, grid: Grid, k: int,
     k : int
         Number of eigenvalues requested, an integer in 1..n_points; any
         other value is refused with ValueError before V is sampled.
+    eigenvectors : bool
+        Whether the result carries the eigenvectors.  It picks no other
+        algorithm: the eigenvalues are the same either way.
 
     Returns
     -------
     EigenResult
-        Eigenvalues ascending, refined by a final Rayleigh quotient;
-        eigenvectors (if requested) unit-norm under grid quadrature with a
-        deterministic sign (largest-magnitude component positive).
+        Eigenvalues ascending: the Rayleigh quotients of the final twisted
+        solves, except when two levels lie within the final bisection width
+        (1e-13 of the matrix scale): then the solve raises ConvergenceError
+        with eigenvectors and returns the bisection midpoints without.
+        Eigenvectors (if requested, else None) unit-norm under grid
+        quadrature with a deterministic sign (largest-magnitude component
+        positive).
     """
     if not (isinstance(k, numbers.Integral) and 1 <= k <= grid.n_points):
         raise ValueError(f"k must be an integer in 1..{grid.n_points}, got {k!r}")
@@ -513,10 +525,10 @@ def discretize_and_solve(potential, grid: Grid, k: int,
     mat_scale = max(abs(t.lo), abs(t.hi))
     scale = max(mat_scale, 1.0)
     # twisted solves at the Rayleigh quotient converge cubically, so the
-    # eigenvector path may stop bisecting at a coarse width, once every
-    # interval provably holds its one eigenvalue and no other lies near
+    # solve may stop bisecting at a coarse width, once every interval
+    # provably holds its one eigenvalue and no other lies near
     lo_k, hi_k, early = _bisect(t, np.full(k, t.lo), np.full(k, t.hi), 1e-13 * scale,
-                                1e-7 * scale if eigenvectors else 0.0)
+                                1e-7 * scale)
     if early:
         vecs, refined = _eigenpairs(t, 0.5 * (lo_k + hi_k))
         # a Rayleigh quotient that left its interval found another level:
@@ -524,13 +536,14 @@ def discretize_and_solve(potential, grid: Grid, k: int,
         if not np.all((lo_k <= refined) & (refined < hi_k)):
             lo_k, hi_k, early = _bisect(t, lo_k, hi_k, 1e-13 * scale)
     if not early:
+        # ascending: bisection intervals are either shared or disjoint
         lams = 0.5 * (lo_k + hi_k)
-        if not eigenvectors:
-            lams = np.sort(lams)
+        close = np.flatnonzero(np.diff(lams) <= 1e-13 * scale)
+        if close.size and not eigenvectors:
+            # no twisted solve tells such a pair apart: return the midpoints
             if np.any(np.diff(lams) <= 0.0):
                 raise ConvergenceError("eigenvalues not strictly ascending")
             return EigenResult(eigenvalues=lams, eigenvectors=None)
-        close = np.flatnonzero(np.diff(lams) <= 1e-13 * scale)
         if close.size:
             raise ConvergenceError(f"eigenvalues #{close[0]} and #{close[0] + 1} lie within the "
                                    f"bisection width {1e-13 * scale:.3e}: no orthogonal vectors")
@@ -564,7 +577,7 @@ def discretize_and_solve(potential, grid: Grid, k: int,
         vecs[j] = normalize(vecs[j], grid)
     if np.any(np.diff(refined) <= 0.0):
         raise ConvergenceError("eigenvalues not strictly ascending after refinement")
-    return EigenResult(eigenvalues=refined, eigenvectors=vecs)
+    return EigenResult(eigenvalues=refined, eigenvectors=vecs if eigenvectors else None)
 
 
 def quadrature_weights(n_samples: int, h: float) -> np.ndarray:
@@ -583,12 +596,14 @@ def normalize(samples: np.ndarray, grid: Grid) -> np.ndarray:
 
     Refuses non-finite samples (OverflowError), and a sample count other
     than ``n_points`` and a state that vanished on the grid (ValueError).
-    The norm is ``quadrature_norm``'s.  A peak outside [1e-150, 1e150],
-    whose square would overflow or underflow, is divided out first.
+    The count is checked first, so a non-finite sample is only ever named
+    by an existing node.  The norm is ``quadrature_norm``'s.  A peak outside
+    [1e-150, 1e150], whose square would overflow or underflow, is divided
+    out first.
     """
-    bad = np.flatnonzero(~np.isfinite(samples))
-    if bad.size:
-        i = int(bad[0])
+    samples = _interior_samples(samples, grid)
+    if not np.all(np.isfinite(samples)):
+        i = int(np.argmax(~np.isfinite(samples)))
         raise OverflowError(f"non-finite wavefunction sample at "
                             f"x = {float(grid.points[i])!r} (node {i})")
     peak = float(np.max(np.abs(samples)))
@@ -609,10 +624,17 @@ def quadrature_norm(samples, grid: Grid) -> float:
     trapezoid rule of ``grid.weights``, with Dirichlet zeros implied at both
     ends.  Any other sample count is refused with ValueError.
     """
+    f = _interior_samples(samples, grid)
+    return math.sqrt(float(np.sum(grid.weights * f * f)))
+
+
+def _interior_samples(samples, grid: Grid) -> np.ndarray:
+    """``samples`` as a float array, refused with ValueError unless it holds
+    one sample per interior node of ``grid``."""
     f = np.asarray(samples, dtype=float)
     if f.shape[0] != grid.n_points:
         raise ValueError(f"sample count {f.shape[0]} is not the {grid.n_points} interior nodes")
-    return math.sqrt(float(np.sum(grid.weights * f * f)))
+    return f
 
 
 def first_derivative(samples: np.ndarray, h: float) -> np.ndarray:
@@ -650,9 +672,7 @@ def ode_residual(potential, e_bar: float, samples, grid: Grid,
     """
     if not (isinstance(skip, numbers.Integral) and skip >= 0):
         raise ValueError(f"skip must be a non-negative integer, got {skip!r}")
-    f = np.asarray(samples, dtype=float)
-    if f.shape[0] != grid.n_points:
-        raise ValueError("sample count does not match the grid")
+    f = _interior_samples(samples, grid)
     if f.shape[0] < 5 + 2 * skip:
         raise ValueError("too few interior points for the residual stencil")
     d2 = second_derivative_interior(f, grid.step)

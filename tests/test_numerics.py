@@ -311,6 +311,16 @@ def test_normalize_refuses_a_wrong_sample_count():
         normalize(np.ones(65), g)
 
 
+def test_normalize_checks_the_sample_count_before_naming_a_non_finite_node():
+    # the non-finite sample sits past the last node: the count is refused,
+    # where looking up its node raised IndexError
+    g = Grid(-1.0, 1.0, 64)
+    with pytest.raises(ValueError, match="sample count 65 is not the 64 interior nodes"):
+        normalize(np.r_[np.ones(64), np.inf], g)
+    with pytest.raises(OverflowError, match=r"\(node 3\)"):
+        normalize(np.r_[np.ones(3), np.nan, np.ones(60)], g)
+
+
 def test_normalize_divides_out_a_peak_whose_square_leaves_the_float_range():
     # 1e-170 squared underflows to 0.0: the state was refused as vanished
     g = Grid(0.0, 1.0, 100)
@@ -623,9 +633,9 @@ def test_sturm_counts_start_past_the_forbidden_head(monkeypatch):
     # every count the bisection makes starts past most of the head where V
     # is above the shift, and equals the reference loop's count from row 0,
     # capped.  On the 6000-point k = 3 oracle problems, Rosen-Morse reads
-    # 72,885 and 223,980 rows with and without eigenvectors (106,389 and
-    # 323,756 from row 0); Poschl-Teller reads as many as from row 0, since
-    # its wall damps less than a start past it needs
+    # 72,885 rows (106,389 from row 0); Poschl-Teller reads as many as from
+    # row 0, since its wall damps less than a start past it needs.  Both
+    # paths make the same counts, with eigenvectors or without
     from dataclasses import replace
 
     from pdmdirac import numerics
@@ -652,9 +662,9 @@ def test_sturm_counts_start_past_the_forbidden_head(monkeypatch):
                                  Grid(*domain, 6000), 3, eigenvectors=eigenvectors)
             read[solve, eigenvectors] = rows.read
     assert read[rm2_solve, True] <= 73_000
-    assert read[rm2_solve, False] <= 225_000
     assert read[gpt_solve, True] == 18_585
-    assert read[gpt_solve, False] == 77_650
+    for solve in (rm2_solve, gpt_solve):
+        assert read[solve, False] == read[solve, True]
     for w, grid in _drawn_wells():
         discretize_and_solve(lambda x: partner_potentials(w, x).v_minus, grid, 3)
     discretize_and_solve(lambda x: x * x, Grid(-8.0, 8.0, 900), 4, eigenvectors=False)
@@ -684,18 +694,19 @@ def test_matrix_scale_is_the_farther_gershgorin_end(diag, negative, e):
 
 def test_eigenvalues_only_bits_are_pinned():
     # these potentials and grids use only IEEE + - * /, so the bits are the
-    # same on every platform; a change to the bisection that moves any
-    # midpoint moves them
+    # same on every platform; a change to the bisection's early stop or to
+    # the twisted solves that moves any Rayleigh quotient moves them.  They
+    # lie within 7.6e-13 (x^2) and 5.9e-10 (box, scale 6.5e6) of LAPACK's
     r = discretize_and_solve(lambda x: x * x, Grid(-8.0, 8.0, 900), 4,
                              eigenvectors=False)
     assert [float(v).hex() for v in r.eigenvalues] == [
-        "0x1.fffd6aa62dc9cp-1", "0x1.7ffcc54d93235p+1",
-        "0x1.3ffbcd471266cp+2", "0x1.bff7ed2f66b4ep+2"]
+        "0x1.fffd6aa7609c6p-1", "0x1.7ffcc54de2318p+1",
+        "0x1.3ffbcd46cf2a6p+2", "0x1.bff7ed2f846e4p+2"]
     r = discretize_and_solve(box_potential, Grid(0.0, math.pi, 4000), 3,
                              eigenvectors=False)
     assert [float(v).hex() for v in r.eigenvalues] == [
-        "0x1.0000019af6aaep+0", "0x1.fffff8620a618p+1",
-        "0x1.1ffff6fa728c1p+3"]
+        "0x1.fffffe46a9a6cp-1", "0x1.fffff91aa60dap+1",
+        "0x1.1ffff745ba29dp+3"]
 
 
 def _rosen_morse_oracle_problem():
@@ -729,8 +740,8 @@ def test_bisection_counts_each_distinct_shift_once(monkeypatch):
     (gpt_solve, (9.0, 2.5, 1.0), (1e-3, 20.0)),
 ])
 def test_eigenvector_path_stops_bisecting_early(monkeypatch, solve, coeffs, domain):
-    # the eigenvector path stops at 1e-7 of the scale (24 passes and one
-    # count above the top level); the eigenvalues-only path bisects to 1e-13
+    # both paths stop at 1e-7 of the scale: 24 passes and one count above
+    # the top level, where a full bisection to 1e-13 took 44 counts
     from pdmdirac import numerics
 
     calls = []
@@ -748,7 +759,7 @@ def test_eigenvector_path_stops_bisecting_early(monkeypatch, solve, coeffs, doma
     assert len(calls) <= 26
     calls.clear()
     discretize_and_solve(potential, grid, 3, eigenvectors=False)
-    assert len(calls) == 44
+    assert len(calls) == 25
 
 
 @pytest.mark.parametrize("solve, coeffs, domain", [
@@ -1015,16 +1026,27 @@ def test_empty_span_twist_sweeps_every_row(monkeypatch):
         assert np.all(np.isfinite(z))
 
 
+def _bisected(potential, grid, k):
+    # the midpoints of a full bisection to 1e-13 of the scale, with no early
+    # stop and no twisted solve: a reference independent of the solve's
+    # Rayleigh quotients
+    h = grid.step
+    t = numerics._tridiagonal(2.0 / h ** 2 + potential(grid.points), -1.0 / h ** 2)
+    scale = max(abs(t.lo), abs(t.hi), 1.0)
+    lo, hi, _ = numerics._bisect(t, np.full(k, t.lo), np.full(k, t.hi), 1e-13 * scale)
+    return 0.5 * (lo + hi)
+
+
 def test_early_stop_never_hands_back_the_wrong_level():
     # level 1 of this well lies 5.4e-9 above level 0, far inside the early
     # stop's width (about 4e-3): the interval around level 0 never holds it
     # alone with a clear margin, so it bisects on to 1e-13 of the scale
     g = Grid(-7.0, 7.0, 1400)
     r = discretize_and_solve(_double_well(2.93), g, 1)
-    bisected = discretize_and_solve(_double_well(2.93), g, 1, eigenvectors=False)
+    bisected = _bisected(_double_well(2.93), g, 1)
     h = g.step
     scale = float(np.max(2.0 / h ** 2 + _double_well(2.93)(g.points))) + 2.0 / h ** 2
-    assert abs(r.eigenvalues[0] - bisected.eigenvalues[0]) <= 1e-12 * scale
+    assert abs(r.eigenvalues[0] - bisected[0]) <= 1e-12 * scale
     v = r.eigenvectors[0]
     assert int(np.sum(v[1:] * v[:-1] < 0.0)) == 0
 
@@ -1032,8 +1054,8 @@ def test_early_stop_never_hands_back_the_wrong_level():
 def test_rayleigh_quotient_outside_its_interval_falls_back_to_full_bisection(monkeypatch):
     # a twisted solve that converged to a neighbouring level leaves its
     # interval; the solve then bisects on from the early-stop intervals to
-    # 1e-13 of the scale, to the eigenvalues-only path's exact midpoints, and
-    # solves again from there.  Bisecting on takes 45 Sturm counts on this
+    # 1e-13 of the scale, to a full bisection's exact midpoints, and solves
+    # again from there.  Bisecting on takes 45 Sturm counts on this
     # problem; restarting from the Gershgorin ends took 69
     from pdmdirac import numerics
 
@@ -1056,10 +1078,25 @@ def test_rayleigh_quotient_outside_its_interval_falls_back_to_full_bisection(mon
     potential, grid = _rosen_morse_oracle_problem()
     r = discretize_and_solve(potential, grid, 3)
     assert len(calls) <= 46
-    bisected = discretize_and_solve(potential, grid, 3, eigenvectors=False)
+    bisected = _bisected(potential, grid, 3)
     assert len(shifts) == 2
-    assert np.array_equal(shifts[1], bisected.eigenvalues)
-    assert np.max(np.abs(r.eigenvalues - bisected.eigenvalues)) < 1e-8
+    assert np.array_equal(shifts[1], bisected)
+    assert np.max(np.abs(r.eigenvalues - bisected)) < 1e-8
+
+
+def test_eigenvalues_only_are_the_eigenvector_paths_bits():
+    # without vectors the solve takes the same early stop, twisted solves and
+    # refusals, and keeps the same Rayleigh quotients, bit for bit
+    potential, grid = _rosen_morse_oracle_problem()
+    wells = [(gpt_solve(9.0, 2.5, 1.0, n_max=2).w, Grid(1e-3, 20.0, 6000)), *_drawn_wells()]
+    problems = [(potential, grid, 3), (lambda x: x * x, Grid(-8.0, 8.0, 900), 4)]
+    for w, g in wells:
+        problems.append((lambda x, w=w: partner_potentials(w, x).v_minus, g, 3))
+    for potential, grid, k in problems:
+        r = discretize_and_solve(potential, grid, k)
+        only = discretize_and_solve(potential, grid, k, eigenvectors=False)
+        assert only.eigenvectors is None
+        assert np.array_equal(only.eigenvalues, r.eigenvalues)
 
 
 @pytest.mark.parametrize("depth", [2.93, 2.9, 2.85])
@@ -1088,17 +1125,17 @@ def test_close_pair_outside_the_refused_width_is_orthogonal(depth):
 def test_oracle_eigenvectors_on_the_oracle_problems(solve, coeffs, domain):
     # the 6000-point problems the oracle checks: eigenvector j has exactly j
     # raw sign changes, tails included, and its Rayleigh quotient matches
-    # the eigenvalues-only bisection
+    # a full bisection's midpoint
     w = solve(*coeffs, n_max=2).w
     potential = lambda x: partner_potentials(w, x).v_minus
     grid = Grid(*domain, 6000)
     r = discretize_and_solve(potential, grid, 3)
-    bisected = discretize_and_solve(potential, grid, 3, eigenvectors=False)
+    bisected = _bisected(potential, grid, 3)
     h = grid.step
     scale = float(np.max(np.abs(2.0 / h ** 2 + potential(grid.points)))) + 2.0 / h ** 2
     for j, v in enumerate(r.eigenvectors):
         assert int(np.sum(v[1:] * v[:-1] < 0.0)) == j
-        assert abs(r.eigenvalues[j] - bisected.eigenvalues[j]) <= 1e-12 * scale
+        assert abs(r.eigenvalues[j] - bisected[j]) <= 1e-12 * scale
 
 
 def test_derivative_stencils_are_fourth_order():
@@ -1125,6 +1162,21 @@ def test_against_scipy_tridiagonal_solver():
     ref = scipy_linalg.eigh_tridiagonal(d, e, select="i",
                                         select_range=(0, 3))[0]
     assert np.max(np.abs(r.eigenvalues - ref)) < 1e-9
+
+
+def test_against_scipy_tridiagonal_solver_eigenvalues_only():
+    # the Rayleigh quotients land within 7.6e-13 of LAPACK's eigenvalues,
+    # where a bisection midpoint to 1e-13 of the scale lay 2.4e-10 off
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    g = Grid(-8.0, 8.0, 900)
+    r = discretize_and_solve(lambda x: x * x, g, 4, eigenvectors=False)
+    h = g.step
+    d = 2.0 / h ** 2 + g.points ** 2
+    e = np.full(g.n_points - 1, -1.0 / h ** 2)
+    ref = scipy_linalg.eigh_tridiagonal(d, e, select="i",
+                                        select_range=(0, 3))[0]
+    assert r.eigenvectors is None
+    assert np.max(np.abs(r.eigenvalues - ref)) < 1e-11
 
 
 def test_against_scipy_tridiagonal_solver_eigenvectors():

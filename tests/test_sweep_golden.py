@@ -1,4 +1,5 @@
-"""Byte-level guards on ``pdmdirac sweep`` and ``pdmdirac wavefunction``.
+"""Byte-level guards on ``pdmdirac sweep``, ``pdmdirac wavefunction`` and
+the oracle demo's output.
 
 The sweep digests and the tiny-sweep rows below were recorded from the
 point-by-point sweep (one ``_sweep_point`` per swept value).  The property
@@ -9,6 +10,8 @@ The wavefunction digests were recorded from its row-by-row writer.
 import contextlib
 import hashlib
 import io
+import pathlib
+import runpy
 import warnings
 
 import pytest
@@ -73,6 +76,16 @@ def test_readme_wavefunction_bytes():
     code, out = _run(README_WAVEFUNCTION + ["--format", "json"])
     assert code == 0
     assert _md5(out) == "ef17a8d456df5e36ca4b31772ffcddd1"
+
+
+def test_exact_spectra_demo_bytes():
+    # the demo prints the oracle's eigenvalues-only solves to 8 decimals, so
+    # a change to the oracle that moves a printed digit changes this digest
+    demo = pathlib.Path(__file__).resolve().parents[1] / "demos" / "03_exact_spectra.py"
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        runpy.run_path(str(demo), run_name="__main__")
+    assert _md5(buf.getvalue()) == "237c4200ce57e78f6b8944012acdf5c4"
 
 
 @pytest.mark.parametrize("argv, expected", [
