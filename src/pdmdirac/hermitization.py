@@ -40,13 +40,19 @@ class OperatorCoefficients:
     c0: Callable
 
 
-def nonhermitian_coeffs(params: ModelParams, profile: Profile) -> OperatorCoefficients:
-    """Coefficients of the non-Hermitian operator H."""
-    w, a = params.omega, params.alpha
+def _leading(w: float, profile: Profile) -> Callable:
+    """c2 = -w A^2, the leading coefficient shared by H and h."""
 
     def c2(x):
         p = evaluate_profile(profile, x)
         return -w * p.a * p.a
+
+    return c2
+
+
+def nonhermitian_coeffs(params: ModelParams, profile: Profile) -> OperatorCoefficients:
+    """Coefficients of the non-Hermitian operator H."""
+    w, a = params.omega, params.alpha
 
     def c1(x):
         p = evaluate_profile(profile, x)
@@ -59,16 +65,12 @@ def nonhermitian_coeffs(params: ModelParams, profile: Profile) -> OperatorCoeffi
                 - a * (p.a * p.a2 + p.a1 * p.a1)
                 + w / 2.0)
 
-    return OperatorCoefficients(c2=c2, c1=c1, c0=c0)
+    return OperatorCoefficients(c2=_leading(w, profile), c1=c1, c0=c0)
 
 
 def hermitian_coeffs(params: ModelParams, profile: Profile) -> OperatorCoefficients:
     """Coefficients of the Hermitian equivalent h = -w d A^2 d + U_eff."""
     w, a = params.omega, params.alpha
-
-    def c2(x):
-        p = evaluate_profile(profile, x)
-        return -w * p.a * p.a
 
     def c1(x):
         p = evaluate_profile(profile, x)
@@ -81,7 +83,7 @@ def hermitian_coeffs(params: ModelParams, profile: Profile) -> OperatorCoefficie
                 - a * (p.a1 * p.a1 + p.a * p.a2)
                 + (w + 4.0 * a * a / w) * p.b * p.b)
 
-    return OperatorCoefficients(c2=c2, c1=c1, c0=c0)
+    return OperatorCoefficients(c2=_leading(w, profile), c1=c1, c0=c0)
 
 
 def rho_weight(params: ModelParams, profile: Profile, x):

@@ -694,8 +694,13 @@ def count_nodes(samples) -> int:
     f = np.asarray(samples, dtype=float)
     if f.size == 0:
         return 0
-    cut = 1e-12 * np.max(np.abs(f))
-    signs = np.sign(f[np.abs(f) >= cut]) if cut > 0.0 else np.sign(f)
+    a = np.abs(f)
+    cut = 1e-12 * np.max(a)
+    if cut > 0.0:
+        # every kept sample is nonzero, so a sign change is a change of < 0
+        neg = f[a >= cut] < 0.0
+        return int(np.count_nonzero(neg[1:] != neg[:-1]))
+    signs = np.sign(f)
     if signs.size < 2:
         return 0
     return int(np.sum(signs[1:] * signs[:-1] < 0.0))

@@ -28,6 +28,10 @@ from .model import ModelParams, sigma_of
 from .numerics import Grid, first_derivative, normalize
 
 
+# np.cosh overflows just above |x| = 710.4758
+_COSH_FAR = 710.0
+
+
 def square(x):
     """``x ** 2`` for a float, ``np.float_power(x, 2.0)`` for an array.
 
@@ -133,8 +137,17 @@ def partner_potentials(w: Superpotential, x) -> PartnerPotentials:
     if isinstance(w, PoschlTellerSuperpotential):
         w._check_domain(x)
         u = w.c * np.asarray(x, dtype=float)
-        sech2 = 1.0 / np.cosh(u) ** 2
-        csch2 = 1.0 / np.sinh(u) ** 2
+        with np.errstate(over="ignore"):
+            cosh2 = np.cosh(u) ** 2
+            sinh2 = np.sinh(u) ** 2
+        sech2, csch2 = 1.0 / cosh2, 1.0 / sinh2
+        over = np.isinf(cosh2)
+        if np.any(over):
+            # the exponential forms of model._csch, on the rows where cosh(u)^2
+            # overflows only (u = 1 elsewhere keeps them finite)
+            e = np.exp(-_where(over, np.abs(u), 1.0))
+            sech2 = _where(over, (2.0 * e / (1.0 + e * e)) ** 2, sech2)
+            csch2 = _where(over, (2.0 * e / (1.0 - e * e)) ** 2, csch2)
         d2 = (w.a - w.b) ** 2
         v_minus = d2 + w.b * (w.b - w.c) * csch2 - w.a * (w.a + w.c) * sech2
         v_plus = d2 + w.b * (w.b + w.c) * csch2 - w.a * (w.a - w.c) * sech2
@@ -468,7 +481,15 @@ def gpt_level_columns(a, b, c, n: int, *, delta, gamma, m2) -> LevelColumns:
 def ground_state_samples(w: Superpotential, x: np.ndarray) -> np.ndarray:
     """exp(-Int W) in closed form for either family (unnormalized)."""
     if isinstance(w, RosenMorseSuperpotential):
-        return np.exp(-w.c1 * x) * np.cosh(x) ** (-w.c2)
+        x = np.asarray(x, dtype=float)
+        far = np.abs(x) > _COSH_FAR
+        if not np.any(far):
+            return np.exp(-w.c1 * x) * np.cosh(x) ** (-w.c2)
+        # the mirrored form cosh x = e^{|x|} (1 + e^{-2|x|}) / 2, where
+        # e^{-2|x|} is below the last bit of 1; each form sees 0 on the other's rows
+        near, beyond = _where(far, 0.0, x), _where(far, x, 0.0)
+        return _where(far, np.exp(-w.c1 * beyond - w.c2 * (np.abs(beyond) - math.log(2.0))),
+                      np.exp(-w.c1 * near) * np.cosh(near) ** (-w.c2))
     if isinstance(w, PoschlTellerSuperpotential):
         w._check_domain(x)
         u = w.c * np.asarray(x, dtype=float)

@@ -1,13 +1,17 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from pdmdirac import (BetaMode, CoshProfile, Grid, MassProfile, ModelParams,
-                      RealPotential, cancellation_residual, complete_potential,
+from pdmdirac import (BetaMode, CoshProfile, DiracPotential, Grid,
+                      MassProfile, ModelParams, RealPotential, cancellation_residual,
+                      complete_potential, dirac,
                       consistent_energy_cosh, dirac_profiles,
                       effective_potential_ansatz, effective_potential_general,
                       profile_from_params, rm2_state_evaluator, sigma_of,
                       spinor_components)
-from pdmdirac.errors import DomainError, PoleError
+from pdmdirac.errors import DomainError, PoleError, SingularityError
 
 
 def constant_profiles(m_val, v_val, e_ref):
@@ -227,3 +231,179 @@ def test_spinor_rejects_nonpositive_mass():
     varphi = np.exp(-grid.points ** 2)
     with pytest.raises(DomainError):
         spinor_components(varphi, -2 * grid.points * varphi, grid, mass, dp, 1.0)
+
+
+# ----------------------------------------------------------------------
+# the single-slot memos of the field closures
+# ----------------------------------------------------------------------
+
+_MEMO_PARAMS = ModelParams(omega=3.0, alpha=0.5, gamma=0.5, beta=-0.9, m1=0.35, m2=0.5)
+_MEMO_E = 1.2
+
+
+def _fields(params=_MEMO_PARAMS, family="cosh", e_ref=_MEMO_E):
+    """Fresh closures: (M, M', V_R, V_R', V_R'', V_I) in that order."""
+    mass, v_r = dirac_profiles(params, profile_from_params(params, family), e_ref)
+    pot = complete_potential(mass, v_r.v, v_r.dv, e_ref)
+    return mass.m, mass.dm, v_r.v, v_r.dv, v_r.d2v, pot.v_i
+
+
+def test_repeat_field_call_returns_the_same_read_only_array():
+    x = Grid(-15.0, 15.0, 600).points
+    fields = _fields()
+    for f, fresh in zip(fields, _fields()):
+        first = f(x)
+        assert f(x) is first
+        assert first.tobytes() == fresh(x).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 1.0
+    # a scalar call is neither memoized nor made read-only
+    for f in fields:
+        got = f(0.5)
+        assert not isinstance(got, np.ndarray)
+        assert got == f(np.array([0.5]))[0]
+
+
+def test_one_family_chain_computes_each_field_once(monkeypatch):
+    # the chain of perfbench's states workload: 18 field evaluations, 6 arrays
+    evaluated = []
+    evaluate = dirac.evaluate_profile
+
+    def spy_profile(profile, x):
+        evaluated.append(profile)
+        return evaluate(profile, x)
+
+    monkeypatch.setattr(dirac, "evaluate_profile", spy_profile)
+    seen = {}
+
+    def spy(name, f):
+        def field(x):
+            out = f(x)
+            seen.setdefault(name, []).append(out)
+            return out
+        return field
+
+    m, dm, v, dv, d2v, _ = _fields()
+    mass = MassProfile(m=spy("m", m), dm=spy("dm", dm))
+    v_r = RealPotential(v=spy("v", v), dv=spy("dv", dv), d2v=spy("d2v", d2v))
+    pot = complete_potential(mass, v_r.v, v_r.dv, _MEMO_E)
+    pot = DiracPotential(v_r=pot.v_r, v_i=spy("v_i", pot.v_i))
+    x = Grid(-15.0, 15.0, 600).points
+    pot.v_i(x)
+    cancellation_residual(mass, v_r, pot.v_i, _MEMO_E, x)
+    effective_potential_general(mass, v_r, _MEMO_E, x)
+    assert {k: len(arrs) for k, arrs in seen.items()} == {
+        "m": 4, "dm": 3, "v": 4, "dv": 4, "d2v": 1, "v_i": 2}
+    for arrs in seen.values():
+        assert all(arr is arrs[0] for arr in arrs)
+    # every field call still evaluates the profile
+    assert len(evaluated) == 16
+
+
+def test_field_refuses_a_vanishing_profile_on_every_call():
+    params = ModelParams(omega=3.0, alpha=0.5, gamma=0.5, beta=-0.9, m1=0.35, m2=0.5)
+    mass, _ = dirac_profiles(params, CoshProfile(delta=0.0, gamma=0.5, beta=-0.9), 1.2)
+    x = Grid(-15.0, 15.0, 600).points
+    for _ in range(2):
+        with pytest.raises(SingularityError, match=r"^A\(x\) = 0 inside the Dirac profiles$"):
+            mass.m(x)
+
+
+def _read_only(arr):
+    arr = np.array(arr, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+def test_v_i_recomputes_unless_all_four_inputs_are_the_same_read_only_arrays():
+    x = np.linspace(-2.0, 2.0, 50)
+    m, dm = _read_only(1.5 + 0.2 * np.tanh(x)), _read_only(0.2 / np.cosh(x) ** 2)
+    v, dv = _read_only(0.3 * np.sin(x)), _read_only(0.3 * np.cos(x))
+    expected = (dm / (2.0 * m) + dv / (2.0 * (2.0 - v))).tobytes()
+    shared = complete_potential(MassProfile(m=lambda x: m, dm=lambda x: dm),
+                                lambda x: v, lambda x: dv, 2.0).v_i
+    first = shared(x)
+    assert shared(x) is first and first.tobytes() == expected
+    assert not first.flags.writeable
+    # fresh arrays, writable arrays, or one fresh input among shared ones
+    # recompute, with the same bits
+    cases = {
+        "fresh": (lambda x: m.copy(), lambda x: dm.copy(), lambda x: v.copy(),
+                  lambda x: dv.copy()),
+        "writable": (lambda x, a=m.copy(): a, lambda x, a=dm.copy(): a,
+                     lambda x, a=v.copy(): a, lambda x, a=dv.copy(): a),
+        "one fresh": (lambda x: m, lambda x: dm, lambda x: v, lambda x: _read_only(dv)),
+    }
+    for what, (fm, fdm, fv, fdv) in cases.items():
+        v_i = complete_potential(MassProfile(m=fm, dm=fdm), fv, fdv, 2.0).v_i
+        outs = [v_i(x) for _ in range(3)]
+        assert outs[0] is not outs[1] and outs[1] is not outs[2], what
+        assert all(out.tobytes() == expected for out in outs), what
+
+
+def test_v_i_refuses_on_every_call_with_shared_inputs():
+    x = np.linspace(-2.0, 2.0, 50)
+    one, zero = _read_only(np.ones_like(x)), _read_only(np.zeros_like(x))
+    at_pole = _read_only(np.full_like(x, 2.0))
+    calls = []
+
+    def v_r(x):
+        calls.append("v_r")
+        return at_pole
+
+    no_mass = complete_potential(MassProfile(m=lambda x: zero, dm=lambda x: zero),
+                                 v_r, lambda x: zero, 2.0).v_i
+    pole = complete_potential(MassProfile(m=lambda x: one, dm=lambda x: zero),
+                              v_r, lambda x: zero, 2.0).v_i
+    for _ in range(2):
+        with pytest.raises(SingularityError, match="M\\(x\\) = 0"):
+            no_mass(x)
+        with pytest.raises(PoleError):
+            pole(x)
+    # V_R is read only after the M = 0 test passes
+    assert calls == ["v_r", "v_r"]
+
+
+def test_memos_under_threads_give_the_bits_of_fresh_closures():
+    # more threads than cores, switching often, each round on one (family,
+    # grid) for every thread and the two grids alternating through one set of
+    # closures: a slot that showed its key before its value would hand one
+    # grid's array, or None, to the threads that hit it
+    line = (Grid(-15.0, 15.0, 400), Grid(-14.0, 14.0, 400))
+    half = (Grid(1e-3, 20.0, 400), Grid(2e-3, 18.0, 400))
+    coth = ModelParams(omega=3.0, alpha=0.5, gamma=3.5, beta=-0.5, m1=0.3, m2=2.0)
+    jobs = []
+    for params, family, grids in ((_MEMO_PARAMS, "cosh", line), (coth, "coth", half)):
+        expected = {g: [f(g.points).tobytes() for f in _fields(params, family)]
+                    for g in grids}
+        jobs.append((_fields(params, family), grids, expected))
+    n_threads, rounds = 8, 200
+    barrier = threading.Barrier(n_threads, timeout=30.0)
+    failures = []
+
+    def work():
+        try:
+            for i in range(rounds):
+                barrier.wait()
+                fields, grids, expected = jobs[i // 2 % 2]
+                g = grids[i % 2]
+                got = [f(g.points) for f in fields]
+                if ([arr.tobytes() for arr in got] != expected[g]
+                        or any(arr.flags.writeable for arr in got)):
+                    failures.append(i)
+        except Exception as exc:  # recorded, then asserted on below
+            failures.append(exc)
+            barrier.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []

@@ -270,3 +270,17 @@ def test_substitution_chain(family):
            + eps * phi(xs) / p.a)
     scale = np.max(np.abs(lhs))
     assert np.max(np.abs(lhs - rhs)) < 1e-8 * scale
+
+
+@pytest.mark.parametrize("family", ["cosh", "coth"])
+def test_leading_coefficient_is_one_formula_for_both_operators(family):
+    # c2 = -omega A^2 in H and in h, with the same bits as the formula
+    params = ModelParams(omega=3.0, alpha=0.5, gamma=0.5, beta=-0.9, m1=0.35, m2=0.5)
+    prof = profile_from_params(params, family)
+    xs = np.linspace(0.05, 6.0, 300)
+    p = evaluate_profile(prof, xs)
+    formula = (-params.omega * p.a * p.a).tobytes()
+    for coeffs in (nonhermitian_coeffs(params, prof), hermitian_coeffs(params, prof)):
+        assert coeffs.c2(xs).tobytes() == formula
+        a = evaluate_profile(prof, 1.5).a
+        assert coeffs.c2(1.5) == -params.omega * a * a

@@ -349,6 +349,40 @@ def test_count_nodes_cases():
     assert count_nodes(noisy) == 0
 
 
+def _count_nodes_reference(samples):
+    # the former body of count_nodes: products of np.sign over the kept samples
+    f = np.asarray(samples, dtype=float)
+    if f.size == 0:
+        return 0
+    cut = 1e-12 * np.max(np.abs(f))
+    signs = np.sign(f[np.abs(f) >= cut]) if cut > 0.0 else np.sign(f)
+    if signs.size < 2:
+        return 0
+    return int(np.sum(signs[1:] * signs[:-1] < 0.0))
+
+
+_NODE_SAMPLES = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 5e-324, -5e-324, math.nan,
+                               math.inf, -math.inf]),
+              st.floats(allow_nan=True, allow_infinity=True)),
+    max_size=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_NODE_SAMPLES)
+def test_count_nodes_matches_the_reference_on_every_sample_class(samples):
+    # zeros, samples below the cut, NaN, +-inf, empty and single-element arrays
+    assert count_nodes(samples) == _count_nodes_reference(samples)
+
+
+def test_count_nodes_matches_the_reference_on_edge_cases():
+    for samples in ([], [1.0], [-1.0], [0.0, 0.0], [1.0, -1e-300, -1.0],
+                    [1.0, math.nan, -1.0], [math.inf, -math.inf, 1.0],
+                    [1e-320, -1e-320, 0.0, 1e-320], [1.0, 0.0, -1.0, 0.0, 1.0],
+                    [1.0, 1e-13, -1e-13, 1.0], [1.0, -1e-12, 1.0]):
+        assert count_nodes(samples) == _count_nodes_reference(samples), samples
+
+
 def _unit_angle(u, v):
     # |u/|u| -/+ v/|v||, which is the angle between the lines up to O(angle^3)
     u = u / np.linalg.norm(u)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -358,3 +359,42 @@ def test_level_columns_settle_ordinary_rows_only():
     cols = gpt_level_columns(np.full(3, 9.0), np.full(3, 1.5), np.array([1.0, 0.0, 1.0]),
                              1, delta=one, gamma=np.array([2.0, 2.0, 1e160]), m2=one)
     assert cols.regular.tolist() == [True, False, False]
+
+
+def test_far_field_is_finite_without_a_warning():
+    # the suite turns RuntimeWarning into an error: x = 400 squared an
+    # overflowing cosh, and x = 720 overflowed cosh itself
+    pt = gpt_solve(9, 2.5, 1).w
+    for x in (400.0, np.array([400.0, 720.0])):
+        pp = partner_potentials(pt, x)
+        assert np.all(pp.v_minus == 42.25) and np.all(pp.v_plus == 42.25)
+    assert ground_state_samples(rm2_solve(0, 12, 1).w, np.array([-720.0, 720.0])).tolist() == [0.0, 0.0]
+    # a ground state that is still representable beyond |x| = 710
+    w = RosenMorseSuperpotential(c1=-0.4, c2=0.5)
+    xs = np.array([-750.0, -720.0, 715.0, 750.0])
+    expected = [math.exp(-w.c1 * x) * 2.0 ** w.c2 * math.exp(-w.c2 * abs(x)) for x in xs]
+    assert np.allclose(ground_state_samples(w, xs), expected, rtol=1e-13, atol=0.0)
+
+
+def test_far_field_forms_keep_the_bits_of_every_other_row():
+    # the former expressions, on every row where they do not overflow:
+    # the oracle's and the states workload's grids among them
+    pt = PoschlTellerSuperpotential(a=9.0, b=2.5, c=1.0)
+    x = np.concatenate((Grid(1e-3, 20.0, 6000).points, np.linspace(300.0, 355.5, 50),
+                        np.linspace(355.7, 800.0, 50)))
+    with np.errstate(over="ignore"):
+        kept = np.isfinite(np.cosh(pt.c * x) ** 2)
+    assert 0 < kept.sum() < x.size
+    u = pt.c * x[kept]
+    sech2, csch2 = 1.0 / np.cosh(u) ** 2, 1.0 / np.sinh(u) ** 2
+    d2 = (pt.a - pt.b) ** 2
+    pp = partner_potentials(pt, x)
+    assert pp.v_minus[kept].tobytes() == (
+        d2 + pt.b * (pt.b - pt.c) * csch2 - pt.a * (pt.a + pt.c) * sech2).tobytes()
+    assert pp.v_plus[kept].tobytes() == (
+        d2 + pt.b * (pt.b + pt.c) * csch2 - pt.a * (pt.a - pt.c) * sech2).tobytes()
+    assert np.all(pp.v_minus[~kept] == d2) and np.all(pp.v_plus[~kept] == d2)
+    rm = rm2_solve(0, 12, 1).w
+    x = np.concatenate((Grid(-15.0, 15.0, 6000).points, [-710.0, 700.0, 710.0]))
+    assert ground_state_samples(rm, x).tobytes() == (
+        np.exp(-rm.c1 * x) * np.cosh(x) ** (-rm.c2)).tobytes()
