@@ -141,10 +141,10 @@ def partner_potentials(w: Superpotential, x) -> PartnerPotentials:
             cosh2 = np.cosh(u) ** 2
             sinh2 = np.sinh(u) ** 2
         sech2, csch2 = 1.0 / cosh2, 1.0 / sinh2
-        over = np.isinf(cosh2)
-        if np.any(over):
+        if not cosh2.max() < np.inf:  # an overflow, or a NaN that hides one
             # the exponential forms of model._csch, on the rows where cosh(u)^2
             # overflows only (u = 1 elsewhere keeps them finite)
+            over = np.isinf(cosh2)
             e = np.exp(-_where(over, np.abs(u), 1.0))
             sech2 = _where(over, (2.0 * e / (1.0 + e * e)) ** 2, sech2)
             csch2 = _where(over, (2.0 * e / (1.0 - e * e)) ** 2, csch2)
