@@ -300,15 +300,6 @@ def test_one_family_chain_computes_each_field_once(monkeypatch):
     assert len(evaluated) == 16
 
 
-def test_field_refuses_a_vanishing_profile_on_every_call():
-    params = ModelParams(omega=3.0, alpha=0.5, gamma=0.5, beta=-0.9, m1=0.35, m2=0.5)
-    mass, _ = dirac_profiles(params, CoshProfile(delta=0.0, gamma=0.5, beta=-0.9), 1.2)
-    x = Grid(-15.0, 15.0, 600).points
-    for _ in range(2):
-        with pytest.raises(SingularityError, match=r"^A\(x\) = 0 inside the Dirac profiles$"):
-            mass.m(x)
-
-
 def _read_only(arr):
     arr = np.array(arr, dtype=float)
     arr.flags.writeable = False

@@ -368,7 +368,7 @@ _NODE_SAMPLES = st.lists(
     max_size=40)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(_NODE_SAMPLES)
 def test_count_nodes_matches_the_reference_on_every_sample_class(samples):
     # zeros, samples below the cut, NaN, +-inf, empty and single-element arrays
