@@ -232,36 +232,50 @@ def _fmt(value) -> str:
 
 # writerow returns what the file's write returns: here the CSV line itself
 _CSV_LINE = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n")
+# a finite float field of a line template, written as _fmt and json write it
+_FLOAT = {"csv": "%.17g", "json": "%r"}
+
+
+def _cell(fmt: str, value) -> str:
+    """A literal cell of a line template: ``value`` as written, ``%`` doubled."""
+    if fmt == "csv":
+        return _fmt(value).replace("%", "%%")
+    if isinstance(value, float) and not math.isfinite(value):
+        value = None  # json writes a non-finite float as null
+    return json.dumps(value).replace("%", "%%")
+
+
+def _line(fmt: str, columns: list[str], cells) -> str:
+    """The template of one row from its cells (literal cells or float fields)."""
+    if fmt == "json":
+        # json.dumps(..., indent=2) of a row object in the "rows" list
+        return "    {\n" + ",\n".join(f"      {json.dumps(key)}: {cell}"
+                                      for key, cell in zip(columns, cells)) + "\n    }"
+    return _CSV_LINE.writerow(cells)
+
+
+def _literal(fmt: str, columns: list[str], row: dict) -> str:
+    """The template of a row dict: literal cells only."""
+    return _line(fmt, columns, [_cell(fmt, row.get(key)) for key in columns])
+
+
+def _text(ns: dict, meta: dict, columns: list[str], lines: list[str], args=()) -> str:
+    """The output of ``columns`` and the rows whose templates are ``lines``.
+
+    The rows are written with one ``%`` over the joined templates, which
+    take their float fields from ``args`` in order.  CSV is the header line
+    and the rows; JSON is ``json.dumps({"meta": meta, "rows": rows},
+    indent=2)`` with the rows spliced into the list.
+    """
+    if ns["format"] == "json":
+        head, tail = json.dumps({"meta": meta, "rows": []}, indent=2).rsplit("[]", 1)
+        rows = ("[\n" + ",\n".join(lines) % tuple(args) + "\n  ]") if lines else "[]"
+        return head + rows + tail + "\n"
+    return _CSV_LINE.writerow(columns) + "".join(lines) % tuple(args)
 
 
 def _emit(ns: dict, meta: dict, columns: list[str], rows: list[dict]) -> str:
-    if ns["format"] == "json":
-        clean_rows = []
-        for row in rows:
-            clean = {}
-            for key in columns:
-                val = row.get(key)
-                if isinstance(val, float) and not math.isfinite(val):
-                    val = None
-                clean[key] = val
-            clean_rows.append(clean)
-        return json.dumps({"meta": meta, "rows": clean_rows}, indent=2) + "\n"
-    lines = [_CSV_LINE.writerow([_fmt(row.get(key)) for key in columns]) for row in rows]
-    return _CSV_LINE.writerow(columns) + "".join(lines)
-
-
-def _csv_rows(columns: list[str], template: str, fields, rows: dict) -> str:
-    """The CSV text that ``_emit`` writes, built a line at a time.
-
-    Line i is ``template % fields[i]`` unless ``rows`` holds a row dict under
-    i, which is written as ``_emit`` writes it.  The template takes the place
-    of ``_fmt``, so its fields must be finite floats (for ``%.17g``) and
-    ready strings (for ``%s``).
-    """
-    lines = list(map(template.__mod__, fields))
-    for i, row in rows.items():
-        lines[i] = _CSV_LINE.writerow([_fmt(row.get(key)) for key in columns])
-    return _CSV_LINE.writerow(columns) + "".join(lines)
+    return _text(ns, meta, columns, [_literal(ns["format"], columns, row) for row in rows])
 
 
 def _write(ns: dict, text: str):
@@ -395,13 +409,11 @@ def cmd_wavefunction(ns: dict) -> int:
     if spin is not None:
         cols.append("spinor")
         samples.append(spin.samples)
-    fields = list(zip(*(s.tolist() for s in samples)))
-    if ns["format"] == "json":
-        text = _emit(ns, _meta(ns, "wavefunction"), cols,
-                     [dict(zip(cols, row)) for row in fields])
-    else:
-        text = _csv_rows(cols, ",".join(["%.17g"] * len(cols)) + "\n", fields, {})
-    _write(ns, text)
+    # normalize refuses non-finite samples, so every row takes one template
+    fmt = ns["format"]
+    lines = [_line(fmt, cols, [_FLOAT[fmt]] * len(cols))] * len(grid.points)
+    fields = np.column_stack(samples).ravel().tolist()
+    _write(ns, _text(ns, _meta(ns, "wavefunction"), cols, lines, fields))
     return 0
 
 
@@ -460,6 +472,27 @@ def _sweep_columns(ns: dict, mode: str, values: np.ndarray):
     return lv, lv.regular & in_domain(k["omega"], k["m2"], k["delta"], k["c"])
 
 
+def _sweep_lines(fmt: str, columns: list[str], values: np.ndarray, lv, scalar: dict):
+    """The line templates and float fields of a sweep's rows.
+
+    ``relativistic_energy`` puts a literal 0.0 in the energy that is not
+    the root, so a row that the array pass settles is one of four classes
+    by its (is_real, admissible) flags.  Each class's template holds the
+    zero and both flags as literals; its fields are the swept value and
+    the root, with its sign.  Row i in ``scalar`` is that row dict,
+    written as literal cells.
+    """
+    f, zero = _FLOAT[fmt], _cell(fmt, 0.0)
+    by_class = np.array([_line(fmt, columns, [f, *((f, zero) if real else (zero, f)),
+                                              _cell(fmt, real), _cell(fmt, adm), _cell(fmt, "")])
+                         for real in (False, True) for adm in (False, True)], dtype=object)
+    lines = by_class[2 * lv.is_real + lv.admissible].tolist()
+    for i, row in scalar.items():
+        lines[i] = _literal(fmt, columns, row)
+    fields = np.column_stack([values, np.where(lv.is_real, lv.e_re, lv.e_im)])
+    return lines, np.delete(fields, list(scalar), axis=0).ravel().tolist()
+
+
 def cmd_sweep(ns: dict) -> int:
     mode = _resolve_mode(ns)
     _require(ns, "param", "sweep_from", "sweep_to", "steps")
@@ -478,29 +511,18 @@ def cmd_sweep(ns: dict) -> int:
         values = ns["sweep_from"] + span * np.arange(steps) / (steps - 1)
     lv, regular = _sweep_columns(ns, mode, values)
     settled = regular & np.isfinite(values)
-    values = values.tolist()
     # the scalar path names the status of every row the array pass cannot
     # settle (pole, overflow, invalid), and writes a non-finite swept value,
-    # which the CSV template cannot, as an empty cell; its warnings are
+    # which a float field cannot, as an empty cell or null; its warnings are
     # carried by the row flags, and the filter is set here once because it is
     # process-global
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        scalar = {i: _sweep_point(ns, mode, values[i], ns["level"])
+        scalar = {i: _sweep_point(ns, mode, float(values[i]), ns["level"])
                   for i in np.flatnonzero(~settled).tolist()}
     cols = [param, "e_re", "e_im", "is_real", "admissible", "status"]
-    energies = (values, lv.e_re.tolist(), lv.e_im.tolist())
-    if ns["format"] == "json":
-        fields = zip(*energies, lv.is_real.tolist(), lv.admissible.tolist())
-        rows = [scalar.get(i) or dict(zip(cols, (*row, "")))
-                for i, row in enumerate(fields)]
-        text = _emit(ns, _meta(ns, "sweep"), cols, rows)
-    else:
-        flags = [np.where(flag, "true", "false").tolist()
-                 for flag in (lv.is_real, lv.admissible)]
-        text = _csv_rows(cols, "%.17g,%.17g,%.17g,%s,%s,\n", zip(*energies, *flags),
-                         scalar)
-    _write(ns, text)
+    lines, fields = _sweep_lines(ns["format"], cols, values, lv, scalar)
+    _write(ns, _text(ns, _meta(ns, "sweep"), cols, lines, fields))
     return 0
 
 

@@ -51,6 +51,26 @@ def _where(cond, a, b):
     return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
 
 
+def _sech2_csch2(u):
+    """sech(u)^2 and csch(u)^2 as ``1 / cosh(u)**2`` and ``1 / sinh(u)**2``.
+
+    On the rows where ``cosh(u)**2`` overflows they take the exponential
+    forms of ``model._csch``, which stay finite; every other row keeps the
+    bits of the direct forms.
+    """
+    with np.errstate(over="ignore"):
+        cosh2 = np.cosh(u) ** 2
+        sinh2 = np.sinh(u) ** 2
+    sech2, csch2 = 1.0 / cosh2, 1.0 / sinh2
+    if not cosh2.max() < np.inf:  # an overflow, or a NaN that hides one
+        # u = 1 on the other rows keeps the exponential forms finite there
+        over = np.isinf(cosh2)
+        e = np.exp(-_where(over, np.abs(u), 1.0))
+        sech2 = _where(over, (2.0 * e / (1.0 + e * e)) ** 2, sech2)
+        csch2 = _where(over, (2.0 * e / (1.0 - e * e)) ** 2, csch2)
+    return sech2, csch2
+
+
 @dataclass(frozen=True)
 class RosenMorseSuperpotential:
     """W(x) = c1 + c2*tanh(x); normalizable sector needs c2 > 0 and |c1| < c2."""
@@ -102,9 +122,7 @@ class PoschlTellerSuperpotential:
 
     def dw(self, x):
         self._check_domain(x)
-        u = self.c * np.asarray(x, dtype=float)
-        sech2 = 1.0 / np.cosh(u) ** 2
-        csch2 = 1.0 / np.sinh(u) ** 2
+        sech2, csch2 = _sech2_csch2(self.c * np.asarray(x, dtype=float))
         return self.a * self.c * sech2 + self.b * self.c * csch2
 
     def shifted(self, k: int = 1) -> "PoschlTellerSuperpotential":
@@ -136,18 +154,7 @@ def partner_potentials(w: Superpotential, x) -> PartnerPotentials:
         return PartnerPotentials(v_minus=v_minus, v_plus=v_plus)
     if isinstance(w, PoschlTellerSuperpotential):
         w._check_domain(x)
-        u = w.c * np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
-            cosh2 = np.cosh(u) ** 2
-            sinh2 = np.sinh(u) ** 2
-        sech2, csch2 = 1.0 / cosh2, 1.0 / sinh2
-        if not cosh2.max() < np.inf:  # an overflow, or a NaN that hides one
-            # the exponential forms of model._csch, on the rows where cosh(u)^2
-            # overflows only (u = 1 elsewhere keeps them finite)
-            over = np.isinf(cosh2)
-            e = np.exp(-_where(over, np.abs(u), 1.0))
-            sech2 = _where(over, (2.0 * e / (1.0 + e * e)) ** 2, sech2)
-            csch2 = _where(over, (2.0 * e / (1.0 - e * e)) ** 2, csch2)
+        sech2, csch2 = _sech2_csch2(w.c * np.asarray(x, dtype=float))
         d2 = (w.a - w.b) ** 2
         v_minus = d2 + w.b * (w.b - w.c) * csch2 - w.a * (w.a + w.c) * sech2
         v_plus = d2 + w.b * (w.b + w.c) * csch2 - w.a * (w.a - w.c) * sech2
@@ -493,7 +500,19 @@ def ground_state_samples(w: Superpotential, x: np.ndarray) -> np.ndarray:
     if isinstance(w, PoschlTellerSuperpotential):
         w._check_domain(x)
         u = w.c * np.asarray(x, dtype=float)
-        return np.cosh(u) ** (-w.a / w.c) * np.sinh(u) ** (w.b / w.c)
+        p, q = -w.a / w.c, w.b / w.c
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = np.cosh(u) ** p * np.sinh(u) ** q
+        far = ~np.isfinite(g)
+        if not np.any(far):
+            return g
+        # a power overflowed (alone, or as inf * 0): the mirrored forms
+        # cosh u, sinh u = e^u (1 +- e^{-2u}) / 2 in log space on those rows,
+        # and u = 1 on the others
+        beyond = _where(far, u, 1.0)
+        e = np.exp(-2.0 * beyond)
+        return _where(far, np.exp((p + q) * (beyond - math.log(2.0))
+                                  + p * np.log1p(e) + q * np.log1p(-e)), g)
     raise TypeError(f"unsupported superpotential: {type(w).__name__}")
 
 

@@ -398,3 +398,33 @@ def test_far_field_forms_keep_the_bits_of_every_other_row():
     x = np.concatenate((Grid(-15.0, 15.0, 6000).points, [-710.0, 700.0, 710.0]))
     assert ground_state_samples(rm, x).tobytes() == (
         np.exp(-rm.c1 * x) * np.cosh(x) ** (-rm.c2)).tobytes()
+
+
+def test_poschl_teller_dw_and_ground_state_are_finite_far_out_without_a_warning():
+    # the suite turns RuntimeWarning into an error: at x = 400 dw squared an
+    # overflowing cosh, and the ground state's sinh power overflowed
+    pt = gpt_solve(9, 2.5, 1).w
+    x = np.array([400.0, 720.0])
+    assert pt.dw(x).tolist() == [0.0, 0.0]
+    assert pt.dw(400.0) == 0.0
+    assert ground_state_samples(pt, x).tolist() == [0.0, 0.0]
+    # exp(-2u) * 4 (a + b) c, still representable past the overflow at u = 355.5
+    assert math.isclose(pt.dw(356.0), 4.0 * math.exp(-712.0) * (pt.a + pt.b) * pt.c,
+                        rel_tol=1e-12)
+    # sinh(2)**1000 overflows and cosh(2)**-1500 underflows, yet their
+    # product is 2.3375885120030679e-304 (40 digits of mpmath)
+    steep = PoschlTellerSuperpotential(a=1500.0, b=1000.0, c=1.0)
+    assert math.isclose(ground_state_samples(steep, np.array([2.0]))[0],
+                        2.337588512003067892e-304, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("pt", [PoschlTellerSuperpotential(a=9.0, b=2.5, c=1.0),
+                                PoschlTellerSuperpotential(a=3.0, b=1.5, c=0.7),
+                                PoschlTellerSuperpotential(a=40.0, b=30.0, c=2.0)])
+def test_poschl_teller_dw_and_ground_state_keep_their_bits_up_to_x_20(pt):
+    x = np.concatenate((Grid(1e-3, 20.0, 6000).points, [20.0]))
+    u = pt.c * x
+    assert pt.dw(x).tobytes() == (
+        pt.a * pt.c * (1.0 / np.cosh(u) ** 2) + pt.b * pt.c * (1.0 / np.sinh(u) ** 2)).tobytes()
+    assert ground_state_samples(pt, x).tobytes() == (
+        np.cosh(u) ** (-pt.a / pt.c) * np.sinh(u) ** (pt.b / pt.c)).tobytes()

@@ -8,17 +8,22 @@ The wavefunction digests were recorded from its row-by-row writer.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
+import json
+import math
 import pathlib
 import runpy
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdmdirac import cli
+from pdmdirac.susy import LevelColumns, relativistic_energy
 
 README_SWEEP = ["sweep", "--example", "2", "--omega", "5", "--alpha", "1",
                 "--gamma", "10", "--delta", "0.5", "--c", "3", "--m2", "1",
@@ -176,3 +181,87 @@ def test_sweep_matches_point_by_point(mode, key, data):
     code, out = _run(argv)
     assert code == 0
     assert out == _point_by_point(argv)
+
+
+# example 1 with beta = 1.5, alpha = 0 and m2 = 1 has V1 = omega/2, so level 1
+# is a pole at omega = 4, the value of row 10; omega <= 0 is invalid
+ROW_CLASSES = ["sweep", "--example", "1", "--beta-mode", "literal", "--beta", "1.5",
+               "--alpha", "0", "--gamma", "0.5", "--m2", "1", "--level", "1",
+               "--param", "omega", "--from", "-1", "--to", "9", "--steps", "21"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_with_row_classes_pole_and_invalid_rows(fmt):
+    code, out = _run(ROW_CLASSES + ["--format", fmt])
+    assert code == 0
+    assert out == _point_by_point(ROW_CLASSES + ["--format", fmt])
+    if fmt == "csv":
+        rows = list(csv.DictReader(io.StringIO(out)))
+        # the class (is_real false, admissible true) is out of reach of
+        # both families: an admissible level's radicand is positive
+        assert {(r["is_real"], r["admissible"]) for r in rows if not r["status"]} == {
+            ("true", "true"), ("true", "false"), ("false", "false")}
+        assert {r["status"].split(":")[0] for r in rows} == {"", "pole", "invalid"}
+
+
+def _cell(value):
+    if value is None or isinstance(value, float) and not math.isfinite(value):
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def _reference(fmt, meta, columns, rows):
+    """The documented output of ``rows``, written by the csv and json modules."""
+    if fmt == "json":
+        clean = [{key: None if isinstance(row.get(key), float) and not math.isfinite(row[key])
+                  else row.get(key) for key in columns} for row in rows]
+        return json.dumps({"meta": meta, "rows": clean}, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_cell(row.get(key)) for key in columns] for row in rows)
+    return buf.getvalue()
+
+
+META = {"command": "sweep", "note": "100% []"}
+COLS = ["m2", "e_re", "e_im", "is_real", "admissible", "status"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_literal_lines_may_hold_percent_signs(fmt):
+    ns = {"format": fmt}
+    rows = [{"m2": 0.1, "status": "invalid: 5% of %s, %(a)d and %%"},
+            {"m2": float("nan"), "e_re": -0.0, "status": "%"}]
+    assert cli._emit(ns, META, COLS, rows) == _reference(fmt, META, COLS, rows)
+    # literal lines around a template with fields, in one % call
+    template = cli._line(fmt, COLS, [cli._FLOAT[fmt]] * 3
+                         + [cli._cell(fmt, value) for value in (True, False, "")])
+    lines = [cli._literal(fmt, COLS, rows[0]), template, cli._literal(fmt, COLS, rows[1])]
+    filled = {"m2": 0.2, "e_re": 1.5, "e_im": 0.0, "is_real": True, "admissible": False,
+              "status": ""}
+    assert cli._text(ns, META, COLS, lines, [0.2, 1.5, 0.0]) == _reference(
+        fmt, META, COLS, [rows[0], filled, rows[1]])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_lines_cover_every_class_and_keep_a_negative_zero_root(fmt):
+    # radicand -0.0 is real with root sqrt(-0.0) = -0.0, which must print as
+    # -0; row 1 is the class no family reaches, row 3 goes in literally
+    e_re, e_im, is_real = relativistic_energy(np.array([4.0, -9.0, -0.0, 2.25, -1.0, 0.0]))
+    admissible = np.array([True, True, False, False, False, True])
+    lv = LevelColumns(e_re, e_im, is_real, admissible, np.ones(6, dtype=bool))
+    values = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    scalar = {3: {"m2": 2.0, "e_re": None, "e_im": None, "is_real": None,
+                  "admissible": None, "status": "invalid: 100% off, %s"}}
+    lines, fields = cli._sweep_lines(fmt, COLS, values, lv, scalar)
+    rows = [scalar.get(i) or dict(zip(COLS, (*row, "")))
+            for i, row in enumerate(zip(values.tolist(), e_re.tolist(), e_im.tolist(),
+                                        is_real.tolist(), admissible.tolist()))]
+    text = cli._text({"format": fmt}, META, COLS, lines, fields)
+    assert text == _reference(fmt, META, COLS, rows)
+    if fmt == "csv":
+        assert "\n1.5,-0,0,true,false,\n" in text
+    else:
+        assert '"e_re": -0.0' in text
