@@ -3,7 +3,9 @@ the oracle demo's output.
 
 The sweep digests and the tiny-sweep rows below were recorded from the
 point-by-point sweep (one ``_sweep_point`` per swept value).  The property
-test rebuilds every sweep that way and asks ``main`` for the same bytes.
+test rebuilds every sweep that way, writes it with the ``csv`` and ``json``
+modules (``_reference``, not the writer under test) and asks ``main`` for
+the same bytes.
 The wavefunction digests were recorded from its row-by-row writer.
 """
 
@@ -45,8 +47,30 @@ def _md5(text):
 PARSER = cli.build_parser()
 
 
+def _cell(value):
+    if value is None or isinstance(value, float) and not math.isfinite(value):
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def _reference(fmt, meta, columns, rows):
+    """The documented output of ``rows``, written by the csv and json modules."""
+    if fmt == "json":
+        clean = [{key: None if isinstance(row.get(key), float) and not math.isfinite(row[key])
+                  else row.get(key) for key in columns} for row in rows]
+        return json.dumps({"meta": meta, "rows": clean}, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_cell(row.get(key)) for key in columns] for row in rows)
+    return buf.getvalue()
+
+
 def _point_by_point(argv):
-    """The sweep's bytes with every row built by ``_sweep_point``."""
+    """The sweep's bytes with every row built by ``_sweep_point``, as
+    ``_reference`` writes them."""
     ns = vars(PARSER.parse_args(argv))
     mode = cli._resolve_mode(ns)
     steps, lo = ns["steps"], ns["sweep_from"]
@@ -56,7 +80,7 @@ def _point_by_point(argv):
         warnings.simplefilter("ignore")
         rows = [cli._sweep_point(ns, mode, v, ns["level"]) for v in values]
     cols = [ns["param"], "e_re", "e_im", "is_real", "admissible", "status"]
-    return cli._emit(ns, cli._meta(ns, "sweep"), cols, rows)
+    return _reference(ns["format"], cli._meta(ns, "sweep"), cols, rows)
 
 
 def test_readme_sweep_bytes():
@@ -202,27 +226,6 @@ def test_sweep_with_row_classes_pole_and_invalid_rows(fmt):
         assert {(r["is_real"], r["admissible"]) for r in rows if not r["status"]} == {
             ("true", "true"), ("true", "false"), ("false", "false")}
         assert {r["status"].split(":")[0] for r in rows} == {"", "pole", "invalid"}
-
-
-def _cell(value):
-    if value is None or isinstance(value, float) and not math.isfinite(value):
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return format(value, ".17g") if isinstance(value, float) else str(value)
-
-
-def _reference(fmt, meta, columns, rows):
-    """The documented output of ``rows``, written by the csv and json modules."""
-    if fmt == "json":
-        clean = [{key: None if isinstance(row.get(key), float) and not math.isfinite(row[key])
-                  else row.get(key) for key in columns} for row in rows]
-        return json.dumps({"meta": meta, "rows": clean}, indent=2) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([_cell(row.get(key)) for key in columns] for row in rows)
-    return buf.getvalue()
 
 
 META = {"command": "sweep", "note": "100% []"}
