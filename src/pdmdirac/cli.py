@@ -66,21 +66,32 @@ MODEL_KEYS = ("omega", "alpha", "gamma", "beta", "delta", "c", "m1", "m2")
 _MODE_MODEL_KEYS = {"rm2": (), "gpt": ("c", "delta", "gamma", "m2")}
 
 
+def _finite(text: str) -> float:
+    """A flag's value as a finite float; argparse names the flag on refusal."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_model_opts(p: _Parser):
     for key in MODEL_KEYS:
-        p.add_argument(f"--{key}", type=float, default={"delta": 1.0, "c": 1.0, "m1": 0.0}.get(key))
+        p.add_argument(f"--{key}", type=_finite, default={"delta": 1.0, "c": 1.0, "m1": 0.0}.get(key))
     p.add_argument("--beta-mode", dest="beta_mode", choices=[m.value for m in BetaMode])
 
 
 def _add_family_opts(p: _Parser):
     p.add_argument("--example", type=int, choices=(1, 2),
                    help="1 = Rosen-Morse (cosh profile), 2 = Poschl-Teller (coth)")
-    p.add_argument("--v0", type=float)
-    p.add_argument("--v1", type=float)
-    p.add_argument("--v2", type=float)
-    p.add_argument("--sp-a", dest="sp_a", type=float,
+    p.add_argument("--v0", type=_finite)
+    p.add_argument("--v1", type=_finite)
+    p.add_argument("--v2", type=_finite)
+    p.add_argument("--sp-a", dest="sp_a", type=_finite,
                    help="superpotential tanh strength (half-line family)")
-    p.add_argument("--sp-b", dest="sp_b", type=float,
+    p.add_argument("--sp-b", dest="sp_b", type=_finite,
                    help="superpotential coth strength (half-line family)")
 
 

@@ -138,6 +138,43 @@ def _grid_arrays(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return arrays
 
 
+def _array_key(consts, x: np.ndarray) -> tuple:
+    """The memo key of float constants and a float array ``x``.
+
+    It holds exact bits, not values (-0.0 == 0.0, yet sinh tells them
+    apart), and ``x``'s shape.  A read-only array that owns its data, as
+    ``Grid.points`` does, is taken to keep its values and is keyed by its
+    identity instead, an O(1) match: the key holds the array, so its id
+    cannot be reused while the key is stored, and keys compare the arrays
+    themselves only when their ids are equal, that is, when they are the
+    same object.  Every other array, such as a slice of ``Grid.points`` or
+    a read-only view of a writable array, is keyed by its bits.
+    """
+    head = np.array(consts, dtype=float).tobytes()
+    if x.flags.owndata and not x.flags.writeable:
+        return head, x.shape, id(x), x
+    return head, x.shape, x.tobytes()
+
+
+def _last_call(slot: tuple, key, compute, *args) -> tuple:
+    """A one-slot memo of the last array call, for code that evaluates the
+    same constants on the same nodes several times in a row.
+
+    ``slot`` is the ``(key, value)`` of the last call, or ``(None, None)``.
+    Returns ``(value, slot)``: the stored value when ``key`` equals the
+    slot's, and otherwise ``compute(*args)``, a tuple or a dataclass of
+    arrays, made read-only, with the new slot.  The caller keeps the slot
+    and swaps it in one assignment.
+    """
+    last_key, value = slot
+    if last_key == key:
+        return value, slot
+    value = compute(*args)
+    for arr in value if isinstance(value, tuple) else vars(value).values():
+        arr.flags.writeable = False
+    return value, (key, value)
+
+
 @dataclass(frozen=True)
 class EigenResult:
     eigenvalues: np.ndarray
@@ -690,12 +727,19 @@ def ode_residual(potential, e_bar: float, samples, grid: Grid,
 
 
 def count_nodes(samples) -> int:
-    """Strict sign changes, ignoring samples below 1e-12 of the peak magnitude."""
+    """Strict sign changes, ignoring samples below 1e-12 of the peak magnitude.
+
+    A NaN or infinite sample has no sign to count, so it is refused with
+    ValueError naming the first such index.
+    """
     f = np.asarray(samples, dtype=float)
     if f.size == 0:
         return 0
     a = np.abs(f)
     cut = 1e-12 * np.max(a)
+    if not cut < np.inf:  # the peak is non-finite exactly when a sample is
+        i = int(np.argmax(~np.isfinite(f)))
+        raise ValueError(f"non-finite sample {float(f.flat[i])!r} at index {i}")
     if cut > 0.0:
         # every kept sample is nonzero, so a sign change is a change of < 0
         neg = f[a >= cut] < 0.0

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ModelParams
-from .numerics import Grid, count_nodes, normalize
+from .numerics import Grid, _array_key, _last_call, count_nodes, normalize
 from .susy import (PoschlTellerSuperpotential, Superpotential, gpt_admissible,
                    rm2_admissible, rm2_superpotential, si_remainder_ladder)
 
@@ -28,6 +28,8 @@ _GUARD = 1e-6
 
 # the largest argument whose exponential is finite
 _EXP_MAX = math.log(sys.float_info.max)
+_LN2 = math.log(2.0)
+_TINY = sys.float_info.min  # the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -67,13 +69,7 @@ def jacobi_eval_sum(n: int, a: float, b: float, z):
     """
     if n < 0:
         raise ValueError("polynomial degree must be nonnegative")
-    z = np.asarray(z, dtype=float)
-    lo = (z - 1.0) / 2.0
-    hi = (z + 1.0) / 2.0
-    total = np.zeros_like(z)
-    for m in range(n + 1):
-        coef = _genbinom(n + a, n - m) * _genbinom(n + b, m)
-        total = total + coef * lo ** m * hi ** (n - m)
+    total = _jacobi_sum(n, a, b, np.asarray(z, dtype=float), 1.0)
     return total if total.ndim else float(total)
 
 
@@ -90,23 +86,46 @@ def jacobi_eval(n: int, a: float, b: float, z):
     """
     if n < 0:
         raise ValueError("polynomial degree must be nonnegative")
-    z = np.asarray(z, dtype=float)
-    ones = np.ones_like(z)
+    p = _jacobi(n, a, b, np.asarray(z, dtype=float), 1.0)
+    return p if np.ndim(p) else float(p)
+
+
+def _jacobi(n: int, a: float, b: float, z, w):
+    """w^n P_n^{(a,b)}(z/w), the homogeneous form of the recurrence, with the
+    explicit sum where a denominator degenerates.
+
+    w = 1.0 gives P_n(z) with the bits of the plain recurrence (every factor
+    w is an exact 1.0); z = 1.0 and w = 1/y give y^{-n} P_n(y), finite where
+    P_n(y) overflows.
+    """
+    one = np.ones(np.broadcast(z, w).shape)
     if n == 0:
-        return ones if ones.ndim else 1.0
-    p_prev = ones
-    p = 0.5 * ((a + b + 2.0) * z + (a - b))
+        return one
+    p_prev = one
+    p = 0.5 * ((a + b + 2.0) * z + (a - b) * w)
     if n == 1:
-        return p if np.ndim(p) else float(p)
+        return p
     if jacobi_recurrence_degenerate(n, a, b):
-        return jacobi_eval_sum(n, a, b, z)
+        return _jacobi_sum(n, a, b, z, w)
+    ww = w * w
     for k in range(2, n + 1):
         s = 2.0 * k + a + b
         denom = 2.0 * k * (k + a + b) * (s - 2.0)
-        t1 = (s - 1.0) * ((s * (s - 2.0)) * z + (a * a - b * b))
+        t1 = (s - 1.0) * ((s * (s - 2.0)) * z + (a * a - b * b) * w)
         t2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s
-        p, p_prev = (t1 * p - t2 * p_prev) / denom, p
-    return p if np.ndim(p) else float(p)
+        p, p_prev = (t1 * p - t2 * ww * p_prev) / denom, p
+    return p
+
+
+def _jacobi_sum(n: int, a: float, b: float, z, w):
+    # w^n P_n(z/w) by the explicit sum, with (z -+ w)/2 for (z -+ 1)/2
+    lo = (z - w) / 2.0
+    hi = (z + w) / 2.0
+    total = np.zeros(np.shape(lo))
+    for m in range(n + 1):
+        coef = _genbinom(n + a, n - m) * _genbinom(n + b, m)
+        total = total + coef * lo ** m * hi ** (n - m)
+    return total
 
 
 def jacobi_derivative(n: int, a: float, b: float, z):
@@ -147,6 +166,14 @@ def _inv_one_plus_exp(m: np.ndarray) -> np.ndarray:
     return np.where(over, em / (1.0 + em), 1.0 / (1.0 + em))
 
 
+# (key, (u, v, tanh x)) of the last array x, for _last_call
+_last_rm2_factors: tuple = (None, None)
+
+
+def _rm2_factors(x):
+    return _inv_one_plus_exp(-2.0 * x), _inv_one_plus_exp(2.0 * x), np.tanh(x)
+
+
 def rm2_state_evaluator(n: int, v1: float, v2: float):
     """Closed-form level-n state of -phi'' + (-V1 sech^2 x + V2 tanh x + const) phi.
 
@@ -159,15 +186,25 @@ def rm2_state_evaluator(n: int, v1: float, v2: float):
     u = e^{2x}/(1+e^{2x}), v = e^{-2x}/(1+e^{-2x}) on the rows where the
     first forms' exponential would overflow (|x| > 354.89); dphi is the
     exact derivative.
+
+    u, v and tanh x do not depend on the level: they are memoized for the
+    last array ``x``, matched by its exact bits or, for ``Grid.points``, its
+    identity, so the levels of one grid compute them once.  The three
+    arrays are read-only and stay in memory until the next array call
+    (about 0.15 MB at 6000 points); array calls return new arrays.
     """
     r, s = rm2_exponents(n, v1, v2)
     aj, bj = -2.0 * r, -2.0 * s
 
     def _parts(x):
+        global _last_rm2_factors
         x = np.asarray(x, dtype=float)
-        u = _inv_one_plus_exp(-2.0 * x)
-        v = _inv_one_plus_exp(2.0 * x)
-        return u ** (-r) * v ** (-s), np.tanh(x)
+        if x.ndim:
+            (u, v, t), _last_rm2_factors = _last_call(
+                _last_rm2_factors, _array_key((), x), _rm2_factors, x)
+        else:
+            u, v, t = _rm2_factors(x)
+        return u ** (-r) * v ** (-s), t
 
     def phi(x):
         pref, t = _parts(x)
@@ -224,6 +261,27 @@ def rm2_wavefunction(n: int, v1: float, v2: float, grid: Grid,
 # generalized Poschl-Teller states (half line)
 # ----------------------------------------------------------------------
 
+# (key, (cx, prefactor, cosh 2cx)) of the last array call, for _last_call
+_last_gpt_factors: tuple = (None, None)
+
+
+def _gpt_factors(a: float, b: float, c: float, x):
+    if np.any(x <= 0.0):
+        raise DomainError("half-line state evaluated at x <= 0")
+    u = c * x
+    with np.errstate(over="ignore", invalid="ignore"):
+        grow = (2.0 * np.sinh(u) ** 2) ** (b / (2.0 * c))
+        decay = (2.0 * np.cosh(u) ** 2) ** (-a / (2.0 * c))
+        pref = grow * decay
+        y = np.cosh(2.0 * u)
+    if not (grow.max() < np.inf and decay.min() >= _TINY):
+        # far out one factor overflows, or the other falls below the normal
+        # range and takes the product's precision with it: NaN sends those
+        # rows to the evaluators' log-space forms
+        pref = np.where((grow < np.inf) & (decay >= _TINY), pref, np.nan)
+    return u, pref, y
+
+
 def gpt_state_evaluator(n: int, a: float, b: float, c: float):
     """Closed-form level-n state of the half-line family, as (phi, dphi).
 
@@ -233,31 +291,72 @@ def gpt_state_evaluator(n: int, a: float, b: float, c: float):
 
     evaluated through (y-1) = 2 sinh^2(cx), (y+1) = 2 cosh^2(cx).  The
     half exponents make the n = 0 state reduce exactly to
-    cosh^{-A/c}(cx) sinh^{B/c}(cx).
+    cosh^{-A/c}(cx) sinh^{B/c}(cx).  On the rows where these direct forms
+    overflow (cx beyond about 355, or sooner for large B/c or n), both
+    evaluators take the prefactor in log space,
+
+        log((y-1)^{B/2c} (y+1)^{-A/2c}) = ((B-A)/2c)(2cx - ln 2)
+                                          + (B/c) ln(1 - e^{-2cx}) - (A/c) ln(1 + e^{-2cx}),
+
+    times y^n, and the Jacobi polynomial scaled by y^{-n}; every other row
+    keeps the direct forms' bits.
+
+    cx, the direct prefactor and y do not depend on the level: they are
+    memoized for the last (A, B, c, x), matched by exact bits or, for
+    ``Grid.points``, by identity, so the levels of one grid compute them
+    once.  The three arrays are read-only and stay in memory until the
+    next array call (about 0.15 MB at 6000 points); array calls return new
+    arrays.
     """
     aj = b / c - 0.5
     bj = -a / c - 0.5
 
     def _parts(x):
+        global _last_gpt_factors
         x = np.asarray(x, dtype=float)
-        if np.any(x <= 0.0):
-            raise DomainError("half-line state evaluated at x <= 0")
-        u = c * x
-        pref = ((2.0 * np.sinh(u) ** 2) ** (b / (2.0 * c))
-                * (2.0 * np.cosh(u) ** 2) ** (-a / (2.0 * c)))
-        y = np.cosh(2.0 * u)
-        return u, pref, y
+        if not x.ndim:
+            return _gpt_factors(a, b, c, x)
+        factors, _last_gpt_factors = _last_call(
+            _last_gpt_factors, _array_key((a, b, c), x), _gpt_factors, a, b, c, x)
+        return factors
+
+    def _far(out, u, scaled):
+        # the rows the direct forms lost (non-finite, the prefactor's NaN
+        # marks among them) as e^{log prefactor + n log y} scaled(u, 1/y)
+        far = ~np.isfinite(out)
+        if not far.any():
+            return out
+        u = np.where(far, u, 1.0)  # keeps the other rows finite
+        e = np.exp(-2.0 * u)
+        log_y = 2.0 * u - _LN2 + np.log1p(e * e)
+        log_pref = ((b - a) / (2.0 * c) * (2.0 * u - _LN2)
+                    + (b / c) * np.log1p(-e) - (a / c) * np.log1p(e))
+        value = np.exp(log_pref + n * log_y) * scaled(u, 2.0 * e / (1.0 + e * e))
+        return np.where(far, value, out)[()]  # [()] unwraps a scalar call
 
     def phi(x):
-        _, pref, y = _parts(x)
-        return pref * jacobi_eval(n, aj, bj, y)
+        u, pref, y = _parts(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = pref * jacobi_eval(n, aj, bj, y)
+        return _far(out, u, lambda _, w: _jacobi(n, aj, bj, 1.0, w))
 
     def dphi(x):
         u, pref, y = _parts(x)
-        poly = jacobi_eval(n, aj, bj, y)
-        dpoly = jacobi_derivative(n, aj, bj, y)
-        log_slope = b / np.tanh(u) - a * np.tanh(u)
-        return pref * (log_slope * poly + 2.0 * c * np.sinh(2.0 * u) * dpoly)
+        with np.errstate(over="ignore", invalid="ignore"):
+            poly = jacobi_eval(n, aj, bj, y)
+            dpoly = jacobi_derivative(n, aj, bj, y)
+            log_slope = b / np.tanh(u) - a * np.tanh(u)
+            out = pref * (log_slope * poly + 2.0 * c * np.sinh(2.0 * u) * dpoly)
+
+        def scaled(u, w):
+            # sinh(2cx) y^{-n} P'_n(y) = tanh(2cx) y^{-(n-1)} P'_n(y)
+            slope = (b / np.tanh(u) - a * np.tanh(u)) * _jacobi(n, aj, bj, 1.0, w)
+            if n == 0:
+                return slope
+            return slope + (c * (n + aj + bj + 1.0) * np.tanh(2.0 * u)
+                            * _jacobi(n - 1, aj + 1.0, bj + 1.0, 1.0, w))
+
+        return _far(out, u, scaled)
 
     return phi, dphi
 

@@ -261,16 +261,33 @@ def test_wavefunction_grid_points_below_floor_is_config_error(points, capsys):
     assert "n_points must be at least 16" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_wavefunction_refuses_nonfinite_samples(capsys):
-    # the far-field Poschl-Teller state overflows to NaN; numerics.normalize
-    # refuses it and names the node (tests/test_wavefunctions.py pins that)
+    # m2 * gamma overflows, so the spinor factor sqrt(M) is infinite;
+    # numerics.normalize refuses the samples and names the node
+    # (tests/test_wavefunctions.py pins that)
     code, out, err = run_cli(["wavefunction", "--sp-a", "9", "--sp-b", "1.5",
-                              "--c", "1", "--level", "1", "--x-max", "400",
-                              "--grid-points", "4000"], capsys)
+                              "--c", "1", "--level", "1", "--with-spinor",
+                              "--omega", "3", "--alpha", "0.5", "--gamma", "10",
+                              "--beta", "0", "--m1", "0.1", "--m2", "1e308"], capsys)
     assert code == 3
     assert out == ""
     assert "non-finite" in err and "x = " in err
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    # read as nan or inf, these ran on: spectrum and constraints exited 0
+    # with rows marked overflow
+    (["spectrum", "--v0", "nan", "--v1", "12", "--v2", "1"], "--v0", "nan"),
+    (["constraints", "--omega", "3", "--alpha", "nan", "--gamma", "0.1", "--m2", "2",
+      "--beta-mode", "coupling"], "--alpha", "nan"),
+    (["spectrum", "--sp-a", "9", "--sp-b=-inf"], "--sp-b", "-inf"),
+    (["wavefunction", "--v1", "inf", "--v2", "1"], "--v1", "inf"),
+    (["sweep", *SPECTRUM_ARGS[1:-2], "--m1", "1e400", "--param", "m2", "--from", "1",
+      "--to", "2", "--steps", "4"], "--m1", "1e400"),
+], ids=["v0", "alpha", "sp-b", "v1", "m1-overflows"])
+def test_nonfinite_model_and_coefficient_flags_exit_1(argv, flag, value, capsys):
+    assert run_cli(argv, capsys) == (
+        1, "", f"error: argument {flag}: must be a finite number, got '{value}'\n")
 
 
 def test_config_file_merge_and_override(tmp_path, capsys):
@@ -456,6 +473,7 @@ def test_config_key_is_the_flag_name_or_its_dest(key, tmp_path, capsys):
      "expected a boolean for 'with-spinor', got 'maybe'"),
     ("spectrum", "config = other.cfg", "unknown key 'config'"),
     ("spectrum", "omega 3", "expected 'key = value'"),
+    ("constraints", "alpha = nan", "argument --alpha: must be a finite number, got 'nan'"),
 ])
 def test_config_value_is_checked_like_its_flag(command, line, message, tmp_path,
                                                capsys):

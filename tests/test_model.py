@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -293,3 +296,37 @@ def test_vanishing_profile_is_refused_on_a_memo_hit_too(empty_memo):
             with pytest.raises(SingularityError,
                                match=r"^A\(x\) = 0 inside schrodinger_potential$"):
                 schrodinger_potential(params, prof, 0.3, x, form=form)
+
+
+def test_profile_memo_matches_a_read_only_owner_by_identity(monkeypatch, empty_memo):
+    computed = []
+    values = model._profile_values
+    monkeypatch.setattr(model, "_profile_values",
+                        lambda profile, x: computed.append(x) or values(profile, x))
+    prof = CothProfile(delta=1.5, c=0.8, gamma=0.2, beta=0.6)
+    x = np.linspace(0.5, 2.5, 6000).copy()
+    x.flags.writeable = False  # it owns its data, as Grid.points does
+    # the key holds the array, not a copy of its bytes
+    assert all(len(part) < x.nbytes for part in model._profile_key(prof, x)[1]
+               if isinstance(part, bytes))
+    stored = evaluate_profile(prof, x)
+    assert evaluate_profile(prof, x) is stored
+    # the memo keeps the array alive, so no other array can take its id
+    alive = weakref.ref(x)
+    del x
+    gc.collect()
+    assert alive() is not None
+    # equal bits in another read-only owner: another identity, a miss
+    twin = np.linspace(0.5, 2.5, 6000).copy()
+    twin.flags.writeable = False
+    assert evaluate_profile(prof, twin) is not stored
+    assert len(computed) == 2
+    # a read-only view is keyed by its bits: its base may change it
+    base = np.linspace(0.5, 2.5, 6000)
+    view = base[:]
+    view.flags.writeable = False
+    first = evaluate_profile(prof, view)
+    base[0] = 3.0
+    assert evaluate_profile(prof, view) is not first
+    assert len(computed) == 4
+    assert_same_bits(evaluate_profile(prof, view), values(prof, base))

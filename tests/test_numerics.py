@@ -368,11 +368,22 @@ _NODE_SAMPLES = st.lists(
     max_size=40)
 
 
+def _assert_counts_as_the_reference(samples):
+    # finite samples count as the reference does; a NaN or infinite one is
+    # refused, naming the first
+    bad = [i for i, v in enumerate(samples) if not math.isfinite(v)]
+    if not bad:
+        assert count_nodes(samples) == _count_nodes_reference(samples), samples
+        return
+    with pytest.raises(ValueError, match=rf"^non-finite sample \S+ at index {bad[0]}$"):
+        count_nodes(samples)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_NODE_SAMPLES)
 def test_count_nodes_matches_the_reference_on_every_sample_class(samples):
     # zeros, samples below the cut, NaN, +-inf, empty and single-element arrays
-    assert count_nodes(samples) == _count_nodes_reference(samples)
+    _assert_counts_as_the_reference(samples)
 
 
 def test_count_nodes_matches_the_reference_on_edge_cases():
@@ -380,7 +391,18 @@ def test_count_nodes_matches_the_reference_on_edge_cases():
                     [1.0, math.nan, -1.0], [math.inf, -math.inf, 1.0],
                     [1e-320, -1e-320, 0.0, 1e-320], [1.0, 0.0, -1.0, 0.0, 1.0],
                     [1.0, 1e-13, -1e-13, 1.0], [1.0, -1e-12, 1.0]):
-        assert count_nodes(samples) == _count_nodes_reference(samples), samples
+        _assert_counts_as_the_reference(samples)
+
+
+@pytest.mark.parametrize("samples, message", [
+    ([math.nan, 1.0, -1.0, 1.0], "non-finite sample nan at index 0"),
+    ([math.inf, 1.0, -1.0], "non-finite sample inf at index 0"),
+    ([1.0, -1.0, 1.0, -math.inf, math.nan], "non-finite sample -inf at index 3"),
+])
+def test_count_nodes_refuses_non_finite_samples(samples, message):
+    # these read 2, 0 and 3 nodes before
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        count_nodes(np.array(samples))
 
 
 def _unit_angle(u, v):

@@ -13,6 +13,7 @@ from pdmdirac import (BetaMode, ModelParams, PoschlTellerSuperpotential,
                       rm2_coefficients_from_params, rm2_level_radicand,
                       rm2_solve, rm2_solve_from_params, si_check,
                       si_remainder_ladder)
+from pdmdirac import ode_residual, susy
 from pdmdirac.errors import DomainError
 from pdmdirac.susy import gpt_level_columns, rm2_level_columns
 from pdmdirac.numerics import Grid
@@ -428,3 +429,84 @@ def test_poschl_teller_dw_and_ground_state_keep_their_bits_up_to_x_20(pt):
         pt.a * pt.c * (1.0 / np.cosh(u) ** 2) + pt.b * pt.c * (1.0 / np.sinh(u) ** 2)).tobytes()
     assert ground_state_samples(pt, x).tobytes() == (
         np.cosh(u) ** (-pt.a / pt.c) * np.sinh(u) ** (pt.b / pt.c)).tobytes()
+
+
+@pytest.fixture
+def partner_spy(monkeypatch):
+    """An empty partner memo, and the list of x each computation samples."""
+    computed = []
+    original = susy._partner_potentials
+
+    def spy(w, x):
+        computed.append(x)
+        return original(w, x)
+
+    monkeypatch.setattr(susy, "_partner_potentials", spy)
+    monkeypatch.setattr(susy, "_last_partners", (None, None))
+    return computed
+
+
+def test_one_partner_evaluation_over_three_residuals(partner_spy):
+    # ode_residual samples V on a fresh slice grid.points[2:-2] each call
+    w = gpt_solve(9.0, 2.5, 1.0).w
+    grid = Grid(1e-3, 20.0, 6000)
+    pot = lambda x: partner_potentials(w, x).v_minus
+    states = [gpt_wavefunction(n, 9.0, 2.5, 1.0, grid) for n in range(3)]
+    got = [ode_residual(pot, st.e_bar, st.samples, grid, skip=45) for st in states]
+    assert len(partner_spy) == 1
+    pp = partner_potentials(w, grid.points[2:-2])
+    for arr in (pp.v_minus, pp.v_plus):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    # the residuals of a computation per call
+    susy._last_partners = (None, None)
+    fresh = lambda x: susy._partner_potentials(w, x).v_minus
+    assert got == [ode_residual(fresh, st.e_bar, st.samples, grid, skip=45) for st in states]
+
+
+_X = np.linspace(0.5, 2.5, 10)
+
+
+def _set(x, i, value):
+    x = x.copy()
+    x[i] = value
+    return x
+
+
+@pytest.mark.parametrize("first, second", [
+    ((RosenMorseSuperpotential(c1=0.0, c2=3.0), _X),
+     (RosenMorseSuperpotential(c1=-0.0, c2=3.0), _X)),
+    ((PoschlTellerSuperpotential(a=0.0, b=2.5, c=1.0), _X),
+     (PoschlTellerSuperpotential(a=-0.0, b=2.5, c=1.0), _X)),
+    ((PoschlTellerSuperpotential(a=9.0, b=0.0, c=1.0), _X),
+     (PoschlTellerSuperpotential(a=9.0, b=-0.0, c=1.0), _X)),
+    ((RosenMorseSuperpotential(c1=0.5, c2=3.0), _set(_X, 0, 0.0)),
+     (RosenMorseSuperpotential(c1=0.5, c2=3.0), _set(_X, 0, -0.0))),
+    ((RosenMorseSuperpotential(c1=0.5, c2=3.0), _X),
+     (RosenMorseSuperpotential(c1=0.5, c2=3.0), _set(_X, 3, np.nan))),
+    ((RosenMorseSuperpotential(c1=0.5, c2=3.0), _X),
+     (RosenMorseSuperpotential(c1=0.5, c2=3.0), _X.reshape(2, -1))),
+    ((RosenMorseSuperpotential(c1=0.5, c2=3.0), Grid(-15.0, 15.0, 600).points[2:-2]),
+     (RosenMorseSuperpotential(c1=0.5, c2=3.0), Grid(-14.0, 14.0, 600).points[2:-2])),
+], ids=["negative-zero-c1", "negative-zero-A", "negative-zero-B", "negative-zero-x",
+        "nan-x", "reshape", "other-grid"])
+def test_partner_memo_misses_on_any_other_bits(first, second, partner_spy):
+    for w, x in (first, second):
+        got = partner_potentials(w, x)
+    assert len(partner_spy) == 2
+    want = susy._partner_potentials(*second)
+    assert got.v_minus.tobytes() == want.v_minus.tobytes()
+    assert got.v_plus.tobytes() == want.v_plus.tobytes()
+
+
+def test_partner_memo_hits_equal_bits_and_misses_an_array_changed_in_place(partner_spy):
+    w = RosenMorseSuperpotential(c1=0.5, c2=3.0)
+    x = np.array([np.nan, -1.0, 0.0, 1.0])
+    first = partner_potentials(w, x)
+    assert partner_potentials(w, x.copy()) is first  # a NaN node among equal bits
+    x[1] = -2.0
+    assert partner_potentials(w, x).v_minus[1] == pytest.approx(
+        partner_potentials(w, np.array([-2.0])).v_minus[0], rel=1e-12)
+    assert len(partner_spy) == 3
+    partner_potentials(w, 0.5), partner_potentials(w, 0.5)  # scalars are not memoized
+    assert len(partner_spy) == 5

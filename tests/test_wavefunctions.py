@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -8,8 +9,14 @@ from pdmdirac import (BetaMode, Grid, ModelParams, PoschlTellerSuperpotential,
                       RosenMorseSuperpotential, count_nodes, first_derivative,
                       gpt_state_evaluator, gpt_wavefunction, jacobi_derivative,
                       jacobi_eval, jacobi_eval_sum, jacobi_recurrence_degenerate,
-                      ode_residual, partner_potentials,
+                      ode_residual, partner_potentials, quadrature_norm,
                       rm2_exponents, rm2_state_evaluator, rm2_wavefunction)
+from pdmdirac import (cancellation_residual, complete_potential, dirac_profiles,
+                      effective_potential_ansatz, effective_potential_general,
+                      gpt_solve_from_params, hermitian_coeffs, model,
+                      nonhermitian_coeffs, profile_from_params, rho_weight,
+                      rm2_solve_from_params, schrodinger_potential, susy,
+                      wavefunctions)
 from pdmdirac.errors import DomainError
 
 
@@ -279,13 +286,212 @@ def test_gpt_with_spinor_constant_factor():
     assert np.max(np.abs(plain.samples - spinor.samples)) < 1e-12
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_normalize_refuses_nonfinite_samples():
-    # the far-field Poschl-Teller state overflows once cx passes about 355
-    grid = Grid(1e-3, 400.0, 4000)
-    raw = gpt_state_evaluator(1, 9.0, 1.5, 1.0)[0](grid.points)
-    first = int(np.flatnonzero(~np.isfinite(raw))[0])
+    # m2 * gamma overflows, so the spinor factor sqrt(M) is infinite and
+    # every sample is inf or NaN (inf * 0)
+    params = ModelParams(omega=3.0, alpha=0.5, gamma=10.0, beta=0.0, m1=0.1, m2=1e308)
+    grid = Grid(1e-3, 20.0, 4000)
     with pytest.raises(OverflowError) as info:
-        gpt_wavefunction(1, 9.0, 1.5, 1.0, grid)
+        gpt_wavefunction(1, 9.0, 1.5, 1.0, grid, spinor=params)
     assert str(info.value) == (f"non-finite wavefunction sample at "
-                               f"x = {float(grid.points[first])!r} (node {first})")
+                               f"x = {float(grid.points[0])!r} (node 0)")
+
+
+# (n, A, B, c) of Poschl-Teller states and the far end of their grids:
+# past cx = 355 the direct forms overflow, and for (1, 3.02, 1, 1) the cosh
+# factor leaves the normal range at cx = 234, where the state is still 1e-2
+_FAR_STATES = [((1, 9.0, 1.5, 1.0), 400.0), ((1, 9.0, 2.5, 1.0), 800.0),
+               ((0, 9.0, 2.5, 1.0), 800.0), ((2, 12.0, 2.5, 0.5), 1600.0),
+               ((1, 3.02, 1.0, 1.0), 2000.0)]
+
+
+@pytest.mark.parametrize("state, x_max", _FAR_STATES)
+def test_gpt_far_field_state_is_finite_normalized_with_n_nodes(state, x_max):
+    n = state[0]
+    grid = Grid(1e-3, x_max, 4000 if x_max < 2000.0 else 20000)
+    _, dphi = gpt_state_evaluator(*state)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        st = gpt_wavefunction(*state, grid)
+        slope = dphi(grid.points)
+    assert np.all(np.isfinite(st.samples)) and np.all(np.isfinite(slope))
+    assert st.nodes == n
+    assert abs(quadrature_norm(st.samples, grid) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("state", [(1, 3.02, 1.0, 1.0), (0, 2.05, 2.0, 1.0),
+                                   (2, 5.1, 1.0, 1.0), (1, 1.52, 0.5, 0.5)])
+def test_gpt_far_field_forms_continue_the_direct_forms(state):
+    # phi and phi' decay as e^{-kx}, k = A - B - 2cn, up to terms of order
+    # e^{-2cx}: from x = 30/c on, phi e^{kx} and phi' e^{kx} are constant
+    # across the switch to the log-space forms; a slow decay keeps them
+    # representable on both sides of it
+    n, a, b, c = state
+    k = a - b - 2.0 * c * n
+    x = np.linspace(30.0 / c, 800.0 / c, 3000)
+    phi, dphi = gpt_state_evaluator(*state)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = phi(x) * np.exp(k * x)
+        slope = dphi(x) * np.exp(k * x)
+    assert np.max(np.abs(scaled / scaled[-1] - 1.0)) < 1e-12
+    assert np.max(np.abs(slope / (-k * scaled) - 1.0)) < 1e-12
+    # a scalar call takes the same forms
+    assert phi(float(x[-1])) * np.exp(k * x[-1]) == pytest.approx(scaled[-1], rel=1e-14)
+
+
+def test_gpt_states_keep_their_bits_where_the_direct_forms_hold():
+    # md5 of the former expressions' samples: the normalized levels 0-2 of
+    # (9, 2.5, 1) on (1e-3, 20, 6000), then phi and phi' on (1e-3, 60, 6000)
+    h = hashlib.md5()
+    for n in range(3):
+        h.update(gpt_wavefunction(n, 9.0, 2.5, 1.0, Grid(1e-3, 20.0, 6000)).samples.tobytes())
+        phi, dphi = gpt_state_evaluator(n, 9.0, 2.5, 1.0)
+        x = Grid(1e-3, 60.0, 6000).points
+        h.update(phi(x).tobytes())
+        h.update(dphi(x).tobytes())
+    assert h.hexdigest() == "e976f95650ab537edb5d3e6877a2126a"
+
+
+@pytest.fixture
+def factor_spy(monkeypatch):
+    """Empty state-factor memos, and the list of (name, x) each computes."""
+    computed = []
+    for name in ("_rm2_factors", "_gpt_factors"):
+        original = getattr(wavefunctions, name)
+
+        def spy(*args, _name=name, _original=original):
+            computed.append((_name, args[-1]))
+            return _original(*args)
+
+        monkeypatch.setattr(wavefunctions, name, spy)
+    monkeypatch.setattr(wavefunctions, "_last_rm2_factors", (None, None))
+    monkeypatch.setattr(wavefunctions, "_last_gpt_factors", (None, None))
+    return computed
+
+
+def test_level_independent_factors_are_computed_once_per_family_and_grid(factor_spy):
+    line, half = Grid(-15.0, 15.0, 6000), Grid(1e-3, 20.0, 6000)
+    rm = [rm2_wavefunction(n, 12.0, 1.0, line).samples for n in range(3)]
+    pt = [gpt_wavefunction(n, 9.0, 2.5, 1.0, half).samples for n in range(3)]
+    assert [name for name, _ in factor_spy] == ["_rm2_factors", "_gpt_factors"]
+    # each family keeps its own slot, so alternating them misses neither
+    rm2_wavefunction(2, 12.0, 1.0, line), gpt_wavefunction(2, 9.0, 2.5, 1.0, half)
+    assert len(factor_spy) == 2
+    # another grid of the same size, and other constants, miss
+    rm2_wavefunction(0, 12.0, 1.0, Grid(-14.0, 14.0, 6000))
+    gpt_wavefunction(0, 9.5, 2.5, 1.0, half)
+    assert len(factor_spy) == 4
+    # the stored factors are read-only; the states are the bits of fresh factors
+    for _, factors in (wavefunctions._last_rm2_factors, wavefunctions._last_gpt_factors):
+        for arr in factors:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+    wavefunctions._last_rm2_factors = wavefunctions._last_gpt_factors = (None, None)
+    for n in range(3):
+        assert rm2_wavefunction(n, 12.0, 1.0, line).samples.tobytes() == rm[n].tobytes()
+        assert gpt_wavefunction(n, 9.0, 2.5, 1.0, half).samples.tobytes() == pt[n].tobytes()
+
+
+def _writable(x, i=None, value=None):
+    x = np.array(x)
+    if i is not None:
+        x[i] = value
+    return x
+
+
+_NODES = np.linspace(0.5, 2.5, 10)
+
+
+@pytest.mark.parametrize("first, second", [
+    # (A, B, c, x) of two calls of the Poschl-Teller factors
+    ((0.0, 2.5, 1.0, _NODES), (-0.0, 2.5, 1.0, _NODES)),
+    ((9.0, 0.0, 1.0, _NODES), (9.0, -0.0, 1.0, _NODES)),
+    ((9.0, 2.5, 1.0, _NODES), (9.0, 2.5, 1.0, _writable(_NODES, 3, np.nan))),
+    ((9.0, 2.5, 1.0, _NODES), (9.0, 2.5, 1.0, _NODES.reshape(2, -1))),
+    ((9.0, 2.5, 1.0, Grid(1e-3, 20.0, 600).points),
+     (9.0, 2.5, 1.0, Grid(1e-3, 19.0, 600).points)),
+], ids=["negative-zero-A", "negative-zero-B", "nan-x", "reshape", "other-grid"])
+def test_gpt_factor_memo_misses_on_any_other_bits(first, second, factor_spy):
+    for a, b, c, x in (first, second):
+        phi, dphi = gpt_state_evaluator(0, a, b, c)
+        got = phi(x), dphi(x)
+    assert len(factor_spy) == 2
+    wavefunctions._last_gpt_factors = (None, None)
+    assert [arr.tobytes() for arr in got] == [phi(x).tobytes(), dphi(x).tobytes()]
+
+
+@pytest.mark.parametrize("first, second", [
+    (np.array([0.0, 1.0, 2.0]), np.array([-0.0, 1.0, 2.0])),
+    (_NODES, _NODES.reshape(2, -1)),
+    (Grid(-15.0, 15.0, 600).points, Grid(-14.0, 14.0, 600).points),
+], ids=["negative-zero-x", "reshape", "other-grid"])
+def test_rm2_factor_memo_misses_on_any_other_bits(first, second, factor_spy):
+    _, dphi = rm2_state_evaluator(1, 12.0, 1.0)
+    for x in (first, second):
+        got = dphi(x)
+    assert len(factor_spy) == 2
+    wavefunctions._last_rm2_factors = (None, None)
+    assert got.tobytes() == dphi(second).tobytes()
+
+
+def test_state_factor_memo_hits_equal_bits_and_misses_an_array_changed_in_place(factor_spy):
+    phi, _ = rm2_state_evaluator(1, 12.0, 1.0)
+    x = np.array([np.nan, -1.0, 0.0, 1.0])
+    phi(x), phi(x.copy())  # equal bits, a NaN node among them: one computation
+    assert len(factor_spy) == 1
+    x[1] = -2.0  # a writable array is keyed by its bits, not its identity
+    got = phi(x)
+    assert len(factor_spy) == 2
+    assert got[1] == pytest.approx(phi(np.array([-2.0]))[0], rel=1e-12)
+    # a read-only view of a writable array may change through its base
+    base = np.linspace(-1.0, 1.0, 8)
+    view = base[:]
+    view.flags.writeable = False
+    phi(view)
+    base[0] = -3.0
+    assert phi(view)[0] == pytest.approx(phi(np.array([-3.0]))[0], rel=1e-12)
+
+
+def _states_chain(params, family, grid, e_ref=1.2, epsilon=0.3):
+    """One family through the paper's chain, as the states benchmark runs
+    it: every array output, in order."""
+    prof = profile_from_params(params, family)
+    x = grid.points
+    out = []
+    for coeffs in (nonhermitian_coeffs(params, prof), hermitian_coeffs(params, prof)):
+        out += [coeffs.c2(x), coeffs.c1(x), coeffs.c0(x)]
+    out.append(rho_weight(params, prof, x))
+    out += [schrodinger_potential(params, prof, epsilon, x, form=form)
+            for form in ("generic", "ansatz")]
+    mass, v_r = dirac_profiles(params, prof, e_ref)
+    pot = complete_potential(mass, v_r.v, v_r.dv, e_ref)
+    out += [pot.v_i(x), cancellation_residual(mass, v_r, pot.v_i, e_ref, x),
+            effective_potential_general(mass, v_r, e_ref, x),
+            effective_potential_ansatz(params, prof, e_ref, x)]
+    if family == "cosh":
+        sol = rm2_solve_from_params(params, n_max=2)
+        states = [rm2_wavefunction(n, sol.coeffs.v1, sol.coeffs.v2, grid) for n in range(3)]
+    else:
+        sol = gpt_solve_from_params(params, n_max=2)
+        states = [gpt_wavefunction(n, sol.w.a, sol.w.b, sol.w.c, grid) for n in range(3)]
+    potential = lambda nodes: partner_potentials(sol.w, nodes).v_minus
+    skip = 0 if family == "cosh" else 45
+    out += [st.samples for st in states]
+    out.append(np.array([ode_residual(potential, st.e_bar, st.samples, grid, skip=skip)
+                         for st in states]))
+    return [np.asarray(arr) for arr in out]
+
+
+def test_states_chain_gives_the_same_bytes_with_every_memo_lookup_a_miss(monkeypatch):
+    cosh = ModelParams(omega=3.0, alpha=0.5, gamma=0.5, beta=-0.9, m1=0.35, m2=0.5)
+    coth = ModelParams(omega=3.0, alpha=0.5, gamma=3.5, beta=-0.5, m1=0.3, m2=2.0)
+    line, half = Grid(-15.0, 15.0, 6000), Grid(1e-3, 20.0, 6000)
+    runs = []
+    for forced_miss in (False, True):
+        if forced_miss:
+            for module in (model, susy, wavefunctions):
+                monkeypatch.setattr(module, "_array_key", lambda consts, x: object())
+        runs.append([arr.tobytes() for arr in _states_chain(cosh, "cosh", line)
+                     + _states_chain(coth, "coth", half)])
+    assert runs[0] == runs[1]
