@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -299,7 +301,7 @@ def test_normalize_refuses_nonfinite_samples():
 
 # (n, A, B, c) of Poschl-Teller states and the far end of their grids:
 # past cx = 355 the direct forms overflow, and for (1, 3.02, 1, 1) the cosh
-# factor leaves the normal range at cx = 234, where the state is still 1e-2
+# factor leaves the normal range at cx = 235, where the state is still 7e-3
 _FAR_STATES = [((1, 9.0, 1.5, 1.0), 400.0), ((1, 9.0, 2.5, 1.0), 800.0),
                ((0, 9.0, 2.5, 1.0), 800.0), ((2, 12.0, 2.5, 0.5), 1600.0),
                ((1, 3.02, 1.0, 1.0), 2000.0)]
@@ -495,3 +497,50 @@ def test_states_chain_gives_the_same_bytes_with_every_memo_lookup_a_miss(monkeyp
         runs.append([arr.tobytes() for arr in _states_chain(cosh, "cosh", line)
                      + _states_chain(coth, "coth", half)])
     assert runs[0] == runs[1]
+
+
+def test_state_and_partner_memos_under_threads_give_the_bits_of_fresh_calls():
+    # more threads than cores, switching often, every thread on the same
+    # grid in a round and the grids alternating: a slot that paired one
+    # key with another call's arrays would hand them to the threads that hit
+    grids = {"cosh": (Grid(-15.0, 15.0, 400), Grid(-14.0, 14.0, 400)),
+             "coth": (Grid(1e-3, 20.0, 400), Grid(2e-3, 18.0, 400))}
+    evaluators = {"cosh": [rm2_state_evaluator(n, 12.0, 1.0)[0] for n in range(3)],
+                  "coth": [gpt_state_evaluator(n, 9.0, 2.5, 1.0)[0] for n in range(3)]}
+    w = {"cosh": RosenMorseSuperpotential(c1=1.0 / 6.0, c2=3.0),
+         "coth": PoschlTellerSuperpotential(a=9.0, b=2.5, c=1.0)}
+
+    def outputs(family, grid):
+        x = grid.points
+        return ([phi(x).tobytes() for phi in evaluators[family]]
+                + [partner_potentials(w[family], x[2:-2]).v_minus.tobytes()])
+
+    expected = {(f, g): outputs(f, g) for f in grids for g in grids[f]}
+    n_threads, rounds = 8, 100
+    barrier = threading.Barrier(n_threads, timeout=30.0)
+    failures = []
+
+    def work():
+        try:
+            for i in range(rounds):
+                barrier.wait()
+                family = ("cosh", "coth")[i // 2 % 2]
+                grid = grids[family][i % 2]
+                if outputs(family, grid) != expected[family, grid]:
+                    failures.append(i)
+        except Exception as exc:  # recorded, then asserted on below
+            failures.append(exc)
+            barrier.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
