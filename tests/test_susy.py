@@ -467,7 +467,7 @@ def test_one_partner_evaluation_over_three_residuals(partner_spy):
 _X = np.linspace(0.5, 2.5, 10)
 
 
-def _set(x, i, value):
+def _with(x, i, value):
     x = x.copy()
     x[i] = value
     return x
@@ -480,10 +480,10 @@ def _set(x, i, value):
      (PoschlTellerSuperpotential(a=-0.0, b=2.5, c=1.0), _X)),
     ((PoschlTellerSuperpotential(a=9.0, b=0.0, c=1.0), _X),
      (PoschlTellerSuperpotential(a=9.0, b=-0.0, c=1.0), _X)),
-    ((RosenMorseSuperpotential(c1=0.5, c2=3.0), _set(_X, 0, 0.0)),
-     (RosenMorseSuperpotential(c1=0.5, c2=3.0), _set(_X, 0, -0.0))),
+    ((RosenMorseSuperpotential(c1=0.5, c2=3.0), _with(_X, 0, 0.0)),
+     (RosenMorseSuperpotential(c1=0.5, c2=3.0), _with(_X, 0, -0.0))),
     ((RosenMorseSuperpotential(c1=0.5, c2=3.0), _X),
-     (RosenMorseSuperpotential(c1=0.5, c2=3.0), _set(_X, 3, np.nan))),
+     (RosenMorseSuperpotential(c1=0.5, c2=3.0), _with(_X, 3, np.nan))),
     ((RosenMorseSuperpotential(c1=0.5, c2=3.0), _X),
      (RosenMorseSuperpotential(c1=0.5, c2=3.0), _X.reshape(2, -1))),
     ((RosenMorseSuperpotential(c1=0.5, c2=3.0), Grid(-15.0, 15.0, 600).points[2:-2]),

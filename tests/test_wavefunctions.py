@@ -1,4 +1,3 @@
-import hashlib
 import math
 import sys
 import threading
@@ -20,6 +19,7 @@ from pdmdirac import (cancellation_residual, complete_potential, dirac_profiles,
                       rm2_solve_from_params, schrodinger_potential, susy,
                       wavefunctions)
 from pdmdirac.errors import DomainError
+from pdmdirac.numerics import normalize
 
 
 def test_jacobi_degree_zero_and_one():
@@ -310,7 +310,7 @@ _FAR_STATES = [((1, 9.0, 1.5, 1.0), 400.0), ((1, 9.0, 2.5, 1.0), 800.0),
 @pytest.mark.parametrize("state, x_max", _FAR_STATES)
 def test_gpt_far_field_state_is_finite_normalized_with_n_nodes(state, x_max):
     n = state[0]
-    grid = Grid(1e-3, x_max, 4000 if x_max < 2000.0 else 20000)
+    grid = Grid(1e-3, x_max, 4000)
     _, dphi = gpt_state_evaluator(*state)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -342,17 +342,44 @@ def test_gpt_far_field_forms_continue_the_direct_forms(state):
     assert phi(float(x[-1])) * np.exp(k * x[-1]) == pytest.approx(scaled[-1], rel=1e-14)
 
 
+def _former_gpt_state(n, a, b, c, x):
+    """phi and phi' of levels n <= 2 by the former expressions: the direct
+    prefactor and the plain three-term recurrence."""
+    def poly(m, p, q, y):
+        prev, cur = np.ones_like(y), 0.5 * ((p + q + 2.0) * y + (p - q))
+        if m == 0:
+            return prev
+        for k in range(2, m + 1):
+            s = 2.0 * k + p + q
+            t1 = (s - 1.0) * ((s * (s - 2.0)) * y + (p * p - q * q))
+            t2 = 2.0 * (k + p - 1.0) * (k + q - 1.0) * s
+            cur, prev = (t1 * cur - t2 * prev) / (2.0 * k * (k + p + q) * (s - 2.0)), cur
+        return cur
+
+    aj, bj = b / c - 0.5, -a / c - 0.5
+    u = c * x
+    pref = ((2.0 * np.sinh(u) ** 2) ** (b / (2.0 * c))
+            * (2.0 * np.cosh(u) ** 2) ** (-a / (2.0 * c)))
+    y = np.cosh(2.0 * u)
+    dpoly = (0.5 * (n + aj + bj + 1.0) * poly(n - 1, aj + 1.0, bj + 1.0, y) if n
+             else np.zeros_like(y))
+    log_slope = b / np.tanh(u) - a * np.tanh(u)
+    return (pref * poly(n, aj, bj, y),
+            pref * (log_slope * poly(n, aj, bj, y) + 2.0 * c * np.sinh(2.0 * u) * dpoly))
+
+
 def test_gpt_states_keep_their_bits_where_the_direct_forms_hold():
-    # md5 of the former expressions' samples: the normalized levels 0-2 of
-    # (9, 2.5, 1) on (1e-3, 20, 6000), then phi and phi' on (1e-3, 60, 6000)
-    h = hashlib.md5()
+    # levels 0-2 of (9, 2.5, 1): the normalized states on (1e-3, 20, 6000),
+    # and phi and phi' out to x = 60, where the direct forms still hold
     for n in range(3):
-        h.update(gpt_wavefunction(n, 9.0, 2.5, 1.0, Grid(1e-3, 20.0, 6000)).samples.tobytes())
+        grid = Grid(1e-3, 20.0, 6000)
+        former = _former_gpt_state(n, 9.0, 2.5, 1.0, grid.points)[0]
+        assert (gpt_wavefunction(n, 9.0, 2.5, 1.0, grid).samples.tobytes()
+                == normalize(former, grid).tobytes())
         phi, dphi = gpt_state_evaluator(n, 9.0, 2.5, 1.0)
         x = Grid(1e-3, 60.0, 6000).points
-        h.update(phi(x).tobytes())
-        h.update(dphi(x).tobytes())
-    assert h.hexdigest() == "e976f95650ab537edb5d3e6877a2126a"
+        assert [phi(x).tobytes(), dphi(x).tobytes()] == [
+            arr.tobytes() for arr in _former_gpt_state(n, 9.0, 2.5, 1.0, x)]
 
 
 @pytest.fixture
@@ -395,10 +422,9 @@ def test_level_independent_factors_are_computed_once_per_family_and_grid(factor_
         assert gpt_wavefunction(n, 9.0, 2.5, 1.0, half).samples.tobytes() == pt[n].tobytes()
 
 
-def _writable(x, i=None, value=None):
-    x = np.array(x)
-    if i is not None:
-        x[i] = value
+def _with(x, i, value):
+    x = x.copy()
+    x[i] = value
     return x
 
 
@@ -409,7 +435,7 @@ _NODES = np.linspace(0.5, 2.5, 10)
     # (A, B, c, x) of two calls of the Poschl-Teller factors
     ((0.0, 2.5, 1.0, _NODES), (-0.0, 2.5, 1.0, _NODES)),
     ((9.0, 0.0, 1.0, _NODES), (9.0, -0.0, 1.0, _NODES)),
-    ((9.0, 2.5, 1.0, _NODES), (9.0, 2.5, 1.0, _writable(_NODES, 3, np.nan))),
+    ((9.0, 2.5, 1.0, _NODES), (9.0, 2.5, 1.0, _with(_NODES, 3, np.nan))),
     ((9.0, 2.5, 1.0, _NODES), (9.0, 2.5, 1.0, _NODES.reshape(2, -1))),
     ((9.0, 2.5, 1.0, Grid(1e-3, 20.0, 600).points),
      (9.0, 2.5, 1.0, Grid(1e-3, 19.0, 600).points)),
