@@ -292,7 +292,8 @@ def gpt_state_evaluator(n: int, a: float, b: float, c: float):
     evaluated through (y-1) = 2 sinh^2(cx), (y+1) = 2 cosh^2(cx).  The
     half exponents make the n = 0 state reduce exactly to
     cosh^{-A/c}(cx) sinh^{B/c}(cx).  On the rows where these direct forms
-    overflow (cx beyond about 355, or sooner for large B/c or n), both
+    overflow, or the cosh factor falls below the normal range of doubles
+    (cx beyond about 355, or sooner for large A/c, B/c or n), both
     evaluators take the prefactor in log space,
 
         log((y-1)^{B/2c} (y+1)^{-A/2c}) = ((B-A)/2c)(2cx - ln 2)
