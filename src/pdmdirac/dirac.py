@@ -22,8 +22,7 @@ this specializes to the closed form evaluated by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,16 +31,14 @@ from .model import ModelParams, Profile, evaluate_profile
 from .numerics import Grid, first_derivative
 
 
-@dataclass(frozen=True)
-class MassProfile:
+class MassProfile(NamedTuple):
     """Position-dependent mass with its first derivative (closed form)."""
 
     m: Callable
     dm: Callable
 
 
-@dataclass(frozen=True)
-class RealPotential:
+class RealPotential(NamedTuple):
     """The real part V_R of the vector potential, with two derivatives."""
 
     v: Callable
@@ -49,16 +46,14 @@ class RealPotential:
     d2v: Callable
 
 
-@dataclass(frozen=True)
-class DiracPotential:
+class DiracPotential(NamedTuple):
     """Complex vector potential V = V_R + i V_I."""
 
     v_r: Callable
     v_i: Callable
 
 
-@dataclass(frozen=True)
-class SpinorPair:
+class SpinorPair(NamedTuple):
     """Upper/lower Dirac components on a grid, plus the cross-equation residual.
 
     ``residual`` is the L2-relative residual of the first coupled equation,

@@ -22,8 +22,7 @@ for Phi whose potential-like coefficient is exposed by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,8 +30,7 @@ from .errors import DomainError, SingularityError
 from .model import ModelParams, Profile, evaluate_profile, sigma_of
 
 
-@dataclass(frozen=True)
-class OperatorCoefficients:
+class OperatorCoefficients(NamedTuple):
     """A second-order differential operator c2 d^2 + c1 d + c0 as evaluators."""
 
     c2: Callable

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,8 +111,7 @@ def sigma_of(omega: float, alpha: float) -> float:
     return np.where(alpha == 0.0, 1.0, sigma) if isinstance(alpha, np.ndarray) else sigma
 
 
-@dataclass(frozen=True)
-class CoshProfile:
+class CoshProfile(NamedTuple):
     """A(x) = delta*cosh(x), defined for all real x."""
 
     delta: float = 1.0
@@ -119,8 +119,7 @@ class CoshProfile:
     beta: float = 0.0
 
 
-@dataclass(frozen=True)
-class CothProfile:
+class CothProfile(NamedTuple):
     """A(x) = delta*coth(c*x), defined on x > 0 only."""
 
     delta: float = 1.0
@@ -203,7 +202,7 @@ def evaluate_profile(profile: Profile, x) -> ProfileValues:
 
 
 def _profile_key(profile: Profile, x: np.ndarray) -> tuple:
-    return type(profile), _array_key(list(vars(profile).values()), x)
+    return type(profile), _array_key(profile, x)
 
 
 def _profile_values(profile: Profile, x) -> ProfileValues:
@@ -234,8 +233,7 @@ def _profile_values(profile: Profile, x) -> ProfileValues:
     return ProfileValues(a=a, a1=a1, a2=a2, b=b, b1=b1)
 
 
-@dataclass(frozen=True)
-class ConstraintSolution:
+class ConstraintSolution(NamedTuple):
     """Derived constants of the coefficient-matching between the two chains.
 
     ``m1_plus``/``m1_minus`` are the two roots of the quadratic m1-relation;

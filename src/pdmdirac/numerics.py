@@ -66,6 +66,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import islice
 from operator import neg
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,8 +176,7 @@ def _last_call(slot: tuple, key, compute, *args) -> tuple:
     return value, (key, value)
 
 
-@dataclass(frozen=True)
-class EigenResult:
+class EigenResult(NamedTuple):
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None  # shape (k, n_points), unit grid-quadrature norm
 
@@ -199,8 +199,7 @@ _SUPPORT_NATS = 46.0
 _COUNT_NATS = 20.0
 
 
-@dataclass(frozen=True)
-class _Tridiagonal:
+class _Tridiagonal(NamedTuple):
     """Symmetric tridiagonal T laid out for the row sweeps: the diagonal as
     an array and as Python floats (``rows``), the constant coupling ``e`` and
     its square, the pivot floor, the smallest diagonal entry from each row

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +72,7 @@ def _sech2_csch2(u):
     return sech2, csch2
 
 
-@dataclass(frozen=True)
-class RosenMorseSuperpotential:
+class RosenMorseSuperpotential(NamedTuple):
     """W(x) = c1 + c2*tanh(x); normalizable sector needs c2 > 0 and |c1| < c2."""
 
     c1: float
@@ -99,8 +99,7 @@ class RosenMorseSuperpotential:
                                         c2=self.c2 - k)
 
 
-@dataclass(frozen=True)
-class PoschlTellerSuperpotential:
+class PoschlTellerSuperpotential(NamedTuple):
     """W(x) = a*tanh(c*x) - b*coth(c*x) on x > 0; boundary needs a/c > 0, b/c > 0."""
 
     a: float
@@ -136,8 +135,7 @@ class PoschlTellerSuperpotential:
 Superpotential = RosenMorseSuperpotential | PoschlTellerSuperpotential
 
 
-@dataclass(frozen=True)
-class PartnerPotentials:
+class PartnerPotentials(NamedTuple):
     v_minus: np.ndarray | float
     v_plus: np.ndarray | float
 
@@ -160,7 +158,7 @@ def partner_potentials(w: Superpotential, x) -> PartnerPotentials:
         return _partner_potentials(w, x)
     global _last_partners
     x = np.asarray(x, dtype=float)
-    key = type(w), _array_key(list(vars(w).values()), x)
+    key = type(w), _array_key(w, x)
     pair, _last_partners = _last_call(_last_partners, key, _partner_potentials, w, x)
     return pair
 
@@ -245,8 +243,7 @@ def relativistic_energy(rad, scale=1.0):
     return _where(is_real, root, 0.0), _where(is_real, 0.0, root), is_real
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(NamedTuple):
     """One spectrum entry.  ``e_bar`` is None when the ladder is undefined there.
 
     ``e_rel`` is the + branch of the relativistic energy +-|E|.
@@ -270,8 +267,7 @@ class LevelSpectrum:
         return iter(self.levels)
 
 
-@dataclass(frozen=True)
-class RM2Coeffs:
+class RM2Coeffs(NamedTuple):
     """Rosen-Morse well V0 - V1 sech^2 x + V2 tanh x."""
 
     v0: float
@@ -279,15 +275,13 @@ class RM2Coeffs:
     v2: float
 
 
-@dataclass(frozen=True)
-class RM2Solution:
+class RM2Solution(NamedTuple):
     coeffs: RM2Coeffs
     w: RosenMorseSuperpotential
     spectrum: LevelSpectrum
 
 
-@dataclass(frozen=True)
-class GPTSolution:
+class GPTSolution(NamedTuple):
     w: PoschlTellerSuperpotential
     spectrum: LevelSpectrum
 
@@ -451,8 +445,7 @@ def gpt_solve_from_params(params: ModelParams, n_max: int = 5) -> GPTSolution:
                      gamma=params.gamma, m2=params.m2)
 
 
-@dataclass(frozen=True)
-class LevelColumns:
+class LevelColumns(NamedTuple):
     """One level over arrays of parameters, one entry per row.
 
     ``regular`` marks the rows where every value the scalar solver computes

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ _LN2 = math.log(2.0)
 _TINY = sys.float_info.min  # the smallest normal double
 
 
-@dataclass(frozen=True)
-class BoundState:
+class BoundState(NamedTuple):
     """A normalized bound state sampled on a grid."""
 
     n: int
@@ -208,7 +207,10 @@ def rm2_state_evaluator(n: int, v1: float, v2: float):
 
     def phi(x):
         pref, t = _parts(x)
-        return pref * jacobi_eval(n, aj, bj, -t)
+        # a recurrence that overflows leaves non-finite rows, for
+        # normalize to refuse
+        with np.errstate(over="ignore", invalid="ignore"):
+            return pref * jacobi_eval(n, aj, bj, -t)
 
     def dphi(x):
         pref, t = _parts(x)
@@ -224,6 +226,10 @@ def _bound_state(n: int, samples: np.ndarray, mass: np.ndarray | None,
                  w: Superpotential, grid: Grid) -> BoundState:
     # the shared tail: optional sqrt(M) factor, normalization, level energy
     if mass is not None:
+        # a mass row that overflowed to +inf, or to NaN as inf - inf, is made
+        # NaN, so sqrt(M) phi is NaN there for normalize to refuse; -inf is
+        # left to the M > 0 check
+        mass = np.where(mass < np.inf, mass, np.nan)
         if np.any(mass <= 0.0):
             raise DomainError("M(x) must be positive on the grid for the "
                               "spinor factor")
@@ -253,7 +259,8 @@ def rm2_wavefunction(n: int, v1: float, v2: float, grid: Grid,
     mass = None
     if spinor is not None:
         cross = spinor.m1 + spinor.beta_effective * spinor.m2
-        mass = spinor.m2 * spinor.gamma + cross * np.tanh(grid.points)
+        with np.errstate(over="ignore", invalid="ignore"):  # see _bound_state
+            mass = spinor.m2 * spinor.gamma + cross * np.tanh(grid.points)
     return _bound_state(n, phi(grid.points), mass, w, grid)
 
 
@@ -330,8 +337,12 @@ def gpt_state_evaluator(n: int, a: float, b: float, c: float):
         u = np.where(far, u, 1.0)  # keeps the other rows finite
         e = np.exp(-2.0 * u)
         log_y = 2.0 * u - _LN2 + np.log1p(e * e)
-        log_pref = ((b - a) / (2.0 * c) * (2.0 * u - _LN2)
-                    + (b / c) * np.log1p(-e) - (a / c) * np.log1p(e))
+        # where 2cx < 5.6e-17 rounds e to 1, log1p(-e) is -inf and the row
+        # comes out 0 as an underflow, or NaN beside a non-finite Jacobi
+        # factor, for normalize to refuse
+        with np.errstate(divide="ignore"):
+            log_pref = ((b - a) / (2.0 * c) * (2.0 * u - _LN2)
+                        + (b / c) * np.log1p(-e) - (a / c) * np.log1p(e))
         value = np.exp(log_pref + n * log_y) * scaled(u, 2.0 * e / (1.0 + e * e))
         return np.where(far, value, out)[()]  # [()] unwraps a scalar call
 
@@ -383,6 +394,7 @@ def gpt_wavefunction(n: int, a: float, b: float, c: float, grid: Grid,
         cross = spinor.m1 + spinor.beta_effective * spinor.m2
         u = 2.0 * c * grid.points
         csch = 2.0 * np.exp(-u) / (1.0 - np.exp(-2.0 * u))
-        mass = spinor.m2 * spinor.gamma - 2.0 * c * cross * csch
+        with np.errstate(over="ignore", invalid="ignore"):  # see _bound_state
+            mass = spinor.m2 * spinor.gamma - 2.0 * c * cross * csch
     return _bound_state(n, phi(grid.points), mass,
                         PoschlTellerSuperpotential(a=a, b=b, c=c), grid)

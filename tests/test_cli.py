@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+import warnings
 
 import pytest
 
@@ -272,6 +273,29 @@ def test_wavefunction_refuses_nonfinite_samples(capsys):
     assert code == 3
     assert out == ""
     assert "non-finite" in err and "x = " in err
+
+
+_SPINOR_1E308 = ["--with-spinor", "--omega", "3", "--alpha", "0.5", "--gamma", "10",
+                 "--m1", "0.1", "--m2", "1e308"]
+
+
+@pytest.mark.parametrize("argv, x", [
+    (["--sp-a", "9", "--sp-b", "1.5", "--c", "1", "--level", "1", *_SPINOR_1E308,
+      "--beta", "0.25"], "0.004332611231461423"),
+    (["--v1", "12", "--v2", "1", "--level", "1", *_SPINOR_1E308, "--beta", "10"],
+     "-14.995000833194467"),
+    (["--sp-a", "44.4239", "--sp-b", "1e-12", "--c", "2.23e-231", "--level", "3",
+      "--grid-points", "400", "--x-min", "0.001", "--x-max", "153"], "0.3825436408977556"),
+    (["--v1", "5.33e+162", "--v2", "1e6", "--level", "3", "--grid-points", "400",
+      "--x-min", "-1.539", "--x-max", "3.09"], "-1.5274563591022443"),
+], ids=["gpt-spinor-mass", "rm2-spinor-mass", "gpt-tiny-c", "rm2-huge-v1"])
+def test_overflowing_wavefunction_exits_3_without_a_warning(argv, x, capsys):
+    # each warned on its way to this refusal: an overflow or inf - inf in
+    # the spinor mass, log1p(-1), an overflowing Jacobi recurrence
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["wavefunction", *argv], capsys) == (
+            3, "", f"numerical failure: non-finite wavefunction sample at x = {x} (node 0)\n")
 
 
 @pytest.mark.parametrize("argv, flag, value", [

@@ -668,8 +668,6 @@ def test_sturm_counts_stop_in_the_forbidden_tail(solve, coeffs, domain, share):
     # the count is final: on the oracle problems the counts at 50 shifts
     # across the lowest levels are the reference loop's, and they read 0.86
     # (whole line) and 0.35 (half line) of the rows
-    from dataclasses import replace
-
     from pdmdirac.numerics import _sturm_counts, _tridiagonal
 
     w = solve(*coeffs, n_max=2).w
@@ -680,7 +678,7 @@ def test_sturm_counts_stop_in_the_forbidden_tail(solve, coeffs, domain, share):
     t = _tridiagonal(diag, -1.0 / h ** 2)
     tail = _RowsRead(t.rows)
     caps = np.full(shifts.size, 6000)
-    assert (_sturm_counts(replace(t, rows=tail), shifts, caps).tolist()
+    assert (_sturm_counts(t._replace(rows=tail), shifts, caps).tolist()
             == _sturm_counts_reference(t.rows, t.esq, shifts.tolist()))
     assert tail.read < share * 50 * 6000
 
@@ -692,8 +690,6 @@ def test_sturm_counts_start_past_the_forbidden_head(monkeypatch):
     # 72,885 rows (106,389 from row 0); Poschl-Teller reads as many as from
     # row 0, since its wall damps less than a start past it needs.  Both
     # paths make the same counts, with eigenvectors or without
-    from dataclasses import replace
-
     from pdmdirac import numerics
 
     counts = numerics._sturm_counts
@@ -701,7 +697,7 @@ def test_sturm_counts_start_past_the_forbidden_head(monkeypatch):
 
     def spy(t, shifts, caps):
         rows.extend(t.rows)
-        got = counts(replace(t, rows=rows), shifts, caps)
+        got = counts(t._replace(rows=rows), shifts, caps)
         rows.clear()
         ref = _sturm_counts_reference(t.rows, t.esq, shifts.tolist())
         assert got.tolist() == np.minimum(ref, caps).tolist()

@@ -289,14 +289,64 @@ def test_gpt_with_spinor_constant_factor():
 
 
 def test_normalize_refuses_nonfinite_samples():
-    # m2 * gamma overflows, so the spinor factor sqrt(M) is infinite and
-    # every sample is inf or NaN (inf * 0)
+    # m2 * gamma overflows, so the mass is infinite, made NaN, and every
+    # sample is NaN
     params = ModelParams(omega=3.0, alpha=0.5, gamma=10.0, beta=0.0, m1=0.1, m2=1e308)
     grid = Grid(1e-3, 20.0, 4000)
     with pytest.raises(OverflowError) as info:
         gpt_wavefunction(1, 9.0, 1.5, 1.0, grid, spinor=params)
     assert str(info.value) == (f"non-finite wavefunction sample at "
                                f"x = {float(grid.points[0])!r} (node 0)")
+
+
+def _spinor(**kw):
+    return ModelParams(**{**dict(omega=3.0, alpha=0.5, gamma=10.0, beta=0.25,
+                                 m1=0.1, m2=1e308), **kw})
+
+
+@pytest.mark.parametrize("make, args, grid, spinor", [
+    # 2c (m1 + beta m2) csch(2cx) overflows, and m2 gamma is inf: inf - inf
+    (gpt_wavefunction, (1, 9.0, 1.5, 1.0), Grid(1e-3, 20.0, 6000), _spinor()),
+    # m2 gamma is inf, and phi underflows to 0 far out: sqrt(M) phi is not
+    # inf * 0 there
+    (gpt_wavefunction, (1, 9.0, 2.5, 1.0), Grid(1e-3, 800.0, 4000), _spinor(beta=0.0)),
+    # m2 gamma + (m1 + beta m2) tanh x as inf - inf on the left half
+    (rm2_wavefunction, (1, 12.0, 1.0), Grid(-15.0, 15.0, 6000), _spinor(beta=10.0)),
+    # 2cx below 5.6e-17 on every node, where the log-space prefactor would
+    # take log1p(-1)
+    (gpt_wavefunction, (3, 44.4239, 1e-12, 2.23e-231), Grid(0.001, 153.0, 400), None),
+    # the Jacobi recurrence overflows at exponents of order 1e81
+    (rm2_wavefunction, (3, 5.33e162, 1e6), Grid(-1.539, 3.09, 400), None),
+], ids=["gpt-spinor-mass", "gpt-spinor-mass-far", "rm2-spinor-mass", "gpt-tiny-c",
+        "rm2-huge-v1"])
+def test_overflowing_state_is_refused_without_a_warning(make, args, grid, spinor):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError) as info:
+            make(*args, grid, spinor=spinor)
+    assert str(info.value) == (f"non-finite wavefunction sample at "
+                               f"x = {float(grid.points[0])!r} (node 0)")
+
+
+@pytest.mark.parametrize("family", ["cosh", "coth"])
+def test_spinor_states_keep_the_bits_of_the_mass_expression(family):
+    # the overflow handling leaves every finite mass row as it was
+    params = _spinor(gamma=100.0, m2=1.2)
+    cross = params.m1 + params.beta_effective * params.m2
+    if family == "cosh":
+        grid = Grid(-15.0, 15.0, 2001)
+        phi, _ = rm2_state_evaluator(1, 12.0, 1.0)
+        mass = params.m2 * params.gamma + cross * np.tanh(grid.points)
+        got = rm2_wavefunction(1, 12.0, 1.0, grid, spinor=params)
+    else:
+        grid = Grid(1e-3, 20.0, 2001)
+        phi, _ = gpt_state_evaluator(1, 9.0, 1.5, 1.0)
+        u = 2.0 * grid.points
+        mass = params.m2 * params.gamma - 2.0 * cross * (
+            2.0 * np.exp(-u) / (1.0 - np.exp(-2.0 * u)))
+        got = gpt_wavefunction(1, 9.0, 1.5, 1.0, grid, spinor=params)
+    assert (got.samples.tobytes()
+            == normalize(np.sqrt(mass) * phi(grid.points), grid).tobytes())
 
 
 # (n, A, B, c) of Poschl-Teller states and the far end of their grids:
