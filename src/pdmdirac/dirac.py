@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, PoleError, SingularityError
 from .model import ModelParams, Profile, evaluate_profile
-from .numerics import Grid, first_derivative
+from .numerics import Grid, _last_call, first_derivative
 
 
 class MassProfile(NamedTuple):
@@ -72,19 +72,20 @@ def dirac_profiles(params: ModelParams, profile: Profile,
 
     Each of the five fields evaluates the profile on every call, so its
     refusals and side effects are those of :func:`evaluate_profile`.  An
-    array call returns a read-only array, and each field keeps the one from
-    its last array call: when the profile memo hands back the same
-    ``ProfileValues`` (the same profile and grid), the field returns that
-    same array without redoing its arithmetic.  So one family's chain on one
-    grid computes each field once, and the five slots hold about 0.25 MB
-    at 6000 points, besides the ``ProfileValues`` they keep alive.  Scalar
-    calls are not memoized.
+    array call goes through the one-slot memo ``_last_call``, keyed by the
+    identity of the ``ProfileValues`` that the profile memo hands back for
+    one profile and grid, so it returns a read-only array, and one family's
+    chain on one grid computes each field once.  The five slots hold about
+    0.25 MB at 6000 points, besides the ``ProfileValues`` they keep alive.
+    Scalar calls are not memoized.
     """
     m1, m2 = params.m1, params.m2
 
     def field(compute):
-        # (ProfileValues, array) of the last array call, swapped in one
-        # assignment; holding the key keeps its id from being reused
+        # (key, array) of the last array call, for _last_call.  The key
+        # (id(p), p) holds the ProfileValues, so its id cannot be reused
+        # while it is stored, and keys compare their records only when the
+        # ids are equal, that is, when they are the same object
         slot = (None, None)
 
         def evaluate(x):
@@ -94,12 +95,7 @@ def dirac_profiles(params: ModelParams, profile: Profile,
                 raise SingularityError("A(x) = 0 inside the Dirac profiles")
             if not np.ndim(x):
                 return compute(p)
-            key, value = slot
-            if key is p:
-                return value
-            value = compute(p)
-            value.flags.writeable = False
-            slot = (p, value)
+            value, slot = _last_call(slot, (id(p), p), compute, p)
             return value
 
         return evaluate
@@ -133,11 +129,6 @@ def _pole_gap(e_ref: float, vr, x):
     return gap
 
 
-def _kept(arr: np.ndarray, last) -> bool:
-    # a read-only array cannot have changed since it was stored
-    return arr is last and not arr.flags.writeable
-
-
 def complete_potential(mass: MassProfile, v_r: Callable, v_r1: Callable,
                        e_ref: float) -> DiracPotential:
     """Attach the imaginary part V_I = M'/(2M) + V_R'/(2(E - V_R)).
@@ -146,40 +137,17 @@ def complete_potential(mass: MassProfile, v_r: Callable, v_r1: Callable,
     equation vanishes identically (see :func:`cancellation_residual`).
 
     ``v_i`` calls its four inputs, M, V_R, M' and V_R' in that order, on
-    every call.  An array call returns a read-only array, and ``v_i`` keeps
-    the one from its last array call.  It returns that same array, without
-    redoing the arithmetic or the M = 0 and E = V_R tests, only when all four
-    inputs hand back the very arrays of that call and each is read-only, as
-    the fields of :func:`dirac_profiles` do on one grid.  Inputs that return
-    fresh or writable arrays are recomputed on every call.  The slot holds
-    about 0.05 MB at 6000 points, besides the four inputs it keeps alive.
+    every call, refuses M = 0 and then E = V_R, and returns a fresh array.
+    It keeps no memo of its own: the fields of :func:`dirac_profiles` it is
+    built on keep theirs.
     """
-    # (the four input arrays, V_I) of the last array call, swapped in one
-    # assignment
-    slot = ((None,) * 4, None)
 
     def v_i(x):
-        nonlocal slot
-        last, value = slot
         mx = np.asarray(mass.m(x))
-        same = _kept(mx, last[0])
-        if not same and np.any(mx == 0.0):
+        if np.any(mx == 0.0):
             raise SingularityError("M(x) = 0 inside the imaginary part")
-        vr = np.asarray(v_r(x))
-        same = same and _kept(vr, last[1])
-        gap = None if same else _pole_gap(e_ref, vr, x)
-        dmx, dvr = np.asarray(mass.dm(x)), np.asarray(v_r1(x))
-        if same and _kept(dmx, last[2]) and _kept(dvr, last[3]):
-            return value
-        if gap is None:
-            gap = e_ref - vr
-        out = dmx / (2.0 * mx) + dvr / (2.0 * gap)
-        if np.ndim(out):
-            out.flags.writeable = False
-            inputs = (mx, vr, dmx, dvr)
-            if not any(arr.flags.writeable for arr in inputs):
-                slot = (inputs, out)
-        return out
+        gap = _pole_gap(e_ref, np.asarray(v_r(x)), x)
+        return np.asarray(mass.dm(x)) / (2.0 * mx) + np.asarray(v_r1(x)) / (2.0 * gap)
 
     return DiracPotential(v_r=v_r, v_i=v_i)
 

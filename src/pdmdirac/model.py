@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -142,13 +141,12 @@ def profile_from_params(params: ModelParams, family: str) -> Profile:
     raise ValueError(f"unknown profile family: {family!r}")
 
 
-@dataclass(frozen=True)
-class ProfileValues:
+class ProfileValues(NamedTuple):
     """A, its first two derivatives, and B = gamma*A + beta*A' with B'.
 
-    ``a_vanishes`` tells whether A is 0.0 anywhere, tested on first use
-    only: the memo of :func:`evaluate_profile` hands the same object to
-    every caller of one profile and grid.
+    ``a_vanishes`` tells whether A is 0.0 anywhere.  It is tested once, when
+    the values are computed: the memo of :func:`evaluate_profile` hands the
+    same record to every caller of one profile and grid.
     """
 
     a: np.ndarray | float
@@ -156,11 +154,7 @@ class ProfileValues:
     a2: np.ndarray | float
     b: np.ndarray | float
     b1: np.ndarray | float
-
-    # a frozen dataclass still has a __dict__, which cached_property writes
-    @cached_property
-    def a_vanishes(self) -> bool:
-        return bool(np.any(np.asarray(self.a) == 0.0))
+    a_vanishes: bool
 
 
 def _csch(u):
@@ -196,13 +190,9 @@ def evaluate_profile(profile: Profile, x) -> ProfileValues:
         return _profile_values(profile, x)
     global _last_profile
     x = np.asarray(x, dtype=float)
-    values, _last_profile = _last_call(_last_profile, _profile_key(profile, x),
-                                       _profile_values, profile, x)
+    key = type(profile), _array_key(profile, x)
+    values, _last_profile = _last_call(_last_profile, key, _profile_values, profile, x)
     return values
-
-
-def _profile_key(profile: Profile, x: np.ndarray) -> tuple:
-    return type(profile), _array_key(profile, x)
 
 
 def _profile_values(profile: Profile, x) -> ProfileValues:
@@ -230,7 +220,8 @@ def _profile_values(profile: Profile, x) -> ProfileValues:
         raise TypeError(f"unsupported profile type: {type(profile).__name__}")
     b = profile.gamma * a + profile.beta * a1
     b1 = profile.gamma * a1 + profile.beta * a2
-    return ProfileValues(a=a, a1=a1, a2=a2, b=b, b1=b1)
+    return ProfileValues(a=a, a1=a1, a2=a2, b=b, b1=b1,
+                         a_vanishes=bool(np.any(a == 0.0)))
 
 
 class ConstraintSolution(NamedTuple):

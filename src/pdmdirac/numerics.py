@@ -163,16 +163,18 @@ def _last_call(slot: tuple, key, compute, *args) -> tuple:
 
     ``slot`` is the ``(key, value)`` of the last call, or ``(None, None)``.
     Returns ``(value, slot)``: the stored value when ``key`` equals the
-    slot's, and otherwise ``compute(*args)``, a tuple or a dataclass of
-    arrays, made read-only, with the new slot.  The caller keeps the slot
-    and swaps it in one assignment.
+    slot's, and otherwise ``compute(*args)``, an array or a tuple, with its
+    arrays made read-only, and the new slot.  The caller keeps the slot and
+    swaps it in one assignment.  This is the package's one memo helper;
+    ``Grid`` keeps its own two-grid memo, since callers alternate grids.
     """
     last_key, value = slot
     if last_key == key:
         return value, slot
     value = compute(*args)
-    for arr in value if isinstance(value, tuple) else vars(value).values():
-        arr.flags.writeable = False
+    for arr in value if isinstance(value, tuple) else (value,):
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
     return value, (key, value)
 
 

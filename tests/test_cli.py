@@ -6,7 +6,8 @@ import warnings
 
 import pytest
 
-from pdmdirac import ModelParams, cli, model, rm2_solve_from_params, susy
+from pdmdirac import (ModelParams, cli, dirac, model, numerics, rm2_solve_from_params,
+                      susy)
 from pdmdirac.cli import main
 
 
@@ -426,7 +427,11 @@ def test_verify_bits_do_not_depend_on_the_profile_memo(monkeypatch, capsys):
 
     memoized = lines()
     assert sum("(value *," in line for line in memoized) == 3
-    monkeypatch.setattr(model, "_profile_key", lambda profile, x: object())
+    # every lookup of the profile memo and of the Dirac field slots a miss
+    for module in (model, dirac):
+        monkeypatch.setattr(module, "_last_call",
+                            lambda slot, key, compute, *args:
+                            numerics._last_call((None, None), key, compute, *args))
     assert lines() == memoized
 
 

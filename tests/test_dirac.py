@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 
@@ -234,7 +235,7 @@ def test_spinor_rejects_nonpositive_mass():
 
 
 # ----------------------------------------------------------------------
-# the single-slot memos of the field closures
+# the one-slot memos of the field closures, and V_I's fresh arrays
 # ----------------------------------------------------------------------
 
 _MEMO_PARAMS = ModelParams(omega=3.0, alpha=0.5, gamma=0.5, beta=-0.9, m1=0.35, m2=0.5)
@@ -251,12 +252,17 @@ def _fields(params=_MEMO_PARAMS, family="cosh", e_ref=_MEMO_E):
 def test_repeat_field_call_returns_the_same_read_only_array():
     x = Grid(-15.0, 15.0, 600).points
     fields = _fields()
-    for f, fresh in zip(fields, _fields()):
+    for f, fresh in zip(fields[:5], _fields()):
         first = f(x)
         assert f(x) is first
         assert first.tobytes() == fresh(x).tobytes()
         with pytest.raises(ValueError, match="read-only"):
             first[0] = 1.0
+    # V_I keeps no memo: a fresh array on every call
+    v_i = fields[5]
+    first = v_i(x)
+    assert v_i(x) is not first
+    assert v_i(x).tobytes() == first.tobytes() == _fields()[5](x).tobytes()
     # a scalar call is neither memoized nor made read-only
     for f in fields:
         got = f(0.5)
@@ -265,7 +271,8 @@ def test_repeat_field_call_returns_the_same_read_only_array():
 
 
 def test_one_family_chain_computes_each_field_once(monkeypatch):
-    # the chain of perfbench's states workload: 18 field evaluations, 6 arrays
+    # the chain of perfbench's states workload: 18 field evaluations, 5
+    # field arrays and V_I twice
     evaluated = []
     evaluate = dirac.evaluate_profile
 
@@ -294,6 +301,8 @@ def test_one_family_chain_computes_each_field_once(monkeypatch):
     effective_potential_general(mass, v_r, _MEMO_E, x)
     assert {k: len(arrs) for k, arrs in seen.items()} == {
         "m": 4, "dm": 3, "v": 4, "dv": 4, "d2v": 1, "v_i": 2}
+    first, second = seen.pop("v_i")
+    assert second is not first and second.tobytes() == first.tobytes()
     for arrs in seen.values():
         assert all(arr is arrs[0] for arr in arrs)
     # every field call still evaluates the profile
@@ -306,19 +315,16 @@ def _read_only(arr):
     return arr
 
 
-def test_v_i_recomputes_unless_all_four_inputs_are_the_same_read_only_arrays():
+def test_v_i_gives_a_fresh_closures_bits_on_every_call():
     x = np.linspace(-2.0, 2.0, 50)
     m, dm = _read_only(1.5 + 0.2 * np.tanh(x)), _read_only(0.2 / np.cosh(x) ** 2)
     v, dv = _read_only(0.3 * np.sin(x)), _read_only(0.3 * np.cos(x))
     expected = (dm / (2.0 * m) + dv / (2.0 * (2.0 - v))).tobytes()
-    shared = complete_potential(MassProfile(m=lambda x: m, dm=lambda x: dm),
-                                lambda x: v, lambda x: dv, 2.0).v_i
-    first = shared(x)
-    assert shared(x) is first and first.tobytes() == expected
-    assert not first.flags.writeable
-    # fresh arrays, writable arrays, or one fresh input among shared ones
-    # recompute, with the same bits
+    # the very same read-only arrays, fresh arrays, writable arrays, or one
+    # fresh input among shared ones: a fresh array each call, with the same
+    # bits
     cases = {
+        "shared": (lambda x: m, lambda x: dm, lambda x: v, lambda x: dv),
         "fresh": (lambda x: m.copy(), lambda x: dm.copy(), lambda x: v.copy(),
                   lambda x: dv.copy()),
         "writable": (lambda x, a=m.copy(): a, lambda x, a=dm.copy(): a,
@@ -330,6 +336,12 @@ def test_v_i_recomputes_unless_all_four_inputs_are_the_same_read_only_arrays():
         outs = [v_i(x) for _ in range(3)]
         assert outs[0] is not outs[1] and outs[1] is not outs[2], what
         assert all(out.tobytes() == expected for out in outs), what
+    # the Dirac chain's own V_I on a grid: the bits of a fresh closure
+    g = Grid(-15.0, 15.0, 600).points
+    v_i = _fields()[5]
+    outs = [v_i(g) for _ in range(3)]
+    assert outs[0] is not outs[1] and outs[1] is not outs[2]
+    assert all(out.tobytes() == _fields()[5](g).tobytes() for out in outs)
 
 
 def test_v_i_refuses_on_every_call_with_shared_inputs():
@@ -353,6 +365,18 @@ def test_v_i_refuses_on_every_call_with_shared_inputs():
             pole(x)
     # V_R is read only after the M = 0 test passes
     assert calls == ["v_r", "v_r"]
+    # on the Dirac chain's own fields, whose second calls hit their memos:
+    # gamma = 0 and m1 = -beta m2 make M = 0, and E = 0 makes V_R = E, at
+    # every node
+    g = Grid(-15.0, 15.0, 600).points
+    massless = dataclasses.replace(_MEMO_PARAMS, gamma=0.0, m1=0.45)
+    for params, e_ref, error in ((massless, _MEMO_E, SingularityError),
+                                 (_MEMO_PARAMS, 0.0, PoleError)):
+        m, *_, v_i = _fields(params, e_ref=e_ref)
+        for _ in range(2):
+            with pytest.raises(error):
+                v_i(g)
+        assert m(g) is m(g)
 
 
 def test_memos_under_threads_give_the_bits_of_fresh_closures():
@@ -379,8 +403,9 @@ def test_memos_under_threads_give_the_bits_of_fresh_closures():
                 fields, grids, expected = jobs[i // 2 % 2]
                 g = grids[i % 2]
                 got = [f(g.points) for f in fields]
+                # the five fields share read-only arrays; V_I's are fresh
                 if ([arr.tobytes() for arr in got] != expected[g]
-                        or any(arr.flags.writeable for arr in got)):
+                        or any(arr.flags.writeable for arr in got[:5])):
                     failures.append(i)
         except Exception as exc:  # recorded, then asserted on below
             failures.append(exc)

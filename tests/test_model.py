@@ -10,8 +10,8 @@ from pdmdirac import (BetaMode, CoshProfile, CothProfile, Grid, ModelParams,
                       cancellation_residual, complete_potential,
                       derived_constants, dirac_profiles,
                       effective_potential_ansatz, effective_potential_general,
-                      evaluate_profile, hermitian_coeffs, model,
-                      nonhermitian_coeffs, profile_from_params, rho_weight,
+                      dirac, evaluate_profile, hermitian_coeffs, model,
+                      nonhermitian_coeffs, numerics, profile_from_params, rho_weight,
                       schrodinger_potential, sigma_of)
 from pdmdirac.errors import DomainError, SingularityError
 from pdmdirac.susy import square
@@ -190,6 +190,11 @@ def empty_memo(monkeypatch):
     monkeypatch.setattr(model, "_last_profile", (None, None))
 
 
+def _always_miss(slot, key, compute, *args):
+    """``numerics._last_call`` with every lookup a miss."""
+    return numerics._last_call((None, None), key, compute, *args)
+
+
 _GRID = np.linspace(0.0, 2.0, 10)
 _POSITIVE = np.linspace(0.5, 2.5, 10)
 
@@ -271,7 +276,8 @@ def test_one_profile_computation_per_family_and_grid(monkeypatch, empty_memo):
     _chain(cosh, "cosh", Grid(-14.0, 14.0, 6000))
     assert len(computed) == 3
     # with every lookup a miss, the same chain evaluates the profile 26 times
-    monkeypatch.setattr(model, "_profile_key", lambda profile, x: object())
+    monkeypatch.setattr(model, "_last_call", _always_miss)
+    monkeypatch.setattr(dirac, "_last_call", _always_miss)
     _chain(cosh, "cosh", line)
     assert len(computed) == 3 + 26
 
@@ -306,10 +312,11 @@ def test_profile_memo_matches_a_read_only_owner_by_identity(monkeypatch, empty_m
     prof = CothProfile(delta=1.5, c=0.8, gamma=0.2, beta=0.6)
     x = np.linspace(0.5, 2.5, 6000).copy()
     x.flags.writeable = False  # it owns its data, as Grid.points does
-    # the key holds the array, not a copy of its bytes
-    assert all(len(part) < x.nbytes for part in model._profile_key(prof, x)[1]
-               if isinstance(part, bytes))
     stored = evaluate_profile(prof, x)
+    # the key holds the array, not a copy of its bytes
+    key = model._last_profile[0]
+    assert key[0] is CothProfile and any(part is x for part in key[1])
+    assert all(len(part) < x.nbytes for part in key[1] if isinstance(part, bytes))
     assert evaluate_profile(prof, x) is stored
     # the memo keeps the array alive, so no other array can take its id
     alive = weakref.ref(x)

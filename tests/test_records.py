@@ -36,6 +36,10 @@ RECORDS = [
     (pdmdirac.CoshProfile(), "CoshProfile(delta=1.0, gamma=0.0, beta=0.0)"),
     (pdmdirac.CothProfile(delta=2.0, c=0.5, gamma=0.1, beta=-0.3),
      "CothProfile(delta=2.0, c=0.5, gamma=0.1, beta=-0.3)"),
+    # a_vanishes is a field, so the repr shows it last
+    (pdmdirac.ProfileValues(a=_ARR, a1=_ARR, a2=_ARR, b=0.5, b1=-0.5, a_vanishes=False),
+     "ProfileValues(a=array([ 1. , -0.5]), a1=array([ 1. , -0.5]), "
+     "a2=array([ 1. , -0.5]), b=0.5, b1=-0.5, a_vanishes=False)"),
     (pdmdirac.ConstraintSolution(sigma=1.0, beta=0.25, epsilon=-0.5, e_squared=1.5,
                                  m1_plus=0.5, m1_minus=None),
      "ConstraintSolution(sigma=1.0, beta=0.25, epsilon=-0.5, e_squared=1.5, "
@@ -74,9 +78,8 @@ RECORDS = [
 _IDS = [type(record).__name__ for record, _ in RECORDS]
 
 # the classes that stay frozen dataclasses: the first two validate in
-# __post_init__, ProfileValues caches a_vanishes, LevelSpectrum iterates its
-# levels
-DATACLASSES = {"Grid", "ModelParams", "ProfileValues", "LevelSpectrum"}
+# __post_init__, LevelSpectrum iterates its levels
+DATACLASSES = {"Grid", "ModelParams", "LevelSpectrum"}
 
 
 def _hashable(record) -> bool:
@@ -134,7 +137,7 @@ def test_replace_returns_the_same_type(record):
     assert changed._asdict().keys() == record._asdict().keys()
 
 
-def test_only_the_four_validating_caching_or_iterating_classes_are_dataclasses():
+def test_only_the_three_validating_or_iterating_classes_are_dataclasses():
     classes = _package_classes()
     assert {c.__name__ for c in classes if dataclasses.is_dataclass(c)} == DATACLASSES
     # every other record is a named tuple with its pinned repr above

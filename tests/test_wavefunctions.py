@@ -12,10 +12,10 @@ from pdmdirac import (BetaMode, Grid, ModelParams, PoschlTellerSuperpotential,
                       jacobi_eval, jacobi_eval_sum, jacobi_recurrence_degenerate,
                       ode_residual, partner_potentials, quadrature_norm,
                       rm2_exponents, rm2_state_evaluator, rm2_wavefunction)
-from pdmdirac import (cancellation_residual, complete_potential, dirac_profiles,
+from pdmdirac import (cancellation_residual, complete_potential, dirac, dirac_profiles,
                       effective_potential_ansatz, effective_potential_general,
                       gpt_solve_from_params, hermitian_coeffs, model,
-                      nonhermitian_coeffs, profile_from_params, rho_weight,
+                      nonhermitian_coeffs, numerics, profile_from_params, rho_weight,
                       rm2_solve_from_params, schrodinger_potential, susy,
                       wavefunctions)
 from pdmdirac.errors import DomainError
@@ -568,8 +568,10 @@ def test_states_chain_gives_the_same_bytes_with_every_memo_lookup_a_miss(monkeyp
     runs = []
     for forced_miss in (False, True):
         if forced_miss:
-            for module in (model, susy, wavefunctions):
-                monkeypatch.setattr(module, "_array_key", lambda consts, x: object())
+            for module in (model, dirac, susy, wavefunctions):
+                monkeypatch.setattr(module, "_last_call",
+                                    lambda slot, key, compute, *args:
+                                    numerics._last_call((None, None), key, compute, *args))
         runs.append([arr.tobytes() for arr in _states_chain(cosh, "cosh", line)
                      + _states_chain(coth, "coth", half)])
     assert runs[0] == runs[1]
