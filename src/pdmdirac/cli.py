@@ -397,6 +397,8 @@ def _default_grid(ns: dict, mode: str) -> Grid:
 def cmd_wavefunction(ns: dict) -> int:
     mode = _resolve_mode(ns)
     n = ns["level"]
+    if n < 0:
+        raise CliError("--level must be nonnegative")
     try:
         grid = _default_grid(ns, mode)
         params = _model_params(ns) if (mode.startswith("example") or ns["with_spinor"]) else None

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, PoleError, SingularityError
 from .model import ModelParams, Profile, evaluate_profile
-from .numerics import Grid, _last_call, first_derivative
+from .numerics import Grid, _memoized, first_derivative
 
 
 class MassProfile(NamedTuple):
@@ -72,31 +72,29 @@ def dirac_profiles(params: ModelParams, profile: Profile,
 
     Each of the five fields evaluates the profile on every call, so its
     refusals and side effects are those of :func:`evaluate_profile`.  An
-    array call goes through the one-slot memo ``_last_call``, keyed by the
-    identity of the ``ProfileValues`` that the profile memo hands back for
-    one profile and grid, so it returns a read-only array, and one family's
-    chain on one grid computes each field once.  The five slots hold about
-    0.25 MB at 6000 points, besides the ``ProfileValues`` they keep alive.
-    Scalar calls are not memoized.
+    array call goes through :func:`numerics._memoized` under the field's
+    name (``"m"``, ``"dm"``, ``"v"``, ``"dv"``, ``"d2v"``), keyed by this
+    call's field closure and the identity of the ``ProfileValues`` that the
+    profile memo hands back for one profile and grid.  So it returns a
+    read-only array, and one family's chain on one grid computes each field
+    once.  The five entries outlive the closures and hold about 0.24 MB at
+    6000 points, besides the ``ProfileValues`` they keep alive, until the
+    next array call of the same field.  Scalar calls are not memoized.
     """
     m1, m2 = params.m1, params.m2
 
     def field(compute):
-        # (key, array) of the last array call, for _last_call.  The key
-        # (id(p), p) holds the ProfileValues, so its id cannot be reused
-        # while it is stored, and keys compare their records only when the
-        # ids are equal, that is, when they are the same object
-        slot = (None, None)
-
+        # the key holds this call's closure and the ProfileValues, so the
+        # record's id cannot be reused while it is stored, and keys compare
+        # their records only when the ids are equal, that is, when they are
+        # the same object
         def evaluate(x):
-            nonlocal slot
             p = evaluate_profile(profile, x)
             if p.a_vanishes:
                 raise SingularityError("A(x) = 0 inside the Dirac profiles")
             if not np.ndim(x):
                 return compute(p)
-            value, slot = _last_call(slot, (id(p), p), compute, p)
-            return value
+            return _memoized(compute.__name__, (compute, id(p), p), compute, p)
 
         return evaluate
 

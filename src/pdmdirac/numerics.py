@@ -78,11 +78,13 @@ class Grid:
     """Uniform grid: n_points interior nodes strictly between x_min and x_max.
 
     ``points`` and ``weights`` are read-only arrays shared by every caller.
-    A private memo builds them once for each of the last two grids used
-    (about 0.2 MB at 6000 points), so a caller that alternates two grids
-    builds each pair once.  The memo matches a grid by each end's type and
-    value and by ``n_points``, not by grid equality: an ``np.float32`` end
-    equals and hashes as the float of the same value but gives other nodes.
+    The ``"grid"`` memo of :func:`_memoized` builds them once for each of
+    the last two grids used (about 0.2 MB at 6000 points), so a caller that
+    alternates two grids builds each pair once.  No array is kept on the
+    instance, so a grid that is not among the last two holds none.  The
+    memo matches a grid by each end's type and value and by ``n_points``,
+    not by grid equality: an ``np.float32`` end equals and hashes as the
+    float of the same value but gives other nodes.
     """
 
     x_min: float
@@ -116,27 +118,15 @@ class Grid:
         return _grid_arrays(self)[1]
 
 
-# ((key, (points, weights)), ...) of the last two grids, least recently used
-# first, swapped in one assignment
-_grid_memo: tuple = ()
-
-
 def _grid_arrays(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    global _grid_memo
     key = (type(grid.x_min), grid.x_min, type(grid.x_max), grid.x_max, grid.n_points)
-    memo = _grid_memo
-    for i, (k, arrays) in enumerate(memo):
-        if k == key:
-            if i + 1 < len(memo):
-                _grid_memo = (memo[1], memo[0])
-            return arrays
+    return _memoized("grid", key, _build_grid_arrays, grid, keep=2)
+
+
+def _build_grid_arrays(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     h = grid.step
-    arrays = (grid.x_min + h * np.arange(1, grid.n_points + 1),
-              quadrature_weights(grid.n_points + 2, h)[1:-1])
-    for arr in arrays:
-        arr.flags.writeable = False
-    _grid_memo = (*memo[-1:], (key, arrays))
-    return arrays
+    return (grid.x_min + h * np.arange(1, grid.n_points + 1),
+            quadrature_weights(grid.n_points + 2, h)[1:-1])
 
 
 def _array_key(consts, x: np.ndarray) -> tuple:
@@ -157,25 +147,32 @@ def _array_key(consts, x: np.ndarray) -> tuple:
     return head, x.shape, x.tobytes()
 
 
-def _last_call(slot: tuple, key, compute, *args) -> tuple:
-    """A one-slot memo of the last array call, for code that evaluates the
-    same constants on the same nodes several times in a row.
+# memo name -> ((key, value), ...), least recently used first
+_memos: dict = {}
 
-    ``slot`` is the ``(key, value)`` of the last call, or ``(None, None)``.
-    Returns ``(value, slot)``: the stored value when ``key`` equals the
-    slot's, and otherwise ``compute(*args)``, an array or a tuple, with its
-    arrays made read-only, and the new slot.  The caller keeps the slot and
-    swaps it in one assignment.  This is the package's one memo helper;
-    ``Grid`` keeps its own two-grid memo, since callers alternate grids.
+
+def _memoized(name: str, key, compute, *args, keep: int = 1):
+    """The package's one memo, for code that evaluates the same constants on
+    the same nodes several times in a row.
+
+    Returns the value stored under ``name`` for ``key``, and otherwise
+    ``compute(*args)``, an array or a tuple, with its arrays made
+    read-only.  Each name keeps the ``keep`` most recently used entries,
+    and each call replaces them in one assignment, so threads that share a
+    name see either the old entries or the new ones.
     """
-    last_key, value = slot
-    if last_key == key:
-        return value, slot
+    entries = _memos.get(name, ())
+    for i, (k, value) in enumerate(entries):
+        if k == key:
+            if i + 1 < len(entries):
+                _memos[name] = (*entries[:i], *entries[i + 1:], entries[i])
+            return value
     value = compute(*args)
     for arr in value if isinstance(value, tuple) else (value,):
         if isinstance(arr, np.ndarray):
             arr.flags.writeable = False
-    return value, (key, value)
+    _memos[name] = (*entries, (key, value))[-keep:]
+    return value
 
 
 class EigenResult(NamedTuple):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ModelParams, sigma_of
-from .numerics import Grid, _array_key, _last_call, first_derivative, normalize
+from .numerics import Grid, _array_key, _memoized, first_derivative, normalize
 
 
 # np.cosh overflows just above |x| = 710.4758
@@ -140,27 +140,22 @@ class PartnerPotentials(NamedTuple):
     v_plus: np.ndarray | float
 
 
-# (key, PartnerPotentials) of the last array call, for _last_call
-_last_partners: tuple = (None, None)
-
-
 def partner_potentials(w: Superpotential, x) -> PartnerPotentials:
     """v_minus = W^2 - W' and v_plus = W^2 + W' in expanded closed form.
 
-    Array calls are memoized for the last (superpotential, nodes), matched
-    by the exact bits of W's constants and of ``x`` (an ``ode_residual``
-    passes a fresh slice of ``Grid.points`` on each call), so they return
-    read-only arrays, and the two arrays stay in memory until the next
-    array call (about 0.15 MB at 6000 points, with the key's copy of ``x``).
+    Array calls go through the ``"partners"`` memo of
+    :func:`numerics._memoized`, which keeps the last (superpotential,
+    nodes), matched by the exact bits of W's constants and of ``x`` (an
+    ``ode_residual`` passes a fresh slice of ``Grid.points`` on each call).
+    So they return read-only arrays, and the two arrays stay in memory until
+    the next array call (about 0.15 MB at 6000 points, with the key's copy
+    of ``x``).
     """
     if not np.ndim(x) or not isinstance(w, (RosenMorseSuperpotential,
                                             PoschlTellerSuperpotential)):
         return _partner_potentials(w, x)
-    global _last_partners
     x = np.asarray(x, dtype=float)
-    key = type(w), _array_key(w, x)
-    pair, _last_partners = _last_call(_last_partners, key, _partner_potentials, w, x)
-    return pair
+    return _memoized("partners", (type(w), _array_key(w, x)), _partner_potentials, w, x)
 
 
 def _partner_potentials(w: Superpotential, x) -> PartnerPotentials:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ModelParams
-from .numerics import Grid, _array_key, _last_call, count_nodes, normalize
+from .numerics import Grid, _array_key, _memoized, count_nodes, normalize
 from .susy import (PoschlTellerSuperpotential, Superpotential, gpt_admissible,
                    rm2_admissible, rm2_superpotential, si_remainder_ladder)
 
@@ -165,10 +165,6 @@ def _inv_one_plus_exp(m: np.ndarray) -> np.ndarray:
     return np.where(over, em / (1.0 + em), 1.0 / (1.0 + em))
 
 
-# (key, (u, v, tanh x)) of the last array x, for _last_call
-_last_rm2_factors: tuple = (None, None)
-
-
 def _rm2_factors(x):
     return _inv_one_plus_exp(-2.0 * x), _inv_one_plus_exp(2.0 * x), np.tanh(x)
 
@@ -186,21 +182,20 @@ def rm2_state_evaluator(n: int, v1: float, v2: float):
     first forms' exponential would overflow (|x| > 354.89); dphi is the
     exact derivative.
 
-    u, v and tanh x do not depend on the level: they are memoized for the
-    last array ``x``, matched by its exact bits or, for ``Grid.points``, its
-    identity, so the levels of one grid compute them once.  The three
-    arrays are read-only and stay in memory until the next array call
-    (about 0.15 MB at 6000 points); array calls return new arrays.
+    u, v and tanh x do not depend on the level: the ``"rm2_factors"`` memo
+    of :func:`numerics._memoized` keeps them for the last array ``x``,
+    matched by its exact bits or, for ``Grid.points``, its identity, so the
+    levels of one grid compute them once.  The three arrays are read-only
+    and stay in memory until the next array call (about 0.15 MB at 6000
+    points); array calls return new arrays.
     """
     r, s = rm2_exponents(n, v1, v2)
     aj, bj = -2.0 * r, -2.0 * s
 
     def _parts(x):
-        global _last_rm2_factors
         x = np.asarray(x, dtype=float)
         if x.ndim:
-            (u, v, t), _last_rm2_factors = _last_call(
-                _last_rm2_factors, _array_key((), x), _rm2_factors, x)
+            u, v, t = _memoized("rm2_factors", _array_key((), x), _rm2_factors, x)
         else:
             u, v, t = _rm2_factors(x)
         return u ** (-r) * v ** (-s), t
@@ -268,10 +263,6 @@ def rm2_wavefunction(n: int, v1: float, v2: float, grid: Grid,
 # generalized Poschl-Teller states (half line)
 # ----------------------------------------------------------------------
 
-# (key, (cx, prefactor, cosh 2cx)) of the last array call, for _last_call
-_last_gpt_factors: tuple = (None, None)
-
-
 def _gpt_factors(a: float, b: float, c: float, x):
     if np.any(x <= 0.0):
         raise DomainError("half-line state evaluated at x <= 0")
@@ -309,24 +300,21 @@ def gpt_state_evaluator(n: int, a: float, b: float, c: float):
     times y^n, and the Jacobi polynomial scaled by y^{-n}; every other row
     keeps the direct forms' bits.
 
-    cx, the direct prefactor and y do not depend on the level: they are
-    memoized for the last (A, B, c, x), matched by exact bits or, for
-    ``Grid.points``, by identity, so the levels of one grid compute them
-    once.  The three arrays are read-only and stay in memory until the
-    next array call (about 0.15 MB at 6000 points); array calls return new
-    arrays.
+    cx, the direct prefactor and y do not depend on the level: the
+    ``"gpt_factors"`` memo of :func:`numerics._memoized` keeps them for the
+    last (A, B, c, x), matched by exact bits or, for ``Grid.points``, by
+    identity, so the levels of one grid compute them once.  The three
+    arrays are read-only and stay in memory until the next array call
+    (about 0.15 MB at 6000 points); array calls return new arrays.
     """
     aj = b / c - 0.5
     bj = -a / c - 0.5
 
     def _parts(x):
-        global _last_gpt_factors
         x = np.asarray(x, dtype=float)
         if not x.ndim:
             return _gpt_factors(a, b, c, x)
-        factors, _last_gpt_factors = _last_call(
-            _last_gpt_factors, _array_key((a, b, c), x), _gpt_factors, a, b, c, x)
-        return factors
+        return _memoized("gpt_factors", _array_key((a, b, c), x), _gpt_factors, a, b, c, x)
 
     def _far(out, u, scaled):
         # the rows the direct forms lost (non-finite, the prefactor's NaN

@@ -427,11 +427,12 @@ def test_verify_bits_do_not_depend_on_the_profile_memo(monkeypatch, capsys):
 
     memoized = lines()
     assert sum("(value *," in line for line in memoized) == 3
-    # every lookup of the profile memo and of the Dirac field slots a miss
+    # every lookup of the profile memo and of the Dirac field memos a miss:
+    # a fresh object() key equals no stored one
     for module in (model, dirac):
-        monkeypatch.setattr(module, "_last_call",
-                            lambda slot, key, compute, *args:
-                            numerics._last_call((None, None), key, compute, *args))
+        monkeypatch.setattr(module, "_memoized",
+                            lambda name, key, compute, *args, **kwargs:
+                            numerics._memoized(name, object(), compute, *args, **kwargs))
     assert lines() == memoized
 
 
@@ -559,6 +560,19 @@ def test_spectrum_negative_n_max_is_config_error(capsys):
     assert code == 1
     assert out == ""
     assert "--n-max must be nonnegative" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--v1", "12", "--v2", "1"],
+    ["--sp-a", "9", "--sp-b", "2.5"],
+], ids=["rosen-morse", "poschl-teller"])
+def test_wavefunction_negative_level_is_config_error(argv, capsys):
+    # the refusal names the flag, as sweep's and spectrum's do, instead of
+    # jacobi_eval's "polynomial degree must be nonnegative"
+    code, out, err = run_cli(["wavefunction", *argv, "--level=-1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --level must be nonnegative\n"
 
 
 def test_wavefunction_infinite_grid_end_is_config_error(capsys):

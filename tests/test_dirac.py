@@ -235,7 +235,7 @@ def test_spinor_rejects_nonpositive_mass():
 
 
 # ----------------------------------------------------------------------
-# the one-slot memos of the field closures, and V_I's fresh arrays
+# the field memos, keyed by each call's closures, and V_I's fresh arrays
 # ----------------------------------------------------------------------
 
 _MEMO_PARAMS = ModelParams(omega=3.0, alpha=0.5, gamma=0.5, beta=-0.9, m1=0.35, m2=0.5)
@@ -382,8 +382,8 @@ def test_v_i_refuses_on_every_call_with_shared_inputs():
 def test_memos_under_threads_give_the_bits_of_fresh_closures():
     # more threads than cores, switching often, each round on one (family,
     # grid) for every thread and the two grids alternating through one set of
-    # closures: a slot that showed its key before its value would hand one
-    # grid's array, or None, to the threads that hit it
+    # closures: a memo entry that showed its key before its value would hand
+    # one grid's array, or None, to the threads that hit it
     line = (Grid(-15.0, 15.0, 400), Grid(-14.0, 14.0, 400))
     half = (Grid(1e-3, 20.0, 400), Grid(2e-3, 18.0, 400))
     coth = ModelParams(omega=3.0, alpha=0.5, gamma=3.5, beta=-0.5, m1=0.3, m2=2.0)

@@ -185,14 +185,10 @@ def assert_same_bits(got, want):
         assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
 
 
-@pytest.fixture
-def empty_memo(monkeypatch):
-    monkeypatch.setattr(model, "_last_profile", (None, None))
-
-
-def _always_miss(slot, key, compute, *args):
-    """``numerics._last_call`` with every lookup a miss."""
-    return numerics._last_call((None, None), key, compute, *args)
+def _always_miss(name, key, compute, *args, **kwargs):
+    """``numerics._memoized`` with every lookup a miss: a fresh ``object()``
+    key equals no stored one."""
+    return numerics._memoized(name, object(), compute, *args, **kwargs)
 
 
 _GRID = np.linspace(0.0, 2.0, 10)
@@ -218,14 +214,14 @@ def _with(x, i, value):
     ((CoshProfile(delta=1.0, gamma=0.2, beta=0.3), _POSITIVE),
      (CothProfile(delta=1.0, gamma=0.2, beta=0.3), _POSITIVE)),
 ], ids=["negative-zero-x", "nan-x", "reshape", "negative-zero-beta", "other-class"])
-def test_profile_memo_misses_on_any_other_bits(first, second, empty_memo):
+def test_profile_memo_misses_on_any_other_bits(first, second, empty_memos):
     stored = evaluate_profile(*first)
     got = evaluate_profile(*second)
     assert got is not stored
     assert_same_bits(got, model._profile_values(*second))
 
 
-def test_profile_memo_hit_is_read_only_and_survives_a_raising_call(empty_memo):
+def test_profile_memo_hit_is_read_only_and_survives_a_raising_call(empty_memos):
     prof = CothProfile(delta=1.5, c=0.8, gamma=0.2, beta=0.6)
     stored = evaluate_profile(prof, _POSITIVE)
     assert evaluate_profile(prof, _POSITIVE.copy()) is stored
@@ -257,7 +253,7 @@ def _chain(params, family, grid, e_ref=1.2, epsilon=0.3):
     effective_potential_ansatz(params, prof, e_ref, x)
 
 
-def test_one_profile_computation_per_family_and_grid(monkeypatch, empty_memo):
+def test_one_profile_computation_per_family_and_grid(monkeypatch, empty_memos):
     computed = []
     values = model._profile_values
 
@@ -276,13 +272,13 @@ def test_one_profile_computation_per_family_and_grid(monkeypatch, empty_memo):
     _chain(cosh, "cosh", Grid(-14.0, 14.0, 6000))
     assert len(computed) == 3
     # with every lookup a miss, the same chain evaluates the profile 26 times
-    monkeypatch.setattr(model, "_last_call", _always_miss)
-    monkeypatch.setattr(dirac, "_last_call", _always_miss)
+    monkeypatch.setattr(model, "_memoized", _always_miss)
+    monkeypatch.setattr(dirac, "_memoized", _always_miss)
     _chain(cosh, "cosh", line)
     assert len(computed) == 3 + 26
 
 
-def test_vanishing_profile_is_refused_on_a_memo_hit_too(empty_memo):
+def test_vanishing_profile_is_refused_on_a_memo_hit_too(empty_memos):
     # delta = 0 makes A = 0 at every node; the second pass reads the memo's
     # ProfileValues, whose A = 0 test ran on the first
     params = ModelParams(omega=3.0, alpha=0.5, gamma=0.5, beta=-0.9, m1=0.35, m2=0.5)
@@ -304,7 +300,7 @@ def test_vanishing_profile_is_refused_on_a_memo_hit_too(empty_memo):
                 schrodinger_potential(params, prof, 0.3, x, form=form)
 
 
-def test_profile_memo_matches_a_read_only_owner_by_identity(monkeypatch, empty_memo):
+def test_profile_memo_matches_a_read_only_owner_by_identity(monkeypatch, empty_memos):
     computed = []
     values = model._profile_values
     monkeypatch.setattr(model, "_profile_values",
@@ -314,7 +310,7 @@ def test_profile_memo_matches_a_read_only_owner_by_identity(monkeypatch, empty_m
     x.flags.writeable = False  # it owns its data, as Grid.points does
     stored = evaluate_profile(prof, x)
     # the key holds the array, not a copy of its bytes
-    key = model._last_profile[0]
+    (key, _), = numerics._memos["profile"]
     assert key[0] is CothProfile and any(part is x for part in key[1])
     assert all(len(part) < x.nbytes for part in key[1] if isinstance(part, bytes))
     assert evaluate_profile(prof, x) is stored

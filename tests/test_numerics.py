@@ -233,17 +233,12 @@ def test_grid_weights_are_the_interior_quadrature_weights():
         assert float(np.sum(g.weights)) == pytest.approx(math.pi - g.step, rel=1e-13)
 
 
-@pytest.fixture
-def empty_grid_memo(monkeypatch):
-    monkeypatch.setattr(numerics, "_grid_memo", ())
-
-
 @pytest.mark.parametrize("x_min, x_max, n_points", [
     (-0.0, 1.0, 50), (np.float32(0.5), 2.0, 16), (0.0, 1.0, np.int64(100)),
     (-15.0, 15.0, 6000), (1e-3, 20.0, 6000),
 ], ids=["negative-zero-end", "float32-end", "int64-count", "oracle-line", "oracle-half"])
 def test_grid_arrays_keep_the_bits_of_their_expressions(x_min, x_max, n_points,
-                                                        empty_grid_memo):
+                                                        empty_memos):
     g = Grid(x_min, x_max, n_points)
     h = g.step
     points = g.x_min + h * np.arange(1, g.n_points + 1)
@@ -262,7 +257,8 @@ def test_grid_arrays_are_read_only():
     assert g.points[0] == g.step and g.weights[0] == g.step
 
 
-def test_grid_memo_builds_each_of_two_alternating_grids_once(monkeypatch, empty_grid_memo):
+def test_grid_arrays_are_built_once_for_each_of_two_alternating_grids(monkeypatch,
+                                                                      empty_memos):
     built = []
     weights = numerics.quadrature_weights
 
@@ -286,7 +282,7 @@ def test_grid_memo_builds_each_of_two_alternating_grids_once(monkeypatch, empty_
     assert built == [102, 104, 36, 104]
 
 
-def test_grid_memo_never_hands_a_float32_end_the_float64_ends_arrays(empty_grid_memo):
+def test_grid_arrays_never_hand_a_float32_end_the_float64_ends_arrays(empty_memos):
     # the two grids are equal and hash alike, but the float32 step rounds
     # the nodes differently
     wide, narrow = Grid(0.5, 2.0, 16), Grid(np.float32(0.5), 2.0, 16)

@@ -13,7 +13,7 @@ from pdmdirac import (BetaMode, ModelParams, PoschlTellerSuperpotential,
                       rm2_coefficients_from_params, rm2_level_radicand,
                       rm2_solve, rm2_solve_from_params, si_check,
                       si_remainder_ladder)
-from pdmdirac import ode_residual, susy
+from pdmdirac import numerics, ode_residual, susy
 from pdmdirac.errors import DomainError
 from pdmdirac.susy import gpt_level_columns, rm2_level_columns
 from pdmdirac.numerics import Grid
@@ -432,8 +432,8 @@ def test_poschl_teller_dw_and_ground_state_keep_their_bits_up_to_x_20(pt):
 
 
 @pytest.fixture
-def partner_spy(monkeypatch):
-    """An empty partner memo, and the list of x each computation samples."""
+def partner_spy(monkeypatch, empty_memos):
+    """An empty memo store, and the list of x each partner computation samples."""
     computed = []
     original = susy._partner_potentials
 
@@ -442,7 +442,6 @@ def partner_spy(monkeypatch):
         return original(w, x)
 
     monkeypatch.setattr(susy, "_partner_potentials", spy)
-    monkeypatch.setattr(susy, "_last_partners", (None, None))
     return computed
 
 
@@ -459,7 +458,7 @@ def test_one_partner_evaluation_over_three_residuals(partner_spy):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
     # the residuals of a computation per call
-    susy._last_partners = (None, None)
+    del numerics._memos["partners"]
     fresh = lambda x: susy._partner_potentials(w, x).v_minus
     assert got == [ode_residual(fresh, st.e_bar, st.samples, grid, skip=45) for st in states]
 

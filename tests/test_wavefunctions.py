@@ -433,8 +433,9 @@ def test_gpt_states_keep_their_bits_where_the_direct_forms_hold():
 
 
 @pytest.fixture
-def factor_spy(monkeypatch):
-    """Empty state-factor memos, and the list of (name, x) each computes."""
+def factor_spy(monkeypatch, empty_memos):
+    """An empty memo store, and the list of (name, x) each state factor
+    computation samples."""
     computed = []
     for name in ("_rm2_factors", "_gpt_factors"):
         original = getattr(wavefunctions, name)
@@ -444,8 +445,6 @@ def factor_spy(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(wavefunctions, name, spy)
-    monkeypatch.setattr(wavefunctions, "_last_rm2_factors", (None, None))
-    monkeypatch.setattr(wavefunctions, "_last_gpt_factors", (None, None))
     return computed
 
 
@@ -454,7 +453,7 @@ def test_level_independent_factors_are_computed_once_per_family_and_grid(factor_
     rm = [rm2_wavefunction(n, 12.0, 1.0, line).samples for n in range(3)]
     pt = [gpt_wavefunction(n, 9.0, 2.5, 1.0, half).samples for n in range(3)]
     assert [name for name, _ in factor_spy] == ["_rm2_factors", "_gpt_factors"]
-    # each family keeps its own slot, so alternating them misses neither
+    # each family keeps its own memo name, so alternating them misses neither
     rm2_wavefunction(2, 12.0, 1.0, line), gpt_wavefunction(2, 9.0, 2.5, 1.0, half)
     assert len(factor_spy) == 2
     # another grid of the same size, and other constants, miss
@@ -462,11 +461,12 @@ def test_level_independent_factors_are_computed_once_per_family_and_grid(factor_
     gpt_wavefunction(0, 9.5, 2.5, 1.0, half)
     assert len(factor_spy) == 4
     # the stored factors are read-only; the states are the bits of fresh factors
-    for _, factors in (wavefunctions._last_rm2_factors, wavefunctions._last_gpt_factors):
+    for name in ("rm2_factors", "gpt_factors"):
+        (_, factors), = numerics._memos[name]
         for arr in factors:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
-    wavefunctions._last_rm2_factors = wavefunctions._last_gpt_factors = (None, None)
+        del numerics._memos[name]
     for n in range(3):
         assert rm2_wavefunction(n, 12.0, 1.0, line).samples.tobytes() == rm[n].tobytes()
         assert gpt_wavefunction(n, 9.0, 2.5, 1.0, half).samples.tobytes() == pt[n].tobytes()
@@ -495,7 +495,7 @@ def test_gpt_factor_memo_misses_on_any_other_bits(first, second, factor_spy):
         phi, dphi = gpt_state_evaluator(0, a, b, c)
         got = phi(x), dphi(x)
     assert len(factor_spy) == 2
-    wavefunctions._last_gpt_factors = (None, None)
+    del numerics._memos["gpt_factors"]
     assert [arr.tobytes() for arr in got] == [phi(x).tobytes(), dphi(x).tobytes()]
 
 
@@ -509,7 +509,7 @@ def test_rm2_factor_memo_misses_on_any_other_bits(first, second, factor_spy):
     for x in (first, second):
         got = dphi(x)
     assert len(factor_spy) == 2
-    wavefunctions._last_rm2_factors = (None, None)
+    del numerics._memos["rm2_factors"]
     assert got.tobytes() == dphi(second).tobytes()
 
 
@@ -569,17 +569,47 @@ def test_states_chain_gives_the_same_bytes_with_every_memo_lookup_a_miss(monkeyp
     for forced_miss in (False, True):
         if forced_miss:
             for module in (model, dirac, susy, wavefunctions):
-                monkeypatch.setattr(module, "_last_call",
-                                    lambda slot, key, compute, *args:
-                                    numerics._last_call((None, None), key, compute, *args))
+                # a fresh object() key equals no stored one
+                monkeypatch.setattr(module, "_memoized",
+                                    lambda name, key, compute, *args, **kwargs:
+                                    numerics._memoized(name, object(), compute,
+                                                       *args, **kwargs))
         runs.append([arr.tobytes() for arr in _states_chain(cosh, "cosh", line)
                      + _states_chain(coth, "coth", half)])
     assert runs[0] == runs[1]
 
 
+def _stored_nbytes(obj, seen):
+    # the bytes of the arrays and key copies in obj, each object counted once
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, bytes):
+        return len(obj)
+    if isinstance(obj, tuple):
+        return sum(_stored_nbytes(part, seen) for part in obj)
+    return 0
+
+
+def test_memo_store_stays_bounded_over_repeated_chains(empty_memos):
+    cosh = ModelParams(omega=3.0, alpha=0.5, gamma=0.5, beta=-0.9, m1=0.35, m2=0.5)
+    coth = ModelParams(omega=3.0, alpha=0.5, gamma=3.5, beta=-0.5, m1=0.3, m2=2.0)
+    line, half = Grid(-15.0, 15.0, 6000), Grid(1e-3, 20.0, 6000)
+    for _ in range(2):
+        _states_chain(cosh, "cosh", line)
+        _states_chain(coth, "coth", half)
+    counts = {name: len(entries) for name, entries in numerics._memos.items()}
+    assert counts == {"grid": 2, "profile": 1, "m": 1, "dm": 1, "v": 1, "dv": 1,
+                      "d2v": 1, "rm2_factors": 1, "gpt_factors": 1, "partners": 1}
+    # the figure the README states: about 1.104 MB at 6000 points
+    assert _stored_nbytes(tuple(numerics._memos.values()), set()) <= 1.104e6
+
+
 def test_state_and_partner_memos_under_threads_give_the_bits_of_fresh_calls():
     # more threads than cores, switching often, every thread on the same
-    # grid in a round and the grids alternating: a slot that paired one
+    # grid in a round and the grids alternating: an entry that paired one
     # key with another call's arrays would hand them to the threads that hit
     grids = {"cosh": (Grid(-15.0, 15.0, 400), Grid(-14.0, 14.0, 400)),
              "coth": (Grid(1e-3, 20.0, 400), Grid(2e-3, 18.0, 400))}
