@@ -228,9 +228,31 @@ def test_wavefunction_example_matches_direct_coefficients(example, spinor, capsy
       "--to", "2", "--steps", "1"], "--steps must be at least 2"),
     (["wavefunction", "--v1", "12", "--sp-a", "9", "--level", "0"],
      "give either --v0/--v1/--v2 or --sp-a/--sp-b, not both"),
-], ids=["one-step", "both-families"])
+    (["spectrum", "--example", "1", "--v0", "1", "--v1", "12", "--v2", "1"],
+     "direct-coefficient mode excludes --example"),
+    (["spectrum", "--omega", "3"],
+     "select --example 1|2 or direct coefficients (--v0/--v1/--v2 or --sp-a/--sp-b)"),
+    # refused by the library: ModelParams, the grid, the level, the spectrum
+    (["constraints", "--omega", "-3", "--alpha", "2", "--gamma", "0.1", "--m2", "2"],
+     "omega must be positive, got -3.0"),
+    (["wavefunction", "--sp-a", "9", "--sp-b", "1.5", "--c", "1", "--level", "0",
+      "--x-min", "-1"], "grid must lie in x > 0"),
+    (["wavefunction", "--v1", "12", "--v2", "1", "--level", "9"],
+     "level n = 9 is not admissible: needs C2 - n > 0 and (C2 - n)^2 > |V2|/2 "
+     "with C2 = 3.0"),
+    (["spectrum", "--v0", "1", "--v1", "-0.25", "--v2", "1"],
+     "1 + 4*V1 must be positive for real energies to exist (got 1 + 4*V1 = 0.0)"),
+], ids=["one-step", "both-families", "example-and-direct", "no-family",
+        "model-omega", "grid-domain", "level-inadmissible", "rm2-radicand"])
 def test_config_error_exits_1(argv, message, capsys):
     assert run_cli(argv, capsys) == (1, "", f"error: {message}\n")
+
+
+def test_missing_config_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "missing.cfg"
+    assert run_cli(["spectrum", "--config", str(path)], capsys) == (
+        1, "", f"error: cannot read config file: [Errno 2] No such file or "
+               f"directory: {str(path)!r}\n")
 
 
 def test_wavefunction_with_spinor_columns(capsys):
