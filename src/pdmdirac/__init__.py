@@ -11,8 +11,7 @@ eigensolver.
 from .errors import ConvergenceError, DomainError, PoleError, SingularityError
 from .model import (BetaMode, ConstraintSolution, CoshProfile, CothProfile,
                     ModelParams, ProfileValues, derived_constants,
-                    derived_constants_from_params, evaluate_profile,
-                    profile_from_params, sigma_of)
+                    evaluate_profile, profile_from_params, sigma_of)
 from .hermitization import (OperatorCoefficients, apply_operator,
                             hermitian_coeffs, nonhermitian_coeffs, rho_weight,
                             schrodinger_potential)

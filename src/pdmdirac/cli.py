@@ -14,8 +14,10 @@ override the file, unknown keys are hard errors.
 Output is CSV (default) or JSON with a ``meta``/``rows`` layout; floats are
 serialized with 17 significant digits so they round-trip exactly.
 
-Exit codes: 0 success, 1 invalid configuration, 2 verification failure,
-3 numerical failure (overflow, poles, solver non-convergence).
+Exit codes: 0 success; 1 invalid input, that is every ValueError, including
+an output file that cannot be written and a request too large to allocate;
+2 verification failure; 3 numerical failure (overflow, poles, solver
+non-convergence).
 """
 
 from __future__ import annotations
@@ -35,18 +37,13 @@ import numpy as np
 
 from . import verify as verify_mod
 from .errors import ConvergenceError, PoleError, SingularityError
-from .model import (BetaMode, ModelParams, derived_constants_from_params,
-                    in_domain, resolve_beta)
+from .model import BetaMode, ModelParams, derived_constants, in_domain, resolve_beta
 from .numerics import Grid
 from .susy import (gpt_ab, gpt_level_columns, gpt_params_ab, gpt_solve,
                    gpt_solve_from_params, rm2_coefficients,
                    rm2_coefficients_from_params, rm2_level_columns, rm2_solve,
                    rm2_solve_from_params)
 from .wavefunctions import gpt_wavefunction, rm2_wavefunction
-
-
-class CliError(Exception):
-    """Invalid configuration; mapped to exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,7 +55,7 @@ class _Parser(argparse.ArgumentParser):
             r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 MODEL_KEYS = ("omega", "alpha", "gamma", "beta", "delta", "c", "m1", "m2")
@@ -162,7 +159,7 @@ def _config_flags(parser: _Parser, command: str, path: str) -> list[str]:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise CliError(f"cannot read config file: {exc}") from exc
+        raise ValueError(f"cannot read config file: {exc}") from exc
     tokens = []
     for lineno, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()
@@ -170,20 +167,20 @@ def _config_flags(parser: _Parser, command: str, path: str) -> list[str]:
             continue
         try:
             if "=" not in text:
-                raise CliError("expected 'key = value'")
+                raise ValueError("expected 'key = value'")
             key, raw = (part.strip() for part in text.split("=", 1))
             action = parser.options[command].get(key.replace("-", "_"))
             if action is None:
-                raise CliError(f"unknown key {key!r}")
+                raise ValueError(f"unknown key {key!r}")
             token = f"{action.option_strings[0]}={raw}"
             if isinstance(action, argparse.BooleanOptionalAction):
                 if raw.lower() not in ("true", "1", "yes", "false", "0", "no"):
-                    raise CliError(f"expected a boolean for {key!r}, got {raw!r}")
+                    raise ValueError(f"expected a boolean for {key!r}, got {raw!r}")
                 # option_strings is (--flag, --no-flag)
                 token = action.option_strings[raw.lower() in ("false", "0", "no")]
             parser.parse_args([command, token])  # each line checked alone
-        except CliError as exc:
-            raise CliError(f"{path}:{lineno}: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
         tokens.append(token)
     return tokens
 
@@ -192,7 +189,7 @@ def _require(ns: dict, *keys: str):
     missing = [k for k in keys if ns.get(k) is None]
     if missing:
         options = _parser().options[ns["command"]]
-        raise CliError("missing required option(s): " + ", ".join(
+        raise ValueError("missing required option(s): " + ", ".join(
             options[k].option_strings[0] for k in missing))
 
 
@@ -206,7 +203,7 @@ def _model_fields(ns: dict) -> dict:
     else:
         mode = BetaMode(ns["beta_mode"])
     if mode is BetaMode.LITERAL and beta is None:
-        raise CliError("literal beta-mode requires --beta")
+        raise ValueError("literal beta-mode requires --beta")
     return {"omega": ns["omega"], "alpha": ns["alpha"], "gamma": ns["gamma"],
             "beta": 0.0 if beta is None else beta, "delta": ns["delta"],
             "c": ns["c"], "m1": ns["m1"], "m2": ns["m2"], "beta_mode": mode}
@@ -215,10 +212,7 @@ def _model_fields(ns: dict) -> dict:
 def _model_params(ns: dict) -> ModelParams:
     fields = _model_fields(ns)
     ns["beta_mode"] = fields["beta_mode"].value  # resolved mode lands in the emitted meta
-    try:
-        return ModelParams(**fields)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return ModelParams(**fields)
 
 
 def _gpt_args(ns: dict) -> dict:
@@ -291,8 +285,11 @@ def _emit(ns: dict, meta: dict, columns: list[str], rows: list[dict]) -> str:
 
 def _write(ns: dict, text: str):
     if ns.get("output"):
-        with open(ns["output"], "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(ns["output"], "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -308,9 +305,9 @@ def _resolve_mode(ns: dict) -> str:
     direct_rm2 = any(ns.get(k) is not None for k in ("v0", "v1", "v2"))
     direct_gpt = any(ns.get(k) is not None for k in ("sp_a", "sp_b"))
     if direct_rm2 and direct_gpt:
-        raise CliError("give either --v0/--v1/--v2 or --sp-a/--sp-b, not both")
+        raise ValueError("give either --v0/--v1/--v2 or --sp-a/--sp-b, not both")
     if ns.get("example") is not None and (direct_rm2 or direct_gpt):
-        raise CliError("direct-coefficient mode excludes --example")
+        raise ValueError("direct-coefficient mode excludes --example")
     if direct_rm2:
         return "rm2"
     if direct_gpt:
@@ -319,8 +316,8 @@ def _resolve_mode(ns: dict) -> str:
         return "example1"
     if ns.get("example") == 2:
         return "example2"
-    raise CliError("select --example 1|2 or direct coefficients "
-                   "(--v0/--v1/--v2 or --sp-a/--sp-b)")
+    raise ValueError("select --example 1|2 or direct coefficients "
+                     "(--v0/--v1/--v2 or --sp-a/--sp-b)")
 
 
 def _solve_spectrum(ns: dict, mode: str, n_max: int):
@@ -353,11 +350,7 @@ def _spectrum_rows(solution) -> list[dict]:
 
 
 def cmd_constraints(ns: dict) -> int:
-    params = _model_params(ns)
-    try:
-        sol = derived_constants_from_params(params)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    sol = derived_constants(_model_params(ns))
     cols = ["sigma", "beta", "epsilon", "e_squared", "m1_plus", "m1_minus", "status"]
     row = {key: getattr(sol, key) for key in cols[:-1]}
     if all(val is None or math.isfinite(val) for val in row.values()):
@@ -371,7 +364,7 @@ def cmd_constraints(ns: dict) -> int:
 def cmd_spectrum(ns: dict) -> int:
     mode = _resolve_mode(ns)
     if ns["n_max"] < 0:
-        raise CliError("--n-max must be nonnegative")
+        raise ValueError("--n-max must be nonnegative")
     sol = _solve_spectrum(ns, mode, ns["n_max"])
     cols = ["n", "e_bar", "e_re", "e_im", "is_real", "admissible", "status"]
     _write(ns, _emit(ns, _meta(ns, "spectrum"), cols, _spectrum_rows(sol)))
@@ -398,25 +391,22 @@ def cmd_wavefunction(ns: dict) -> int:
     mode = _resolve_mode(ns)
     n = ns["level"]
     if n < 0:
-        raise CliError("--level must be nonnegative")
-    try:
-        grid = _default_grid(ns, mode)
-        params = _model_params(ns) if (mode.startswith("example") or ns["with_spinor"]) else None
-        if mode == "example1":
-            co = rm2_coefficients_from_params(params)
-            build = functools.partial(rm2_wavefunction, n, co.v1, co.v2, grid)
-        elif mode == "rm2":
-            _require(ns, "v1", "v2")
-            build = functools.partial(rm2_wavefunction, n, ns["v1"], ns["v2"], grid)
-        elif mode == "example2":
-            build = functools.partial(gpt_wavefunction, n, *gpt_params_ab(params), ns["c"], grid)
-        else:
-            _require(ns, "sp_a", "sp_b")
-            build = functools.partial(gpt_wavefunction, n, ns["sp_a"], ns["sp_b"], ns["c"], grid)
-        state = build()
-        spin = build(params) if ns["with_spinor"] else None
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise ValueError("--level must be nonnegative")
+    grid = _default_grid(ns, mode)
+    params = _model_params(ns) if (mode.startswith("example") or ns["with_spinor"]) else None
+    if mode == "example1":
+        co = rm2_coefficients_from_params(params)
+        build = functools.partial(rm2_wavefunction, n, co.v1, co.v2, grid)
+    elif mode == "rm2":
+        _require(ns, "v1", "v2")
+        build = functools.partial(rm2_wavefunction, n, ns["v1"], ns["v2"], grid)
+    elif mode == "example2":
+        build = functools.partial(gpt_wavefunction, n, *gpt_params_ab(params), ns["c"], grid)
+    else:
+        _require(ns, "sp_a", "sp_b")
+        build = functools.partial(gpt_wavefunction, n, ns["sp_a"], ns["sp_b"], ns["c"], grid)
+    state = build()
+    spin = build(params) if ns["with_spinor"] else None
     cols = ["x", "phi"]
     samples = [grid.points, state.samples]
     if spin is not None:
@@ -450,7 +440,7 @@ def _sweep_point(ns: dict, mode: str, value: float, level: int) -> dict:
         row["status"] = "overflow"
     except (PoleError, SingularityError, ZeroDivisionError):
         row["status"] = "pole"
-    except (ValueError, CliError) as exc:
+    except ValueError as exc:
         row["status"] = f"invalid: {exc}"
     return row
 
@@ -459,7 +449,7 @@ def _sweep_columns(ns: dict, mode: str, values: np.ndarray):
     """The swept level over all ``values`` in one array pass.
 
     Returns the LevelColumns and the mask of rows that the array pass
-    settles; the other rows need the scalar path.  Raises CliError when an
+    settles; the other rows need the scalar path.  Raises ValueError when an
     option that every point shares is missing.
     """
     param, level = ns["param"], ns["level"]
@@ -511,12 +501,12 @@ def cmd_sweep(ns: dict) -> int:
     _require(ns, "param", "sweep_from", "sweep_to", "steps")
     read = _MODE_MODEL_KEYS.get(mode, MODEL_KEYS)
     if ns["param"] not in read:
-        raise CliError(f"--param {ns['param']} is never read in {mode} mode "
-                       f"(it reads {', '.join(read) or 'no model key'})")
+        raise ValueError(f"--param {ns['param']} is never read in {mode} mode "
+                         f"(it reads {', '.join(read) or 'no model key'})")
     if ns["steps"] < 2:
-        raise CliError("--steps must be at least 2")
+        raise ValueError("--steps must be at least 2")
     if ns["level"] < 0:
-        raise CliError("--level must be nonnegative")
+        raise ValueError("--level must be nonnegative")
     param, steps = ns["param"], ns["steps"]
     span = ns["sweep_to"] - ns["sweep_from"]
     # the IEEE operations of sweep_from + span * i / (steps - 1), row by row
@@ -542,7 +532,7 @@ def cmd_sweep(ns: dict) -> int:
 def cmd_verify(ns: dict) -> int:
     scale = ns["tolerance_scale"]
     if not 0.0 < scale <= 1.0:  # also refuses nan
-        raise CliError(f"--tolerance-scale must be finite and in (0, 1], got {scale!r}")
+        raise ValueError(f"--tolerance-scale must be finite and in (0, 1], got {scale!r}")
     names = sorted(verify_mod.SUITES) if ns["suite"] == "all" else [ns["suite"]]
     results, all_ok = verify_mod.run_suites(names, scale)
     if ns["format"] == "json":
@@ -582,14 +572,11 @@ def main(argv=None) -> int:
             file_flags = _config_flags(parser, ns["command"], ns["config"])
             ns = vars(parser.parse_args([ns["command"], *file_flags, *argv[1:]]))
         return COMMANDS[ns["command"]](ns)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (OverflowError, ConvergenceError, SingularityError, PoleError,
             ZeroDivisionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -239,10 +239,7 @@ class ConstraintSolution(NamedTuple):
         return self.m1_plus is not None
 
 
-def derived_constants(omega: float, alpha: float, gamma: float, m2: float,
-                      beta_mode: BetaMode = BetaMode.LITERAL, *,
-                      beta: float | None = None,
-                      m1: float | None = None) -> ConstraintSolution:
+def derived_constants(params: ModelParams) -> ConstraintSolution:
     """Compute sigma, beta (per mode), epsilon, E^2 and the m1 roots.
 
     epsilon = gamma^2 m2^2 - sigma gamma^2 and E^2 = omega/2 - gamma^2 (m2^2 - sigma).
@@ -252,12 +249,8 @@ def derived_constants(omega: float, alpha: float, gamma: float, m2: float,
 
     with both branches reported absent when the radicand is negative.
     """
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    if m2 == 0.0:
-        raise ValueError("m2 must be nonzero")
-    beta_mode = BetaMode(beta_mode)
-    b = resolve_beta(beta_mode, omega, alpha, beta, m1, m2)
+    omega, alpha, gamma, m2 = params.omega, params.alpha, params.gamma, params.m2
+    b = params.beta_effective
     sigma = sigma_of(omega, alpha)
     epsilon = gamma * gamma * m2 * m2 - sigma * gamma * gamma
     e_squared = omega / 2.0 - gamma * gamma * (m2 * m2 - sigma)
@@ -271,9 +264,3 @@ def derived_constants(omega: float, alpha: float, gamma: float, m2: float,
     return ConstraintSolution(sigma=sigma, beta=b, epsilon=epsilon,
                               e_squared=e_squared,
                               m1_plus=m1_plus, m1_minus=m1_minus)
-
-
-def derived_constants_from_params(params: ModelParams) -> ConstraintSolution:
-    return derived_constants(params.omega, params.alpha, params.gamma, params.m2,
-                             params.beta_mode, beta=params.beta, m1=params.m1)
-

@@ -78,7 +78,7 @@ def _state_cases(n_points: int):
 def suite_model() -> list[Check]:
     rng = np.random.default_rng(11)
     checks = []
-    sol = derived_constants(3.0, 2.0, 0.1, 2.0, BetaMode.COUPLING)
+    sol = derived_constants(_params(alpha=2.0, gamma=0.1, m2=2.0, beta_mode=BetaMode.COUPLING))
     checks.append(Check("sigma(3,2) equals 25/9", abs(sol.sigma - 25.0 / 9.0), 1e-15))
     checks.append(Check("coupling beta equals -1/6", abs(sol.beta + 1.0 / 6.0), 1e-15))
     for family in ("cosh", "coth"):
@@ -92,7 +92,7 @@ def suite_model() -> list[Check]:
                             _rel_diff(p.a1, fd1), 1e-6))
         checks.append(Check(f"{family}: A'' matches finite differences",
                             _rel_diff(p.a2, fd2), 1e-6))
-    sol2 = derived_constants(3.0, 0.5, 0.1, 2.0, BetaMode.COUPLING)
+    sol2 = derived_constants(_params(alpha=0.5, gamma=0.1, m2=2.0, beta_mode=BetaMode.COUPLING))
     res = abs(sol2.m1_plus * (sol2.m1_plus + sol2.beta * 2.0) - (0.25 - 0.5 / 3.0))
     checks.append(Check("m1 root solves its quadratic", res, 1e-12))
     return checks

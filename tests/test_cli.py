@@ -389,6 +389,29 @@ def test_output_file(tmp_path, capsys):
     assert text.startswith("n,e_bar")
 
 
+def test_unwritable_output_file_exits_1(tmp_path, capsys):
+    # this ended in a FileNotFoundError traceback
+    path = tmp_path / "missing" / "out.csv"
+    assert run_cli(["spectrum", "--v0", "1", "--v1", "12", "--v2", "1",
+                    "--output", str(path)], capsys) == (
+        1, "", f"error: cannot write output file: [Errno 2] No such file or "
+               f"directory: {str(path)!r}\n")
+    assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["wavefunction", "--v1", "12", "--v2", "1", "--grid-points", str(10**18)],
+    ["sweep", "--example", "1", *EXAMPLE_1, "--param", "m2", "--from", "1", "--to", "2",
+     "--steps", str(10**18)],
+], ids=["wavefunction", "sweep"])
+def test_request_too_large_to_allocate_exits_1(argv, capsys):
+    # these ended in numpy's MemoryError traceback; 10**18 eight-byte
+    # values exceed any address space, so the request is refused at once
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+
+
 def test_verify_quick_suite_passes(capsys):
     code, out, _ = run_cli(["verify", "--suite", "model"], capsys)
     assert code == 0

@@ -139,7 +139,8 @@ def test_effective_potential_reproduces_sech_tanh_well():
     from pdmdirac import derived_constants, rm2_coefficients_from_params
 
     omega, alpha, gamma, m2 = 3.0, 0.5, 0.3, 2.0
-    sol = derived_constants(omega, alpha, gamma, m2, BetaMode.COUPLING)
+    sol = derived_constants(ModelParams(omega, alpha, gamma, 0.0, m2=m2,
+                                        beta_mode=BetaMode.COUPLING))
     m1 = _cosh_mass_m1(omega, alpha, sol.beta, m2)
     params = ModelParams(omega=omega, alpha=alpha, gamma=gamma, beta=sol.beta,
                          m1=m1, m2=m2)

@@ -69,26 +69,30 @@ def test_coth_domain_error(x):
 
 
 def test_derived_constants_omega3_alpha2():
-    sol = derived_constants(3.0, 2.0, 0.1, 2.0, BetaMode.COUPLING)
+    sol = derived_constants(ModelParams(3.0, 2.0, 0.1, 0.0, m2=2.0,
+                                        beta_mode=BetaMode.COUPLING))
     assert sol.sigma == pytest.approx(25.0 / 9.0, rel=1e-15)
     assert sol.beta == pytest.approx(-1.0 / 6.0, rel=1e-15)
 
 
 def test_hermitian_limit():
-    sol = derived_constants(5.0, 0.0, 0.3, 1.0, BetaMode.COUPLING)
+    sol = derived_constants(ModelParams(5.0, 0.0, 0.3, 0.0, m2=1.0,
+                                        beta_mode=BetaMode.COUPLING))
     assert sol.sigma == 1.0
     assert sol.beta == 0.5
 
 
 def test_gamma_zero_kills_epsilon_and_fixes_energy():
-    sol = derived_constants(3.0, 1.0, 0.0, 2.0, BetaMode.COUPLING)
+    sol = derived_constants(ModelParams(3.0, 1.0, 0.0, 0.0, m2=2.0,
+                                        beta_mode=BetaMode.COUPLING))
     assert sol.epsilon == 0.0
     assert sol.e_squared == 1.5
 
 
 def test_m1_branches_absent_for_negative_radicand():
     # radicand = 9*(1 + 1/9) - 24 = -14
-    sol = derived_constants(3.0, 2.0, 0.1, 2.0, BetaMode.LITERAL, beta=-1.0 / 6.0)
+    sol = derived_constants(ModelParams(3.0, 2.0, 0.1, -1.0 / 6.0, m2=2.0,
+                                        beta_mode=BetaMode.LITERAL))
     assert sol.m1_plus is None
     assert sol.m1_minus is None
     assert not sol.has_m1
@@ -96,11 +100,23 @@ def test_m1_branches_absent_for_negative_radicand():
 
 def test_m1_roots_solve_their_quadratic():
     # both branches satisfy m1*(m1 + beta*m2) = 1/4 - alpha/omega exactly
-    sol = derived_constants(3.0, 0.5, 0.1, 2.0, BetaMode.COUPLING)
+    sol = derived_constants(ModelParams(3.0, 0.5, 0.1, 0.0, m2=2.0,
+                                        beta_mode=BetaMode.COUPLING))
     target = 0.25 - 0.5 / 3.0
     for root in (sol.m1_plus, sol.m1_minus):
         assert root is not None
         assert root * (root + sol.beta * 2.0) == pytest.approx(target, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode, fields, message", [
+    (BetaMode.LITERAL, {"beta": None}, "literal beta mode requires an explicit beta"),
+    (BetaMode.MASS_RATIO, {"beta": 0.0, "m1": None},
+     "mass-ratio beta mode requires m1 and nonzero m2"),
+])
+def test_derived_constants_refuses_a_beta_its_mode_cannot_resolve(mode, fields, message):
+    params = ModelParams(3.0, 2.0, 0.1, m2=2.0, beta_mode=mode, **fields)
+    with pytest.raises(ValueError, match=message):
+        derived_constants(params)
 
 
 @given(omega=st.floats(0.1, 50.0), alpha=st.floats(-10.0, 10.0))
