@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 from pdmdirac import (ModelParams, cli, dirac, model, numerics, rm2_solve_from_params,
-                      susy)
+                      susy, wavefunctions)
 from pdmdirac.cli import main
 
 
@@ -248,11 +248,38 @@ def test_config_error_exits_1(argv, message, capsys):
     assert run_cli(argv, capsys) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("call", [
+    lambda: susy.rm2_solve(1.0, -1.0, 1.0),
+    lambda: wavefunctions.rm2_exponents(0, -1.0, 1.0),
+    lambda: wavefunctions.rm2_state_evaluator(0, -1.0, 1.0),
+    lambda: wavefunctions.rm2_wavefunction(0, -1.0, 1.0, numerics.Grid(-5.0, 5.0, 64)),
+    ["spectrum", "--v0", "1", "--v1", "-1", "--v2", "1"],
+    ["wavefunction", "--v1", "-1", "--v2", "1"],
+], ids=["rm2_solve", "rm2_exponents", "rm2_state_evaluator", "rm2_wavefunction",
+        "spectrum", "wavefunction"])
+def test_one_rm2_radicand_refusal_text(call, capsys):
+    message = "1 + 4*V1 must be positive for real energies to exist (got 1 + 4*V1 = -3.0)"
+    if isinstance(call, list):
+        assert run_cli(call, capsys) == (1, "", f"error: {message}\n")
+        return
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_missing_config_file_exits_1(tmp_path, capsys):
     path = tmp_path / "missing.cfg"
     assert run_cli(["spectrum", "--config", str(path)], capsys) == (
         1, "", f"error: cannot read config file: [Errno 2] No such file or "
                f"directory: {str(path)!r}\n")
+
+
+def test_config_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"omega = 3\xff\n")
+    assert run_cli(["spectrum", "--config", str(path)], capsys) == (
+        1, "", f"error: cannot read config file: {path}: 'utf-8' codec can't decode "
+               f"byte 0xff in position 9: invalid start byte\n")
 
 
 def test_wavefunction_with_spinor_columns(capsys):

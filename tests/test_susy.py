@@ -362,6 +362,15 @@ def test_level_columns_settle_ordinary_rows_only():
     assert cols.regular.tolist() == [True, False, False]
 
 
+def test_level_columns_settle_a_level_above_a_pole():
+    # V1 = 6: C2 = 2, so level 2 is a pole that rm2_solve steps over
+    cols = rm2_level_columns(np.array([1.0]), np.array([6.0]), np.array([0.5]), 3)
+    lv = rm2_solve(1.0, 6.0, 0.5, n_max=3).spectrum.levels[3]
+    assert cols.regular.tolist() == [True]
+    _assert_regular_rows_match(cols, [lv])
+    assert (lv.e_rel.real, lv.e_rel.imag) == (1.3919410907075054, 0.0)
+
+
 def test_far_field_is_finite_without_a_warning():
     # the suite turns RuntimeWarning into an error: x = 400 squared an
     # overflowing cosh, and x = 720 overflowed cosh itself
