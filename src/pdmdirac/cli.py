@@ -160,6 +160,8 @@ def _config_flags(parser: _Parser, command: str, path: str) -> list[str]:
             lines = fh.readlines()
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read config file: {path}: {exc}") from exc
     tokens = []
     for lineno, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()

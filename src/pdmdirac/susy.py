@@ -323,12 +323,24 @@ def rm2_level_radicand(v0: float, v2: float, c2: float, n: int) -> float:
     return v0 + s * s - v2 * v2 / (4.0 * s * s)
 
 
-def rm2_superpotential(disc: float, v2: float) -> RosenMorseSuperpotential:
-    """C2 = (-1 + sqrt(disc))/2 with disc = 1 + 4 V1 > 0, and C1 = V2/(2 C2).
+def rm2_superpotential(v1: float, v2: float) -> RosenMorseSuperpotential:
+    """C2 = (-1 + sqrt(1 + 4 V1))/2 (positive branch) and C1 = V2/(2 C2).
 
-    Elementwise over arrays, where C2 = 0 gives a non-finite C1; a float
-    C2 = 0 gives C1 = 0 when V2 = 0 and C1 = inf otherwise.
+    The one place that forms 1 + 4 V1: a float 1 + 4 V1 <= 0 is refused,
+    since no real superpotential constant exists there.  Elementwise and
+    unchecked over arrays, where 1 + 4 V1 < 0 gives a NaN C2 and C2 = 0 a
+    non-finite C1; a float C2 = 0 gives C1 = 0 when V2 = 0 and C1 = inf
+    otherwise.
+
+    Raises
+    ------
+    ValueError
+        when a float 1 + 4 V1 <= 0.
     """
+    disc = 1.0 + 4.0 * v1
+    if not isinstance(disc, np.ndarray) and disc <= 0.0:
+        raise ValueError(f"1 + 4*V1 must be positive for real energies to exist "
+                         f"(got 1 + 4*V1 = {disc})")
     c2 = 0.5 * (-1.0 + _sqrt(disc))
     if isinstance(c2, np.ndarray) or c2 != 0.0:
         c1 = v2 / (2.0 * c2)
@@ -351,15 +363,10 @@ def rm2_solve(v0: float, v1: float, v2: float, n_max: int = 5) -> RM2Solution:
     ValueError
         when 1 + 4 V1 <= 0 (no real superpotential constant exists).
     """
-    disc = 1.0 + 4.0 * v1
-    if disc <= 0.0:
-        raise ValueError(f"1 + 4*V1 must be positive for real energies to exist "
-                         f"(got 1 + 4*V1 = {disc})")
+    w = rm2_superpotential(v1, v2)
     if v1 <= 0.0:
         warnings.warn("V1 <= 0: the well supports no bound states",
                       UserWarning, stacklevel=2)
-    w = rm2_superpotential(disc, v2)
-    c2 = w.c2
 
     levels = []
     for n in range(n_max + 1):
@@ -369,9 +376,9 @@ def rm2_solve(v0: float, v1: float, v2: float, n_max: int = 5) -> RM2Solution:
             levels.append(Level(n=n, e_bar=None, e_rel=None,
                                 is_real=False, admissible=False))
             continue
-        e_re, e_im, is_real = relativistic_energy(rm2_level_radicand(v0, v2, c2, n))
+        e_re, e_im, is_real = relativistic_energy(rm2_level_radicand(v0, v2, w.c2, n))
         levels.append(Level(n=n, e_bar=e_bar, e_rel=complex(e_re, e_im),
-                            is_real=is_real, admissible=rm2_admissible(n, c2, v2)))
+                            is_real=is_real, admissible=rm2_admissible(n, w.c2, v2)))
     return RM2Solution(coeffs=RM2Coeffs(v0=v0, v1=v1, v2=v2), w=w,
                        spectrum=LevelSpectrum(tuple(levels)))
 
@@ -443,10 +450,11 @@ def gpt_solve_from_params(params: ModelParams, n_max: int = 5) -> GPTSolution:
 class LevelColumns(NamedTuple):
     """One level over arrays of parameters, one entry per row.
 
-    ``regular`` marks the rows where every value the scalar solver computes
-    on the way is finite, its domain checks pass and the level is not a
-    pole: there the scalar solver returns these same bits and raises
-    nothing.  The other rows hold meaningless values.
+    ``regular`` marks the rows where the level's own values are finite, the
+    scalar solver's domain checks pass and the level is not a pole, and
+    (Poschl-Teller) every lower level's ladder value is finite too: there
+    the scalar solver returns these same bits and raises nothing.  The
+    other rows hold meaningless values.
     """
 
     e_re: np.ndarray
@@ -464,19 +472,20 @@ def _finite(*values):
 
 
 def rm2_level_columns(v0, v1, v2, n: int) -> LevelColumns:
-    """Level n of :func:`rm2_solve` over arrays of (V0, V1, V2)."""
+    """Level n of :func:`rm2_solve` over arrays of (V0, V1, V2).
+
+    Level n is evaluated alone.  rm2_solve walks the levels below it too,
+    but none of them can raise where level n is finite: rm2_solve steps over
+    a pole C2 = k, C2 = 0 makes C1 non-finite, and a finite C2 is below
+    6.8e153, so no square(C2 - k) overflows.
+    """
     with np.errstate(all="ignore"):
-        disc = 1.0 + 4.0 * v1
-        w = rm2_superpotential(disc, v2)
-        regular = (disc > 0.0) & (w.c2 - n != 0.0) & _finite(v0, v1, v2, w.c1)
-        # rm2_solve walks every level up to n; a division by zero or an
-        # overflowing power on that walk shows here as a non-finite value
-        for k in range(n + 1):
-            rad = rm2_level_radicand(v0, v2, w.c2, k)
-            regular &= _finite(si_remainder_ladder(w, k), rad)
+        w = rm2_superpotential(v1, v2)
+        rad = rm2_level_radicand(v0, v2, w.c2, n)
         e_re, e_im, is_real = relativistic_energy(rad)
-        return LevelColumns(e_re, e_im, is_real, rm2_admissible(n, w.c2, v2),
-                            regular & _finite(e_re, e_im))
+        regular = (1.0 + 4.0 * v1 > 0.0) & _finite(
+            v0, v1, v2, w.c1, si_remainder_ladder(w, n), rad, e_re, e_im)
+        return LevelColumns(e_re, e_im, is_real, rm2_admissible(n, w.c2, v2), regular)
 
 
 def gpt_level_columns(a, b, c, n: int, *, delta, gamma, m2) -> LevelColumns:

@@ -142,13 +142,11 @@ def jacobi_derivative(n: int, a: float, b: float, z):
 def rm2_exponents(n: int, v1: float, v2: float) -> tuple[float, float]:
     """The half-angle exponents (r, s) of the level-n state:
 
-        t = n + (1 - sqrt(1 + 4 V1))/2   (= n - C2),
-        r = (t - (V2/2)/t)/2,   s = (t + (V2/2)/t)/2.
+        t = n - C2,   r = (t - (V2/2)/t)/2,   s = (t + (V2/2)/t)/2,
+
+    with C2 from :func:`susy.rm2_superpotential`, which refuses 1 + 4 V1 <= 0.
     """
-    disc = 1.0 + 4.0 * v1
-    if disc <= 0.0:
-        raise ValueError("1 + 4*V1 must be positive")
-    t = n + 0.5 * (1.0 - math.sqrt(disc))
+    t = n - rm2_superpotential(v1, v2).c2
     if t == 0.0:
         raise ZeroDivisionError(f"exponents undefined at C2 - n = 0 (n = {n})")
     r = 0.5 * (t - 0.5 * v2 / t)
@@ -241,15 +239,11 @@ def rm2_wavefunction(n: int, v1: float, v2: float, grid: Grid,
     With model constants ``spinor``, the state is multiplied by sqrt(M(x)),
     M = m2 g + (m1 + b m2) tanh x; M must stay positive on the grid.
     """
-    disc = 1.0 + 4.0 * v1
-    if disc <= 0.0:
-        raise ValueError("1 + 4*V1 must be positive")
-    w = rm2_superpotential(disc, v2)
-    c2 = w.c2
-    if not rm2_admissible(n, c2, v2):
+    w = rm2_superpotential(v1, v2)
+    if not rm2_admissible(n, w.c2, v2):
         raise ValueError(
             f"level n = {n} is not admissible: needs C2 - n > 0 and "
-            f"(C2 - n)^2 > |V2|/2 with C2 = {c2}")
+            f"(C2 - n)^2 > |V2|/2 with C2 = {w.c2}")
     phi, _ = rm2_state_evaluator(n, v1, v2)
     mass = None
     if spinor is not None:

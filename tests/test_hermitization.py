@@ -4,62 +4,7 @@ import pytest
 from pdmdirac import (BetaMode, CoshProfile, ModelParams, apply_operator,
                       evaluate_profile, hermitian_coeffs, nonhermitian_coeffs,
                       profile_from_params, rho_weight, schrodinger_potential)
-
-
-def gaussian_triple(x0, sw):
-    def f(x):
-        return np.exp(-((x - x0) / sw) ** 2)
-
-    def f1(x):
-        return f(x) * (-2.0 * (x - x0) / sw ** 2)
-
-    def f2(x):
-        return f(x) * (4.0 * (x - x0) ** 2 / sw ** 4 - 2.0 / sw ** 2)
-
-    return f, f1, f2
-
-
-def rho_inverse_triple(params, prof, xi, xi1, xi2):
-    """Closed-form derivatives of rho^{-1} * xi."""
-    w, al = params.omega, params.alpha
-
-    def rinv(x):
-        p = evaluate_profile(prof, x)
-        return p.a ** (2.0 * al * prof.beta / w) * np.exp(2.0 * al * prof.gamma / w * x)
-
-    def g(x):
-        p = evaluate_profile(prof, x)
-        return 2.0 * al / w * (p.b / p.a)
-
-    def dg(x):
-        p = evaluate_profile(prof, x)
-        return 2.0 * al / w * prof.beta * (p.a2 / p.a - (p.a1 / p.a) ** 2)
-
-    def f(x):
-        return rinv(x) * xi(x)
-
-    def f1(x):
-        return rinv(x) * (xi1(x) + g(x) * xi(x))
-
-    def f2(x):
-        return rinv(x) * (xi2(x) + 2.0 * g(x) * xi1(x) + (g(x) ** 2 + dg(x)) * xi(x))
-
-    return f, f1, f2
-
-
-def similarity_residual(params, prof, xs):
-    big = nonhermitian_coeffs(params, prof)
-    small = hermitian_coeffs(params, prof)
-    centers = np.linspace(xs[0] + 0.5, xs[-1] - 0.5, 5)
-    worst = 0.0
-    for x0 in centers:
-        xi, xi1, xi2 = gaussian_triple(x0, 0.7)
-        f, f1, f2 = rho_inverse_triple(params, prof, xi, xi1, xi2)
-        lhs = apply_operator(big, f, f1, f2, xs)
-        hxi = apply_operator(small, xi, xi1, xi2, xs)
-        rhs = hxi / rho_weight(params, prof, xs)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(hxi))))
-    return worst
+from pdmdirac.verify import gaussian_triple, rho_inverse_triple, similarity_residual
 
 
 def test_nonhermitian_hand_value_at_origin():
