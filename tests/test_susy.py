@@ -110,6 +110,16 @@ def test_rm2_no_bound_state_warning():
         rm2_solve(1.0, -0.1, 0.0)
 
 
+def test_rm2_zero_c2_is_a_pole_at_every_level():
+    # V1 = 0 gives C2 = 0: level 0's ladder is the empty sum, but its
+    # radicand divides by (C2 - 0)^2, and the levels above divide by C2^2
+    with pytest.warns(UserWarning, match="V1 <= 0"):
+        sol = rm2_solve(1.0, 0.0, 0.5, n_max=2)
+    assert sol.w.c2 == 0.0
+    assert [(lv.e_bar, lv.e_rel, lv.admissible) for lv in sol.spectrum] == [
+        (None, None, False)] * 3
+
+
 def test_rm2_params_path_is_bit_identical():
     params = ModelParams(omega=3.0, alpha=2.0, gamma=0.1, beta=6.0, m2=4.2145)
     coeffs = rm2_coefficients_from_params(params)
@@ -347,6 +357,31 @@ def test_gpt_level_columns_match_gpt_solve(rows, n):
         _scalar_level(lambda k, r=r: gpt_solve(*r[:3], n_max=k, delta=r[3],
                                                gamma=r[4], m2=r[5]), n)
         for r in rows])
+
+
+def test_gpt_level_columns_regular_exactly_where_gpt_solve_is_finite():
+    # A - B within 10 % of sqrt(float max), so that the squares of the
+    # ladder overflow on some rows and not on others, and some c <= 0
+    rng = np.random.default_rng(32)
+    root = math.sqrt(np.finfo(float).max)
+    rows = 300
+    for n in range(1, 5):
+        b = rng.uniform(-5.0, 5.0, rows)
+        a = b + rng.choice([-1.0, 1.0], rows) * rng.uniform(0.9, 1.1, rows) * root
+        c = rng.uniform(-0.01, 0.1, rows) * root
+        c[::25] = 0.0
+        delta, gamma, m2 = (rng.uniform(0.5, 2.0, rows), rng.uniform(0.0, 3.0, rows),
+                            rng.uniform(0.5, 2.0, rows))
+        cols = gpt_level_columns(a, b, c, n, delta=delta, gamma=gamma, m2=m2)
+        levels = [_scalar_level(lambda k, i=i: gpt_solve(a[i], b[i], c[i], n_max=k,
+                                                         delta=delta[i], gamma=gamma[i],
+                                                         m2=m2[i]), n)
+                  for i in range(rows)]
+        finite = [lv is not None and math.isfinite(lv.e_rel.real)
+                  and math.isfinite(lv.e_rel.imag) for lv in levels]
+        assert cols.regular.tolist() == finite
+        assert 0 < sum(finite) < rows
+        _assert_regular_rows_match(cols, levels)
 
 
 def test_level_columns_settle_ordinary_rows_only():

@@ -97,14 +97,25 @@ README_WAVEFUNCTION = ["wavefunction", "--v1", "12", "--v2", "1", "--level", "1"
                       "--alpha", "0.5", "--gamma", "1.0", "--beta", "0.25",
                       "--m1", "0.1", "--m2", "1.2"]
 
+# the half-line spinor state: sqrt(M) with M = m2 g - 2c (m1 + b m2) csch(2cx)
+HALF_LINE_SPINOR = ["wavefunction", "--example", "2", "--omega", "3", "--alpha", "0.5",
+                    "--gamma", "3.5", "--beta", "-0.5", "--m1", "0.3", "--m2", "2",
+                    "--c", "1", "--level", "1", "--grid-points", "400", "--with-spinor"]
 
-def test_readme_wavefunction_bytes():
-    code, out = _run(README_WAVEFUNCTION)
+
+@pytest.mark.parametrize("argv, csv_md5, json_md5", [
+    (README_WAVEFUNCTION, "83a83b0722f81bff8b7d1af15aa3a337",
+     "ef17a8d456df5e36ca4b31772ffcddd1"),
+    (HALF_LINE_SPINOR, "2cedbb820127a15e41caecb9d4037954",
+     "f3dea8dc8b8a22c49235dbe0fb727f8d"),
+], ids=["rosen-morse", "poschl-teller"])
+def test_readme_wavefunction_bytes(argv, csv_md5, json_md5):
+    code, out = _run(argv)
     assert code == 0
-    assert _md5(out) == "83a83b0722f81bff8b7d1af15aa3a337"
-    code, out = _run(README_WAVEFUNCTION + ["--format", "json"])
+    assert _md5(out) == csv_md5
+    code, out = _run(argv + ["--format", "json"])
     assert code == 0
-    assert _md5(out) == "ef17a8d456df5e36ca4b31772ffcddd1"
+    assert _md5(out) == json_md5
 
 
 def test_exact_spectra_demo_bytes():

@@ -14,7 +14,7 @@ from pdmdirac import (BetaMode, Grid, ModelParams, PoschlTellerSuperpotential,
                       rm2_exponents, rm2_state_evaluator, rm2_wavefunction)
 from pdmdirac import (cancellation_residual, complete_potential, dirac, dirac_profiles,
                       effective_potential_ansatz, effective_potential_general,
-                      gpt_solve_from_params, hermitian_coeffs, model,
+                      gpt_solve, gpt_solve_from_params, hermitian_coeffs, model,
                       nonhermitian_coeffs, numerics, profile_from_params, rho_weight,
                       rm2_solve_from_params, schrodinger_potential, susy,
                       wavefunctions)
@@ -157,12 +157,17 @@ def test_gpt_inadmissible_level_rejected():
         gpt_wavefunction(2, 5.0, 1.5, 1.0, grid)
 
 
+@pytest.mark.parametrize("entry", [
+    lambda c: gpt_solve(5.0, 1.5, c),
+    lambda c: gpt_state_evaluator(0, 5.0, 1.5, c),
+    lambda c: gpt_wavefunction(0, 5.0, 1.5, c, Grid(1e-3, 20.0, 1000)),
+], ids=["gpt_solve", "gpt_state_evaluator", "gpt_wavefunction"])
 @pytest.mark.parametrize("c", [0.0, -1.0])
-def test_gpt_nonpositive_c_rejected(c):
-    # c = 0 raised a bare ZeroDivisionError from the admissibility test
-    grid = Grid(1e-3, 20.0, 1000)
+def test_gpt_nonpositive_c_rejected(c, entry):
+    # c = 0 raised a bare ZeroDivisionError, from the admissibility test or
+    # from the exponents b/c - 1/2 and -a/c - 1/2; c = -1 gave finite samples
     with pytest.raises(ValueError, match=f"c must be positive, got {c}"):
-        gpt_wavefunction(0, 5.0, 1.5, c, grid)
+        entry(c)
 
 
 @pytest.mark.parametrize("v1, v2, levels", [(12.0, 1.0, (0, 1, 2)),
