@@ -328,9 +328,9 @@ def rm2_superpotential(v1: float, v2: float) -> RosenMorseSuperpotential:
 
     The one place that forms 1 + 4 V1: a float 1 + 4 V1 <= 0 is refused,
     since no real superpotential constant exists there.  Elementwise and
-    unchecked over arrays, where 1 + 4 V1 < 0 gives a NaN C2 and C2 = 0 a
-    non-finite C1; a float C2 = 0 gives C1 = 0 when V2 = 0 and C1 = inf
-    otherwise.
+    unchecked over arrays, where 1 + 4 V1 <= 0 gives a NaN C2 and C1, and
+    C2 = 0 a non-finite C1; a float C2 = 0 gives C1 = 0 when V2 = 0 and
+    C1 = inf otherwise.
 
     Raises
     ------
@@ -341,7 +341,7 @@ def rm2_superpotential(v1: float, v2: float) -> RosenMorseSuperpotential:
     if not isinstance(disc, np.ndarray) and disc <= 0.0:
         raise ValueError(f"1 + 4*V1 must be positive for real energies to exist "
                          f"(got 1 + 4*V1 = {disc})")
-    c2 = 0.5 * (-1.0 + _sqrt(disc))
+    c2 = 0.5 * (-1.0 + _sqrt(_where(disc > 0.0, disc, math.nan)))
     if isinstance(c2, np.ndarray) or c2 != 0.0:
         c1 = v2 / (2.0 * c2)
     else:
@@ -356,7 +356,9 @@ def rm2_solve(v0: float, v1: float, v2: float, n_max: int = 5) -> RM2Solution:
     C1 = V2 / (2 C2) (so that 2 C1 C2 = V2); levels carry the ladder Ebar_n,
     the relativistic energy E_n = +-sqrt(V0 + (C2-n)^2 - V2^2/(4(C2-n)^2))
     (pure imaginary when the radicand is negative, never clamped), the
-    reality flag and the normalizability flag.
+    reality flag and the normalizability flag.  A level whose ladder or
+    radicand divides by zero (C2 - n = 0, or C2 = 0) is a pole, with
+    ``e_bar`` and ``e_rel`` None.
 
     Raises
     ------
@@ -370,13 +372,15 @@ def rm2_solve(v0: float, v1: float, v2: float, n_max: int = 5) -> RM2Solution:
 
     levels = []
     for n in range(n_max + 1):
+        # a pole: the ladder or the radicand divides by zero
         try:
             e_bar = si_remainder_ladder(w, n)
+            rad = rm2_level_radicand(v0, v2, w.c2, n)
         except ZeroDivisionError:
             levels.append(Level(n=n, e_bar=None, e_rel=None,
                                 is_real=False, admissible=False))
             continue
-        e_re, e_im, is_real = relativistic_energy(rm2_level_radicand(v0, v2, w.c2, n))
+        e_re, e_im, is_real = relativistic_energy(rad)
         levels.append(Level(n=n, e_bar=e_bar, e_rel=complex(e_re, e_im),
                             is_real=is_real, admissible=rm2_admissible(n, w.c2, v2)))
     return RM2Solution(coeffs=RM2Coeffs(v0=v0, v1=v1, v2=v2), w=w,
@@ -412,21 +416,36 @@ def gpt_ab(omega, alpha, gamma, delta, c, m2) -> tuple[float, float]:
     return a, 1.5 * c
 
 
+def gpt_superpotential(a: float, b: float, c: float) -> PoschlTellerSuperpotential:
+    """W = A tanh cx - B coth cx, which exists only for c > 0.
+
+    The one place that refuses c <= 0 for the half-line entry points: a
+    float c that is not positive (NaN too) is refused.  Arrays are left
+    unchecked, for the sweep to mark their rows.
+
+    Raises
+    ------
+    ValueError
+        when a float c is not positive.
+    """
+    if not isinstance(c, np.ndarray) and not c > 0.0:
+        raise ValueError(f"c must be positive, got {c}")
+    return PoschlTellerSuperpotential(a=a, b=b, c=c)
+
+
 def gpt_solve(a: float, b: float, c: float, n_max: int = 5, *,
               delta: float = 1.0, gamma: float = 0.0,
               m2: float = 1.0) -> GPTSolution:
     """Exact solution of the generalized Poschl-Teller family.
 
-    Ladder: Ebar_n = (A-B)^2 - (A-B-2cn)^2.  Relativistic map:
+    W comes from :func:`gpt_superpotential`, which refuses c <= 0.  Ladder: Ebar_n = (A-B)^2 - (A-B-2cn)^2.  Relativistic map:
     E_n = +-|delta| sqrt((gamma m2)^2 + Ebar_n), pure imaginary when the
     radicand is negative.  Admissible levels need A - B - 2cn > 0 together
     with the boundary conditions A/c > 0, B/c > 0; violating the boundary
     conditions only flags every level inadmissible (with a warning), the
     spectrum formulas are still evaluated.
     """
-    if not c > 0.0:
-        raise ValueError(f"c must be positive, got {c}")
-    w = PoschlTellerSuperpotential(a=a, b=b, c=c)
+    w = gpt_superpotential(a, b, c)
     if not w.is_normalizable:
         warnings.warn("boundary conditions violated (A/c and B/c must be "
                       "positive); all levels flagged inadmissible",
@@ -451,8 +470,7 @@ class LevelColumns(NamedTuple):
     """One level over arrays of parameters, one entry per row.
 
     ``regular`` marks the rows where the level's own values are finite, the
-    scalar solver's domain checks pass and the level is not a pole, and
-    (Poschl-Teller) every lower level's ladder value is finite too: there
+    scalar solver's domain checks pass and the level is not a pole: there
     the scalar solver returns these same bits and raises nothing.  The
     other rows hold meaningless values.
     """
@@ -483,25 +501,26 @@ def rm2_level_columns(v0, v1, v2, n: int) -> LevelColumns:
         w = rm2_superpotential(v1, v2)
         rad = rm2_level_radicand(v0, v2, w.c2, n)
         e_re, e_im, is_real = relativistic_energy(rad)
-        regular = (1.0 + 4.0 * v1 > 0.0) & _finite(
-            v0, v1, v2, w.c1, si_remainder_ladder(w, n), rad, e_re, e_im)
+        regular = _finite(v0, v1, v2, w.c1, si_remainder_ladder(w, n), rad, e_re, e_im)
         return LevelColumns(e_re, e_im, is_real, rm2_admissible(n, w.c2, v2), regular)
 
 
 def gpt_level_columns(a, b, c, n: int, *, delta, gamma, m2) -> LevelColumns:
-    """Level n of :func:`gpt_solve` over arrays of its arguments."""
+    """Level n of :func:`gpt_solve` over arrays of its arguments.
+
+    Level n is evaluated alone.  gpt_solve walks the levels below it too,
+    but none of them can raise where level n is finite: A - B - 2ck moves
+    monotonically from A - B to A - B - 2cn, also when rounded, so each
+    lower level's square(A - B - 2ck) is bounded by one of the two squares
+    that level n already holds.
+    """
     with np.errstate(all="ignore"):
-        w = PoschlTellerSuperpotential(a=a, b=b, c=c)
+        w = gpt_superpotential(a, b, c)
         g2 = square(gamma * m2)
-        regular = (c > 0.0) & _finite(a, b, c, g2)
-        # gpt_solve walks every level up to n; an overflowing power on that
-        # walk shows here as a non-finite ladder value
-        for k in range(n + 1):
-            e_bar = si_remainder_ladder(w, k)
-            regular &= _finite(e_bar)
+        e_bar = si_remainder_ladder(w, n)
         e_re, e_im, is_real = relativistic_energy(g2 + e_bar, abs(delta))
-        return LevelColumns(e_re, e_im, is_real, gpt_admissible(n, a, b, c),
-                            regular & _finite(e_re, e_im))
+        regular = (c > 0.0) & _finite(a, b, c, g2, e_bar, e_re, e_im)
+        return LevelColumns(e_re, e_im, is_real, gpt_admissible(n, a, b, c), regular)
 
 
 def ground_state_samples(w: Superpotential, x: np.ndarray) -> np.ndarray:

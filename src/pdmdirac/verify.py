@@ -222,7 +222,7 @@ def suite_susy() -> list[Check]:
         a = rng.uniform(4.0, 12.0)
         b = rng.uniform(0.5, a - 2.5)
         c = rng.uniform(0.5, 2.0)
-        wg = susy.PoschlTellerSuperpotential(a=a, b=b, c=c)
+        wg = susy.gpt_superpotential(a, b, c)
         worst_gpt = max(worst_gpt, float(np.max(np.abs(susy.si_check(wg, xs_half)))))
     checks = [Check("criterion 3: shape-invariance residual (Rosen-Morse)", worst_rm2, 1e-10),
               Check("criterion 3: shape-invariance residual (Poschl-Teller)", worst_gpt, 1e-10),
@@ -279,7 +279,7 @@ def _half_line_window() -> list[Check]:
         params = ModelParams(omega=5.0, alpha=1.0, gamma=10.0, beta=0.0,
                              delta=0.5, c=3.0, m2=m2, beta_mode=BetaMode.COUPLING)
         a, b = susy.gpt_params_ab(params)
-        w = susy.PoschlTellerSuperpotential(a=a, b=b, c=3.0)
+        w = susy.gpt_superpotential(a, b, 3.0)
         return (10.0 * m2) ** 2 + susy.si_remainder_ladder(w, n)
 
     lo, hi = 0.5, 3.0

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .model import ModelParams
 from .numerics import Grid, _array_key, _memoized, count_nodes, normalize
-from .susy import (PoschlTellerSuperpotential, Superpotential, gpt_admissible,
+from .susy import (Superpotential, gpt_admissible, gpt_superpotential,
                    rm2_admissible, rm2_superpotential, si_remainder_ladder)
 
 # recurrence denominators closer to zero than this switch to the explicit
@@ -215,10 +215,17 @@ def rm2_state_evaluator(n: int, v1: float, v2: float):
     return phi, dphi
 
 
-def _bound_state(n: int, samples: np.ndarray, mass: np.ndarray | None,
-                 w: Superpotential, grid: Grid) -> BoundState:
+def _bound_state(n: int, samples: np.ndarray, w: Superpotential, grid: Grid,
+                 spinor: ModelParams | None, k: float, ratio) -> BoundState:
     # the shared tail: optional sqrt(M) factor, normalization, level energy
-    if mass is not None:
+    if spinor is not None:
+        # the spinor mass of both families, M = m2 g + k (m1 + b m2) ratio(x):
+        # (k, ratio) is (1, tanh x) on the whole line and (-2c, csch 2cx) on
+        # the half line, and k times (m1 + b m2) is exact in both
+        r = ratio(grid.points)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mass = (spinor.m2 * spinor.gamma
+                    + k * (spinor.m1 + spinor.beta_effective * spinor.m2) * r)
         # a mass row that overflowed to +inf, or to NaN as inf - inf, is made
         # NaN, so sqrt(M) phi is NaN there for normalize to refuse; -inf is
         # left to the M > 0 check
@@ -245,12 +252,7 @@ def rm2_wavefunction(n: int, v1: float, v2: float, grid: Grid,
             f"level n = {n} is not admissible: needs C2 - n > 0 and "
             f"(C2 - n)^2 > |V2|/2 with C2 = {w.c2}")
     phi, _ = rm2_state_evaluator(n, v1, v2)
-    mass = None
-    if spinor is not None:
-        cross = spinor.m1 + spinor.beta_effective * spinor.m2
-        with np.errstate(over="ignore", invalid="ignore"):  # see _bound_state
-            mass = spinor.m2 * spinor.gamma + cross * np.tanh(grid.points)
-    return _bound_state(n, phi(grid.points), mass, w, grid)
+    return _bound_state(n, phi(grid.points), w, grid, spinor, 1.0, np.tanh)
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +294,8 @@ def gpt_state_evaluator(n: int, a: float, b: float, c: float):
                                           + (B/c) ln(1 - e^{-2cx}) - (A/c) ln(1 + e^{-2cx}),
 
     times y^n, and the Jacobi polynomial scaled by y^{-n}; every other row
-    keeps the direct forms' bits.
+    keeps the direct forms' bits.  c <= 0 is refused, as in
+    :func:`susy.gpt_superpotential`.
 
     cx, the direct prefactor and y do not depend on the level: the
     ``"gpt_factors"`` memo of :func:`numerics._memoized` keeps them for the
@@ -301,6 +304,7 @@ def gpt_state_evaluator(n: int, a: float, b: float, c: float):
     arrays are read-only and stay in memory until the next array call
     (about 0.15 MB at 6000 points); array calls return new arrays.
     """
+    a, b, c = gpt_superpotential(a, b, c)  # refuses c <= 0
     aj = b / c - 0.5
     bj = -a / c - 0.5
 
@@ -362,8 +366,7 @@ def gpt_wavefunction(n: int, a: float, b: float, c: float, grid: Grid,
     With model constants ``spinor``, the state is multiplied by sqrt(M(x)),
     M = m2 g - 2c (m1 + b m2) csch(2cx); M must stay positive on the grid.
     """
-    if not c > 0.0:
-        raise ValueError(f"c must be positive, got {c}")
+    w = gpt_superpotential(a, b, c)
     if np.any(grid.points <= 0.0):
         raise DomainError("grid must lie in x > 0")
     if not gpt_admissible(n, a, b, c):
@@ -371,12 +374,9 @@ def gpt_wavefunction(n: int, a: float, b: float, c: float, grid: Grid,
             f"level n = {n} is not admissible: needs A - B - 2cn > 0 and "
             f"A/c > 0, B/c > 0 (A = {a}, B = {b}, c = {c})")
     phi, _ = gpt_state_evaluator(n, a, b, c)
-    mass = None
-    if spinor is not None:
-        cross = spinor.m1 + spinor.beta_effective * spinor.m2
-        u = 2.0 * c * grid.points
-        csch = 2.0 * np.exp(-u) / (1.0 - np.exp(-2.0 * u))
-        with np.errstate(over="ignore", invalid="ignore"):  # see _bound_state
-            mass = spinor.m2 * spinor.gamma - 2.0 * c * cross * csch
-    return _bound_state(n, phi(grid.points), mass,
-                        PoschlTellerSuperpotential(a=a, b=b, c=c), grid)
+
+    def csch(x):  # csch(u) = 2 e^{-u} / (1 - e^{-2u}) at u = 2cx
+        u = 2.0 * c * x
+        return 2.0 * np.exp(-u) / (1.0 - np.exp(-2.0 * u))
+
+    return _bound_state(n, phi(grid.points), w, grid, spinor, -2.0 * c, csch)
