@@ -438,7 +438,8 @@ def gpt_solve(a: float, b: float, c: float, n_max: int = 5, *,
               m2: float = 1.0) -> GPTSolution:
     """Exact solution of the generalized Poschl-Teller family.
 
-    W comes from :func:`gpt_superpotential`, which refuses c <= 0.  Ladder: Ebar_n = (A-B)^2 - (A-B-2cn)^2.  Relativistic map:
+    W comes from :func:`gpt_superpotential`, which refuses c <= 0.
+    Ladder: Ebar_n = (A-B)^2 - (A-B-2cn)^2.  Relativistic map:
     E_n = +-|delta| sqrt((gamma m2)^2 + Ebar_n), pure imaginary when the
     radicand is negative.  Admissible levels need A - B - 2cn > 0 together
     with the boundary conditions A/c > 0, B/c > 0; violating the boundary
