@@ -15,7 +15,8 @@ Output is CSV (default) or JSON with a ``meta``/``rows`` layout; floats are
 serialized with 17 significant digits so they round-trip exactly.
 
 Exit codes: 0 success; 1 invalid input, that is every ValueError, including
-an output file that cannot be written and a request too large to allocate;
+an output file that cannot be written and a request above the caps on
+``--n-max`` (MAX_N_MAX), ``--grid-points`` and ``--steps`` (MAX_POINTS);
 2 verification failure; 3 numerical failure (overflow, poles, solver
 non-convergence).
 """
@@ -59,6 +60,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 MODEL_KEYS = ("omega", "alpha", "gamma", "beta", "delta", "c", "m1", "m2")
+# the largest requests served, refused before anything is allocated
+MAX_N_MAX = 100_000
+MAX_POINTS = 1_000_000
 # model keys each direct-coefficient mode reads; the example modes read all
 _MODE_MODEL_KEYS = {"rm2": (), "gpt": ("c", "delta", "gamma", "m2")}
 
@@ -303,6 +307,11 @@ def _meta(ns: dict, command: str) -> dict:
     return keep
 
 
+def _at_most(flag: str, value, cap: int):
+    if value is not None and value > cap:
+        raise ValueError(f"{flag} must be at most {cap}, got {value}")
+
+
 def _resolve_mode(ns: dict) -> str:
     direct_rm2 = any(ns.get(k) is not None for k in ("v0", "v1", "v2"))
     direct_gpt = any(ns.get(k) is not None for k in ("sp_a", "sp_b"))
@@ -367,6 +376,7 @@ def cmd_spectrum(ns: dict) -> int:
     mode = _resolve_mode(ns)
     if ns["n_max"] < 0:
         raise ValueError("--n-max must be nonnegative")
+    _at_most("--n-max", ns["n_max"], MAX_N_MAX)
     sol = _solve_spectrum(ns, mode, ns["n_max"])
     cols = ["n", "e_bar", "e_re", "e_im", "is_real", "admissible", "status"]
     _write(ns, _emit(ns, _meta(ns, "spectrum"), cols, _spectrum_rows(sol)))
@@ -386,6 +396,7 @@ def _default_grid(ns: dict, mode: str) -> Grid:
     if ns.get("x_max") is not None:
         x_max = ns["x_max"]
     n_points = ns.get("grid_points")
+    _at_most("--grid-points", n_points, MAX_POINTS)
     return Grid(x_min, x_max, 6000 if n_points is None else n_points)
 
 
@@ -507,6 +518,7 @@ def cmd_sweep(ns: dict) -> int:
                          f"(it reads {', '.join(read) or 'no model key'})")
     if ns["steps"] < 2:
         raise ValueError("--steps must be at least 2")
+    _at_most("--steps", ns["steps"], MAX_POINTS)
     if ns["level"] < 0:
         raise ValueError("--level must be nonnegative")
     param, steps = ns["param"], ns["steps"]

@@ -274,23 +274,25 @@ def _direct_remainder(w, n: int) -> float:
 
 
 def _half_line_window() -> list[Check]:
-    """Criterion 7: the paper's level-3 reality threshold near m2 = 1.404."""
-    def radicand(m2, n):
-        params = ModelParams(omega=5.0, alpha=1.0, gamma=10.0, beta=0.0,
-                             delta=0.5, c=3.0, m2=m2, beta_mode=BetaMode.COUPLING)
-        a, b = susy.gpt_params_ab(params)
-        w = susy.gpt_superpotential(a, b, 3.0)
-        return (10.0 * m2) ** 2 + susy.si_remainder_ladder(w, n)
+    """Criterion 7: the paper's level-3 reality threshold near m2 = 1.404.
 
-    lo, hi = 0.5, 3.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if radicand(mid, 3) < 0.0 else (lo, mid)
-    crossing = 0.5 * (lo + hi)
-    ground_real = all(radicand(m2, 0) >= 0.0 for m2 in np.linspace(0.1, 8.0, 200))
+    The window comes from the array passes that ``pdmdirac sweep --example 2
+    --omega 5 --alpha 1 --gamma 10 --delta 0.5 --c 3 --param m2 --from 0.1
+    --to 8 --steps 3951`` runs for levels 3 and 0, on its m2 grid of step
+    0.002; the sign change is the midpoint of level 3's single reality flip.
+    """
+    # the IEEE operations of cmd_sweep's swept values
+    m2 = 0.1 + (8.0 - 0.1) * np.arange(3951) / 3950
+    a, b = susy.gpt_ab(5.0, 1.0, 10.0, 0.5, 3.0, m2)
+    lv3, lv0 = (susy.gpt_level_columns(a, b, 3.0, n, delta=0.5, gamma=10.0, m2=m2)
+                for n in (3, 0))
+    flips = np.flatnonzero(lv3.is_real[1:] != lv3.is_real[:-1])
+    crossing = (0.5 * (m2[flips[0]] + m2[flips[0] + 1])
+                if np.all(lv3.regular & lv0.regular) and flips.size == 1 else math.inf)
     return [Check("criterion 7: level-3 radicand sign change, |m2 - 1.404|",
-                  abs(crossing - 1.404), 0.01),
-            _holds("criterion 7: level 0 real on m2 in [0.1, 8]", ground_real)]
+                  float(abs(crossing - 1.404)), 0.01),
+            _holds("criterion 7: level 0 real on m2 in [0.1, 8]",
+                   np.all(lv0.regular & lv0.is_real))]
 
 
 def _whole_line_window() -> list[Check]:

@@ -325,11 +325,12 @@ def gpt_state_evaluator(n: int, a: float, b: float, c: float):
         log_y = 2.0 * u - _LN2 + np.log1p(e * e)
         # where 2cx < 5.6e-17 rounds e to 1, log1p(-e) is -inf and the row
         # comes out 0 as an underflow, or NaN beside a non-finite Jacobi
-        # factor, for normalize to refuse
-        with np.errstate(divide="ignore"):
+        # factor, for normalize to refuse; a scaled Jacobi factor that
+        # overflows too (A/c of order 1e153) leaves the row non-finite alike
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             log_pref = ((b - a) / (2.0 * c) * (2.0 * u - _LN2)
                         + (b / c) * np.log1p(-e) - (a / c) * np.log1p(e))
-        value = np.exp(log_pref + n * log_y) * scaled(u, 2.0 * e / (1.0 + e * e))
+            value = np.exp(log_pref + n * log_y) * scaled(u, 2.0 * e / (1.0 + e * e))
         return np.where(far, value, out)[()]  # [()] unwraps a scalar call
 
     def phi(x):

@@ -426,17 +426,20 @@ def test_unwritable_output_file_exits_1(tmp_path, capsys):
     assert not path.parent.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["wavefunction", "--v1", "12", "--v2", "1", "--grid-points", str(10**18)],
-    ["sweep", "--example", "1", *EXAMPLE_1, "--param", "m2", "--from", "1", "--to", "2",
-     "--steps", str(10**18)],
-], ids=["wavefunction", "sweep"])
-def test_request_too_large_to_allocate_exits_1(argv, capsys):
-    # these ended in numpy's MemoryError traceback; 10**18 eight-byte
-    # values exceed any address space, so the request is refused at once
+@pytest.mark.parametrize("argv, refusal", [
+    (["wavefunction", "--v1", "12", "--v2", "1", "--grid-points", str(10**18)],
+     f"--grid-points must be at most 1000000, got {10**18}"),
+    (["sweep", "--example", "1", *EXAMPLE_1, "--param", "m2", "--from", "1", "--to", "2",
+      "--steps", str(10**18)], f"--steps must be at most 1000000, got {10**18}"),
+    (["spectrum", "--v0", "1", "--v1", "12", "--v2", "1", "--n-max", "1000000000"],
+     "--n-max must be at most 100000, got 1000000000"),
+], ids=["wavefunction", "sweep", "spectrum"])
+def test_request_too_large_to_allocate_exits_1(argv, refusal, capsys):
+    # a request above its flag's cap is refused before anything is
+    # allocated, with one error line that names the flag and its cap
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
-    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert err == f"error: {refusal}\n"
 
 
 def test_verify_quick_suite_passes(capsys):

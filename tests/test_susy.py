@@ -204,7 +204,16 @@ def test_gpt_figure_two_window():
             lo = mid
         else:
             hi = mid
-    assert abs(0.5 * (lo + hi) - 1.404) <= 0.01
+    root = 0.5 * (lo + hi)
+    assert abs(root - 1.404) <= 0.01
+    # the root lies inside the bracket of the single level-3 reality flip of
+    # the array pass on criterion 7's m2 grid, of step 0.002
+    m2 = 0.1 + (8.0 - 0.1) * np.arange(3951) / 3950
+    a, b = susy.gpt_ab(5.0, 1.0, 10.0, 0.5, 3.0, m2)
+    lv = gpt_level_columns(a, b, 3.0, 3, delta=0.5, gamma=10.0, m2=m2)
+    assert np.all(lv.regular)
+    (flip,) = np.flatnonzero(lv.is_real[1:] != lv.is_real[:-1])
+    assert m2[flip] < root < m2[flip + 1]
 
 
 def test_gpt_boundary_violation_warns_and_flags():

@@ -333,6 +333,19 @@ def test_overflowing_state_is_refused_without_a_warning(make, args, grid, spinor
                                f"x = {float(grid.points[0])!r} (node 0)")
 
 
+@pytest.mark.parametrize("which", [0, 1], ids=["phi", "dphi"])
+def test_gpt_overflowing_far_field_form_is_quiet(which):
+    # A/c of order 1e153 sends every row to the log-space forms, whose
+    # scaled Jacobi factor overflows too: the rows stay non-finite, for
+    # normalize to refuse, with no warning
+    grid = Grid(1e-3 / 12.0, 20.0 / 12.0, 16)
+    evaluate = gpt_state_evaluator(2, 7e153, 0.5, 12.0)[which]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = evaluate(grid.points)
+    assert not np.any(np.isfinite(out))
+
+
 @pytest.mark.parametrize("family", ["cosh", "coth"])
 def test_spinor_states_keep_the_bits_of_the_mass_expression(family):
     # the overflow handling leaves every finite mass row as it was
