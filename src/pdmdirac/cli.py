@@ -16,7 +16,8 @@ serialized with 17 significant digits so they round-trip exactly.
 
 Exit codes: 0 success; 1 invalid input, that is every ValueError, including
 an output file that cannot be written and a request above the caps on
-``--n-max`` (MAX_N_MAX), ``--grid-points`` and ``--steps`` (MAX_POINTS);
+``--n-max`` and ``wavefunction --level`` (MAX_N_MAX), ``--grid-points`` and
+``--steps`` (MAX_POINTS);
 2 verification failure; 3 numerical failure (overflow, poles, solver
 non-convergence).
 """
@@ -41,7 +42,7 @@ from .errors import ConvergenceError, PoleError, SingularityError
 from .model import BetaMode, ModelParams, derived_constants, in_domain, resolve_beta
 from .numerics import Grid
 from .susy import (gpt_ab, gpt_level_columns, gpt_params_ab, gpt_solve,
-                   gpt_solve_from_params, rm2_coefficients,
+                   gpt_solve_from_params, gpt_superpotential, rm2_coefficients,
                    rm2_coefficients_from_params, rm2_level_columns, rm2_solve,
                    rm2_solve_from_params)
 from .wavefunctions import gpt_wavefunction, rm2_wavefunction
@@ -383,43 +384,33 @@ def cmd_spectrum(ns: dict) -> int:
     return 0
 
 
-def _default_grid(ns: dict, mode: str) -> Grid:
-    c = ns["c"]
-    if mode in ("rm2", "example1"):
-        x_min, x_max = -15.0, 15.0
-    elif c > 0.0:
-        x_min, x_max = 1e-3 / c, 20.0 / c
-    else:
-        raise ValueError(f"c must be positive, got {c}")
-    if ns.get("x_min") is not None:
-        x_min = ns["x_min"]
-    if ns.get("x_max") is not None:
-        x_max = ns["x_max"]
-    n_points = ns.get("grid_points")
-    _at_most("--grid-points", n_points, MAX_POINTS)
-    return Grid(x_min, x_max, 6000 if n_points is None else n_points)
-
-
 def cmd_wavefunction(ns: dict) -> int:
     mode = _resolve_mode(ns)
     n = ns["level"]
     if n < 0:
         raise ValueError("--level must be nonnegative")
-    grid = _default_grid(ns, mode)
+    _at_most("--level", n, MAX_N_MAX)
     params = _model_params(ns) if (mode.startswith("example") or ns["with_spinor"]) else None
     if mode == "example1":
         co = rm2_coefficients_from_params(params)
-        build = functools.partial(rm2_wavefunction, n, co.v1, co.v2, grid)
+        make, coeffs, ends = rm2_wavefunction, (co.v1, co.v2), (-15.0, 15.0)
     elif mode == "rm2":
         _require(ns, "v1", "v2")
-        build = functools.partial(rm2_wavefunction, n, ns["v1"], ns["v2"], grid)
-    elif mode == "example2":
-        build = functools.partial(gpt_wavefunction, n, *gpt_params_ab(params), ns["c"], grid)
+        make, coeffs, ends = rm2_wavefunction, (ns["v1"], ns["v2"]), (-15.0, 15.0)
     else:
-        _require(ns, "sp_a", "sp_b")
-        build = functools.partial(gpt_wavefunction, n, ns["sp_a"], ns["sp_b"], ns["c"], grid)
-    state = build()
-    spin = build(params) if ns["with_spinor"] else None
+        if mode == "gpt":
+            _require(ns, "sp_a", "sp_b")
+        a, b = gpt_params_ab(params) if mode == "example2" else (ns["sp_a"], ns["sp_b"])
+        # the superpotential refuses c <= 0 before the box [1e-3/c, 20/c] divides by c
+        w = gpt_superpotential(a, b, ns["c"])
+        make, coeffs, ends = gpt_wavefunction, w, (1e-3 / w.c, 20.0 / w.c)
+    n_points = ns.get("grid_points")
+    _at_most("--grid-points", n_points, MAX_POINTS)
+    grid = Grid(ends[0] if ns.get("x_min") is None else ns["x_min"],
+                ends[1] if ns.get("x_max") is None else ns["x_max"],
+                6000 if n_points is None else n_points)
+    state = make(n, *coeffs, grid)
+    spin = make(n, *coeffs, grid, params) if ns["with_spinor"] else None
     cols = ["x", "phi"]
     samples = [grid.points, state.samples]
     if spin is not None:

@@ -196,8 +196,9 @@ def si_remainder_ladder(w: Superpotential, n: int) -> float:
         if not isinstance(w.c2, np.ndarray) and w.c2 - n == 0.0:
             raise ZeroDivisionError(f"ladder hits C2 - n = 0 at n = {n}")
         v2 = 2.0 * w.c1 * w.c2
+        cn2 = square(w.c2 - n)
         return (v2 * v2 / (4.0 * w.c2 * w.c2) + w.c2 * w.c2
-                - v2 * v2 / (4.0 * square(w.c2 - n)) - square(w.c2 - n))
+                - v2 * v2 / (4.0 * cn2) - cn2)
     if isinstance(w, PoschlTellerSuperpotential):
         d0 = w.a - w.b
         return d0 * d0 - square(d0 - 2.0 * w.c * n)
@@ -411,8 +412,9 @@ def gpt_params_ab(params: ModelParams) -> tuple[float, float]:
 def gpt_ab(omega, alpha, gamma, delta, c, m2) -> tuple[float, float]:
     """(A, B) of :func:`gpt_params_ab`, elementwise over arrays."""
     s = sigma_of(omega, alpha)
-    e2 = omega / 2.0 - square(gamma) * (square(m2) - s)
-    a = c / 2.0 - (e2 + square(delta) * square(m2)) / (4.0 * c)
+    m2sq = square(m2)
+    e2 = omega / 2.0 - square(gamma) * (m2sq - s)
+    a = c / 2.0 - (e2 + square(delta) * m2sq) / (4.0 * c)
     return a, 1.5 * c
 
 

@@ -364,6 +364,11 @@ def test_nonfinite_model_and_coefficient_flags_exit_1(argv, flag, value, capsys)
         1, "", f"error: argument {flag}: must be a finite number, got '{value}'\n")
 
 
+def test_unparsable_float_flag_exits_1(capsys):
+    assert run_cli(["spectrum", "--v0", "abc", "--v1", "12", "--v2", "1"], capsys) == (
+        1, "", "error: argument --v0: invalid float value: 'abc'\n")
+
+
 def test_config_file_merge_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("omega = 3.0\nalpha = 2.0\ngamma = 0.1\nbeta = 6\n"
@@ -433,13 +438,24 @@ def test_unwritable_output_file_exits_1(tmp_path, capsys):
       "--steps", str(10**18)], f"--steps must be at most 1000000, got {10**18}"),
     (["spectrum", "--v0", "1", "--v1", "12", "--v2", "1", "--n-max", "1000000000"],
      "--n-max must be at most 100000, got 1000000000"),
-], ids=["wavefunction", "sweep", "spectrum"])
+    # the level's Jacobi recurrence would run about an hour
+    (["wavefunction", "--v1", "1e12", "--v2", "1", "--level", "1000000000",
+      "--grid-points", "16"], "--level must be at most 100000, got 1000000000"),
+], ids=["wavefunction", "sweep", "spectrum", "wavefunction-level"])
 def test_request_too_large_to_allocate_exits_1(argv, refusal, capsys):
     # a request above its flag's cap is refused before anything is
     # allocated, with one error line that names the flag and its cap
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
     assert err == f"error: {refusal}\n"
+
+
+def test_wavefunction_level_at_the_cap_passes_it(capsys):
+    # the cap is inclusive: level 100000 reaches the admissibility check
+    code, out, err = run_cli(["wavefunction", "--v1", "6", "--v2", "0",
+                              "--level", "100000"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: level n = 100000 is not admissible")
 
 
 def test_verify_quick_suite_passes(capsys):

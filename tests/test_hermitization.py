@@ -4,6 +4,7 @@ import pytest
 from pdmdirac import (BetaMode, CoshProfile, ModelParams, apply_operator,
                       evaluate_profile, hermitian_coeffs, nonhermitian_coeffs,
                       profile_from_params, rho_weight, schrodinger_potential)
+from pdmdirac.errors import DomainError
 from pdmdirac.verify import gaussian_triple, rho_inverse_triple, similarity_residual
 
 
@@ -75,6 +76,14 @@ def test_rho_power_law_for_gamma_zero():
     assert np.allclose(rho_weight(params, prof, xs), expected, rtol=1e-14)
 
 
+def test_rho_refuses_a_negative_profile_with_a_non_integer_exponent():
+    # delta = -1 makes A = -cosh x < 0, and A^(-2ab/w) = A^(-4/15) is not real
+    params = ModelParams(omega=3.0, alpha=1.0, gamma=0.0, beta=0.4, delta=-1.0)
+    prof = CoshProfile(delta=-1.0, gamma=0.0, beta=0.4)
+    with pytest.raises(DomainError, match="A\\(x\\) <= 0 with a non-integer rho exponent"):
+        rho_weight(params, prof, np.linspace(-1.0, 1.0, 5))
+
+
 def test_rho_exponential_vs_quadrature_for_beta_zero():
     params = ModelParams(omega=3.0, alpha=1.2, gamma=0.3, beta=0.0)
     prof = CoshProfile(delta=1.0, gamma=0.3, beta=0.0)
@@ -112,6 +121,17 @@ def test_schrodinger_forms_agree(family):
     gen = schrodinger_potential(params, prof, 0.37, xs, form="generic")
     ans = schrodinger_potential(params, prof, 0.37, xs, form="ansatz")
     assert np.max(np.abs(gen - ans) / (1.0 + np.abs(ans))) < 1e-10
+
+
+@pytest.mark.parametrize("form, matched, message", [
+    ("ansatz", False, "the ansatz form is defined in the matched convention only"),
+    ("closed", True, "unknown form: 'closed'"),
+])
+def test_schrodinger_refuses_an_unsupported_form(form, matched, message):
+    params = ModelParams(omega=3.0, alpha=1.0, gamma=0.2, beta=0.4)
+    prof = CoshProfile(delta=1.0, gamma=0.2, beta=0.4)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        schrodinger_potential(params, prof, 0.37, 0.5, form=form, matched=matched)
 
 
 def test_schrodinger_hand_value_at_origin():

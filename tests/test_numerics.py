@@ -130,6 +130,12 @@ def test_potential_must_return_an_array_of_the_nodes_shape():
         ode_residual(lambda x: 5.0, 0.0, samples, g)
 
 
+def test_residual_of_an_all_zero_state_is_zero():
+    # the relative residual has a zero norm below it; the absolute one is returned
+    g = Grid(0.0, 1.0, 99)
+    assert ode_residual(lambda x: 5.0 * x, 1.0, np.zeros(99), g) == 0.0
+
+
 def test_grid_step_too_small_for_the_matrix_is_refused():
     # h^2 underflowed to 0.0 and the solve divided by it
     with pytest.raises(ValueError, match="grid step 9.901e-163 is below 1e-75"):

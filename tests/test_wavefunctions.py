@@ -123,6 +123,12 @@ def test_rm2_exponents_reduce_to_ladder_constants():
     assert -2 * s == pytest.approx((c2 - n) + v2 / (2 * (c2 - n)), rel=1e-13)
 
 
+def test_rm2_exponents_refuse_the_pole_at_c2_minus_n_zero():
+    # V1 = 2 gives C2 = (-1 + sqrt(9))/2 = 1, so t = n - C2 = 0 at n = 1
+    with pytest.raises(ZeroDivisionError, match=r"^exponents undefined at C2 - n = 0 \(n = 1\)$"):
+        rm2_exponents(1, 2.0, 1.0)
+
+
 def test_gpt_boundary_value_vanishes():
     phi, _ = gpt_state_evaluator(0, 5.0, 1.5, 1.0)
     small = phi(np.array([1e-8, 1e-6, 1e-4]))
